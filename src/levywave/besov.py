@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .wavelets import WaveletCoeffs, coeff_iter
+from .wavelets import WaveletCoeffs
 
 __all__ = [
     "BesovParams",
@@ -78,13 +78,14 @@ class DecayCurve:
 
 def weighted_magnitudes(coeffs: WaveletCoeffs, params: BesovParams) -> np.ndarray:
     """Flat array of 2^(j(tau - d/p)) |lambda| in canonical iteration order."""
-    chunks = []
-    for j in sorted(coeffs.levels):
-        w = params.weight(j)
-        bands = coeffs.levels[j]
-        for g in sorted(bands):
-            chunks.append(w * np.abs(bands[g]).ravel())
-    return np.concatenate(chunks) if chunks else np.zeros(0)
+    out = np.empty(coeffs.total_count())
+    start = 0
+    for j, _, arr in coeffs.bands():
+        segment = out[start:start + arr.size]
+        np.abs(arr, out=segment.reshape(arr.shape))
+        segment *= params.weight(j)
+        start += arr.size
+    return out
 
 
 def besov_seq_norm(coeffs: WaveletCoeffs, params: BesovParams) -> float:
@@ -95,27 +96,14 @@ def besov_seq_norm(coeffs: WaveletCoeffs, params: BesovParams) -> float:
     p = params.p
     if math.isinf(params.q):
         best = 0.0
-        for j in sorted(coeffs.levels):
-            w = params.weight(j)
-            for g, arr in sorted(coeffs.levels[j].items()):
-                val = w * float(np.sum(np.abs(arr) ** p)) ** (1.0 / p)
-                best = max(best, val)
+        for j, _, arr in coeffs.bands():
+            best = max(best, params.weight(j) * float(np.sum(np.abs(arr) ** p)) ** (1.0 / p))
         return best
     q = params.q
     total = 0.0
-    for j in sorted(coeffs.levels):
-        w = params.weight(j)
-        for g, arr in sorted(coeffs.levels[j].items()):
-            inner = float(np.sum(np.abs(arr) ** p))
-            total += w**q * inner ** (q / p)
+    for j, _, arr in coeffs.bands():
+        total += params.weight(j) ** q * float(np.sum(np.abs(arr) ** p)) ** (q / p)
     return total ** (1.0 / q)
-
-
-def _ascending_tail_power_sum(mags_p: np.ndarray) -> float:
-    """Sum of the given p-th powers, accumulated smallest first for stability."""
-    if mags_p.size == 0:
-        return 0.0
-    return float(np.cumsum(np.sort(mags_p))[-1])
 
 
 def best_n_term(coeffs: WaveletCoeffs, params: BesovParams, n: int):
@@ -134,10 +122,18 @@ def best_n_term(coeffs: WaveletCoeffs, params: BesovParams, n: int):
     order = np.argsort(-mags, kind="stable")
     kept_positions = order[: min(n, mags.size)]
     discarded = order[min(n, mags.size):]
-    residual = _ascending_tail_power_sum(mags[discarded] ** params.p) ** (1.0 / params.p)
+    tail = np.cumsum(np.sort(mags[discarded] ** params.p))  # smallest first, for stability
+    residual = float(tail[-1] if tail.size else 0.0) ** (1.0 / params.p)
 
-    index_list = [(j, g, m) for j, g, m, _ in coeff_iter(coeffs)]
-    kept = [index_list[pos] for pos in sorted(kept_positions)]
+    # flat position -> (j, g, shift) through the band offsets
+    bands = coeffs.bands()
+    starts = np.cumsum([0] + [arr.size for _, _, arr in bands])
+    positions = np.sort(kept_positions)
+    bounds = np.searchsorted(positions, starts)
+    kept = []
+    for (j, g, arr), start, a, b in zip(bands, starts, bounds, bounds[1:]):
+        shifts = np.unravel_index(positions[a:b] - start, arr.shape)
+        kept += [(j, g, m) for m in zip(*(s.tolist() for s in shifts))]
     return kept, residual
 
 
@@ -149,12 +145,16 @@ def sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid) -> DecayCurv
     if n_grid.size == 0 or np.any(np.diff(n_grid) <= 0):
         raise ValueError("n grid must be non-empty and strictly ascending")
     p = params.p
-    mags = weighted_magnitudes(coeffs, params)
-    powered = np.sort(mags)[::-1] ** p
-    # tail[n] = sum of powered[n:], accumulated smallest-first
-    tail = np.concatenate([np.cumsum(powered[::-1])[::-1], [0.0]])
-    idx = np.minimum(n_grid, powered.size)
-    sigma = tail[idx] ** (1.0 / p)
+    acc = weighted_magnitudes(coeffs, params)
+    acc.sort()
+    acc **= p
+    np.cumsum(acc, out=acc)
+    # the n largest are discarded: tail[n] = acc[size - 1 - n], accumulated
+    # smallest-first, and 0 once n reaches size
+    tail = np.zeros(n_grid.size)
+    inside = n_grid < acc.size
+    tail[inside] = acc[acc.size - 1 - n_grid[inside]]
+    sigma = tail ** (1.0 / p)
     return DecayCurve(n_values=n_grid, sigma_values=sigma, params=params)
 
 

@@ -360,6 +360,7 @@ def _run_trial(config: ExperimentConfig, index: int) -> DecayCurve:
     seed = trial_seed(config.base_seed, index)
     fieldvals = synthesize_process(exponent, config.grid(), config.symbol(), seed)
     coeffs = dwt_periodic(fieldvals, config.wavelet_spec())
+    del fieldvals
     params = BesovParams(tau=config.tau0, p=config.p0, q=config.p0, d=config.d)
     curve = sigma_curve(coeffs, params, config.n_values())
     curve.fit = estimate_kappa(curve, config.fit_range())

@@ -1,10 +1,12 @@
 """Fourier-multiplier operators on the discrete torus and the spectral solve.
 
-Frequencies are the signed integer lattice points in [-N/2, N/2) per axis.
-The zero frequency is always dropped (zero-mean convention), which is what
-makes the operators invertible.  Grid index i stands for the point i/N of
-the unit fundamental domain; since the noises are stationary, this choice
-over the centered representation is immaterial.
+Fields are real, so only the half spectrum of `numpy.fft.rfftn` is stored:
+leading axes carry the signed integer frequencies in [-N/2, N/2), the last
+axis the non-negative ones 0 .. N/2.  The zero frequency is always dropped
+(zero-mean convention), which is what makes the operators invertible.  Grid
+index i stands for the point i/N of the unit fundamental domain; since the
+noises are stationary, this choice over the centered representation is
+immaterial.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ class AdmissibilityError(ValueError):
 
 
 def frequency_lattice(grid: GridSpec):
-    """Signed integer frequencies per axis, in FFT layout."""
-    m = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
-    return (m,) * grid.d
+    """Integer frequencies per axis, in rfftn layout (half spectrum on the last axis)."""
+    full = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    half = np.fft.rfftfreq(grid.n, d=1.0 / grid.n)
+    return (full,) * (grid.d - 1) + (half,)
 
 
 def _squared_norms(grid: GridSpec) -> np.ndarray:
@@ -127,7 +130,7 @@ OperatorSymbol = FractionalLaplacian | Matern | Derivative1d
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Fourier coefficients of a real zero-mean field, FFT layout, DC = 0."""
+    """Half spectrum of a real zero-mean field, rfftn layout, DC = 0."""
 
     grid: GridSpec
     coeffs: np.ndarray
@@ -155,36 +158,20 @@ def forward_fft(field, grid: GridSpec | None = None) -> SpectralField:
     The zero-frequency coefficient is forced to zero.
     """
     values, grid = _unpack(field, grid)
-    coeffs = np.fft.fftn(values) / grid.size
+    coeffs = np.fft.rfftn(values, axes=tuple(range(grid.d)), norm="forward")
     coeffs[(0,) * grid.d] = 0.0
     return SpectralField(grid=grid, coeffs=coeffs)
 
 
 def inverse_fft(field: SpectralField) -> np.ndarray:
-    """Back to a real grid field; raises if the imaginary residue is non-trivial."""
-    out = np.fft.ifftn(field.coeffs) * field.grid.size
-    scale = max(1.0, float(np.abs(out.real).max()))
-    residue = float(np.abs(out.imag).max())
-    if residue > 1e-9 * scale:
-        raise ValueError(f"inverse transform is not real: residue {residue:.3e}")
-    return np.ascontiguousarray(out.real)
+    """Back to the real grid field.
 
-
-def _realify_self_conjugate(coeffs: np.ndarray, grid: GridSpec) -> None:
-    """Keep the spectrum of a real field conjugate-symmetric.
-
-    The bins with 2m = 0 mod N are their own conjugate partners, so after a
-    complex multiplier they must carry their real part, which is exactly the
-    grid-sampled action of the operator on those modes.  Real symbols are
-    unaffected.
+    The imaginary parts of the self-conjugate bins (2m = 0 mod N) are
+    dropped, which keeps the grid-sampled real action of a complex symbol
+    on those modes.
     """
-    half = grid.n // 2
-    if grid.d == 1:
-        coeffs[half] = coeffs[half].real
-    else:
-        for i in (0, half):
-            for j in (0, half):
-                coeffs[i, j] = coeffs[i, j].real
+    grid = field.grid
+    return np.fft.irfftn(field.coeffs, s=grid.shape, axes=tuple(range(grid.d)), norm="forward")
 
 
 def _check_symbol(lhat: np.ndarray, grid: GridSpec) -> None:
@@ -205,11 +192,9 @@ def apply_inverse_operator(field: SpectralField, symbol: OperatorSymbol) -> Spec
     lhat = symbol.evaluate(field.grid)
     _check_symbol(lhat, field.grid)
     dc = (0,) * field.grid.d
-    safe = lhat.copy()
-    safe[dc] = 1.0
-    out = field.coeffs / safe
+    lhat[dc] = 1.0
+    out = field.coeffs / lhat
     out[dc] = 0.0
-    _realify_self_conjugate(out, field.grid)
     return SpectralField(grid=field.grid, coeffs=out)
 
 
@@ -219,7 +204,6 @@ def apply_forward_operator(field: SpectralField, symbol: OperatorSymbol) -> Spec
     _check_symbol(lhat, field.grid)
     out = field.coeffs * lhat
     out[(0,) * field.grid.d] = 0.0
-    _realify_self_conjugate(out, field.grid)
     return SpectralField(grid=field.grid, coeffs=out)
 
 
@@ -230,7 +214,8 @@ def synthesize_process(
     seed: int,
 ) -> np.ndarray:
     """One realization of the process solving (operator) s = noise, zero mean."""
-    noise = generate_noise(exponent, grid, seed)
-    spectrum = forward_fft(noise)
-    solved = apply_inverse_operator(spectrum, symbol)
-    return inverse_fft(solved)
+    # one name for every stage frees each full-size array once the next returns
+    field = generate_noise(exponent, grid, seed)
+    field = forward_fft(field)
+    field = apply_inverse_operator(field, symbol)
+    return inverse_fft(field)

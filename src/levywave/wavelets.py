@@ -127,6 +127,10 @@ class WaveletCoeffs:
     def total_count(self) -> int:
         return sum(arr.size for bands in self.levels.values() for arr in bands.values())
 
+    def bands(self) -> list:
+        """(j, gender, array) in canonical order: levels ascend, then genders."""
+        return [(j, g, bands[g]) for j, bands in sorted(self.levels.items()) for g in sorted(bands)]
+
     def genders(self, j: int):
         return sorted(self.levels[j])
 
@@ -155,52 +159,72 @@ def coeff_iter(coeffs: WaveletCoeffs):
 
     Levels ascend, then genders ascend, then shifts in lexicographic order.
     """
-    for j in sorted(coeffs.levels):
-        bands = coeffs.levels[j]
-        for g in sorted(bands):
-            arr = bands[g]
-            for m in np.ndindex(arr.shape):
-                yield j, g, m, float(arr[m])
+    for j, g, arr in coeffs.bands():
+        for m in np.ndindex(arr.shape):
+            yield j, g, m, float(arr[m])
 
 
 # ---------------------------------------------------------------------------
 # single-axis periodic filter-bank steps
 
 
+_BLOCK = 1 << 14  # output samples per analysis block (128 KiB per buffer)
+
+
+def _along(axis: int, sl: slice) -> tuple:
+    return (slice(None),) * axis + (sl,)
+
+
 def _analyze_axis(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
-    x = np.moveaxis(x, axis, 0)
-    n = x.shape[0]
-    taps = h.size
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n
-    win = x[idx]  # (n//2, taps, ...)
-    lo = np.tensordot(win, h, axes=(1, 0))
-    hi = np.tensordot(win, g, axes=(1, 0))
-    return np.moveaxis(lo, 0, axis), np.moveaxis(hi, 0, axis)
+    """Periodic filter-and-downsample: lo[i] = sum_t h[t] x[(2i + t) mod n].
+
+    Polyphase form: the input gets a periodic pad of taps - 2 samples, and
+    each tap adds one stride-2 slice of it into preallocated outputs, block
+    by block of leading-axis output rows so that the block stays in cache.
+    """
+    n = x.shape[axis]
+    xp = np.concatenate([x, x[_along(axis, slice(0, h.size - 2))]], axis=axis)
+    shape = x.shape[:axis] + (n // 2,) + x.shape[axis + 1:]
+    lo, hi = np.zeros(shape), np.zeros(shape)
+    rows = max(1, _BLOCK // math.prod(shape[1:]))
+    tmp = np.empty((min(rows, shape[0]),) + shape[1:])
+    for r0 in range(0, shape[0], rows):
+        r1 = min(r0 + rows, shape[0])
+        # along axis 0, output rows r0 .. r1-1 read input rows 2 r0 .. 2 r1 + taps - 3
+        src, m = (xp[2 * r0:], 2 * (r1 - r0)) if axis == 0 else (xp[r0:r1], n)
+        pairs = ((lo[r0:r1], h), (hi[r0:r1], g))
+        for t in range(h.size):
+            phase = src[_along(axis, slice(t, t + m, 2))]
+            for acc, f in pairs:
+                acc += np.multiply(phase, f[t], out=tmp[: r1 - r0])
+    return lo, hi
 
 
 def _synthesize_axis(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
-    lo = np.moveaxis(lo, axis, 0)
-    hi = np.moveaxis(hi, axis, 0)
-    n = 2 * lo.shape[0]
-    up_lo = np.zeros((n,) + lo.shape[1:])
-    up_hi = np.zeros_like(up_lo)
-    up_lo[::2] = lo
-    up_hi[::2] = hi
-    out = np.zeros_like(up_lo)
-    for t in range(h.size):
-        out += h[t] * np.roll(up_lo, t, axis=0)
-        out += g[t] * np.roll(up_hi, t, axis=0)
-    return np.moveaxis(out, 0, axis)
+    """Adjoint of _analyze_axis: out[2r + e] = sum_s h[2s + e] lo[r - s] + g[2s + e] hi[r - s].
+
+    Polyphase form over a periodic pad of k - 1 samples in front of each band.
+    """
+    half, pad = lo.shape[axis], h.size // 2 - 1
+    front = _along(axis, slice(half - pad, half))
+    pairs = [(np.concatenate([band[front], band], axis=axis), f) for band, f in ((lo, h), (hi, g))]
+    out = np.zeros(lo.shape[:axis] + (2 * half,) + lo.shape[axis + 1:])
+    tmp = np.empty(lo.shape)
+    for e in (0, 1):
+        acc = out[_along(axis, slice(e, None, 2))]
+        for s in range(pad + 1):
+            shift = _along(axis, slice(pad - s, pad - s + half))
+            for padded, f in pairs:
+                acc += np.multiply(padded[shift], f[2 * s + e], out=tmp)
+    return out
 
 
 def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray) -> dict:
     parts = {0: c}
     for axis in range(c.ndim):
         grown = {}
-        for mask, arr in parts.items():
-            lo, hi = _analyze_axis(arr, h, g, axis)
-            grown[mask] = lo
-            grown[mask | (1 << axis)] = hi
+        for mask in list(parts):
+            grown[mask], grown[mask | (1 << axis)] = _analyze_axis(parts.pop(mask), h, g, axis)
         parts = grown
     return parts
 
@@ -220,10 +244,6 @@ def _synthesize_step(parts: dict, h: np.ndarray, g: np.ndarray, d: int) -> np.nd
 
 # ---------------------------------------------------------------------------
 # multilevel transforms
-
-
-def _lambda_scale(j: int, zeta: int, d: int) -> float:
-    return 2.0 ** ((j + zeta) * d / 2.0)
 
 
 def dwt_periodic(values, spec: WaveletSpec, levels: int | None = None) -> WaveletCoeffs:
@@ -253,25 +273,19 @@ def dwt_periodic(values, spec: WaveletSpec, levels: int | None = None) -> Wavele
     if not 1 <= steps <= max_steps:
         raise ValueError(f"levels must lie in [1, {max_steps}], got {levels}")
 
-    h = spec.lowpass
-    g = spec.highpass
-    c = x * 2.0 ** (-J * d / 2.0)  # samples -> fine scaling coefficients
+    # A band of 2^(j+zeta) shifts per axis stores 2^((j+zeta)d/2) times the
+    # orthonormal coefficient, so the samples themselves are the stored
+    # fine-scale values and each step filters with h/sqrt(2), g/sqrt(2).
+    h = spec.lowpass / math.sqrt(2.0)
+    g = spec.highpass / math.sqrt(2.0)
+    c = x
     pyramid = {}
-    length = n
-    for _ in range(steps):
+    for j in range(J - zeta - 1, J - zeta - 1 - steps, -1):
         parts = _analyze_step(c, h, g)
-        length //= 2
-        j = int(math.log2(length)) - zeta
         pyramid[j] = {mask: parts[mask] for mask in range(1, 1 << d)}
         c = parts[0]
-    j_coarse = int(math.log2(length)) - zeta
-    pyramid[j_coarse][0] = c
-
-    for j, bands in pyramid.items():
-        factor = _lambda_scale(j, zeta, d)
-        for mask in bands:
-            bands[mask] = bands[mask] * factor
-    return WaveletCoeffs(d=d, zeta=zeta, j_coarse=j_coarse, levels=pyramid)
+    pyramid[j][0] = c
+    return WaveletCoeffs(d=d, zeta=zeta, j_coarse=j, levels=pyramid)
 
 
 def idwt_periodic(coeffs: WaveletCoeffs, spec: WaveletSpec) -> np.ndarray:
@@ -284,17 +298,17 @@ def idwt_periodic(coeffs: WaveletCoeffs, spec: WaveletSpec) -> np.ndarray:
     js = sorted(coeffs.levels)
     if js[0] != coeffs.j_coarse or 0 not in coeffs.levels[js[0]]:
         raise ValueError("coefficient pyramid is missing its coarse scaling band")
-    h = spec.lowpass
-    g = spec.highpass
+    # stored values are scaled as in dwt_periodic, hence sqrt(2) h, sqrt(2) g
+    h = spec.lowpass * math.sqrt(2.0)
+    g = spec.highpass * math.sqrt(2.0)
 
-    c = coeffs.levels[js[0]][0] / _lambda_scale(js[0], coeffs.zeta, d)
+    c = coeffs.levels[js[0]][0]
     for j in js:
-        factor = _lambda_scale(j, coeffs.zeta, d)
         parts = {}
         for mask in range(1, 1 << d):
             if mask not in coeffs.levels[j]:
                 raise ValueError(f"level {j} is missing gender {mask}")
-            band = coeffs.levels[j][mask] / factor
+            band = coeffs.levels[j][mask]
             if band.shape != c.shape:
                 raise ValueError(
                     f"level {j} gender {mask} has shape {band.shape}, expected {c.shape}"
@@ -302,17 +316,13 @@ def idwt_periodic(coeffs: WaveletCoeffs, spec: WaveletSpec) -> np.ndarray:
             parts[mask] = band
         parts[0] = c
         c = _synthesize_step(parts, h, g, d)
-    J = int(math.log2(c.shape[0]))
-    return c * 2.0 ** (J * d / 2.0)
+    return c
 
 
 def export_coeffs_csv(coeffs: WaveletCoeffs, path) -> None:
     """Debug and golden-test dump with columns (j, genderIndex, mFlat, lambda)."""
     with open(path, "w") as fh:
         fh.write("j,genderIndex,mFlat,lambda\n")
-        for j in sorted(coeffs.levels):
-            bands = coeffs.levels[j]
-            for gender in sorted(bands):
-                flat = bands[gender].ravel()
-                for m_flat, value in enumerate(flat):
-                    fh.write(f"{j},{gender},{m_flat},{value!r}\n")
+        for j, gender, arr in coeffs.bands():
+            for m_flat, value in enumerate(arr.ravel()):
+                fh.write(f"{j},{gender},{m_flat},{value!r}\n")

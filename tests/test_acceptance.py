@@ -299,7 +299,7 @@ def test_criterion_9_spectral_slope():
     ok = True
     for gamma in (0.75, 1.0, 1.5):
         symbol = FractionalLaplacian(gamma)
-        power = np.zeros(grid.n)
+        power = np.zeros(grid.n // 2 + 1)  # half spectrum, m = 0 .. n/2
         trials = 50
         for t in range(trials):
             field = synthesize_process(Gaussian(1.0), grid, symbol, trial_seed(BASE_SEED, t))

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levywave import (
     WaveletCoeffs,
@@ -14,6 +17,7 @@ from levywave import (
     make_rng,
     quadrature_mirror_highpass,
 )
+from levywave import wavelets
 
 DB4_PUBLISHED = np.array([
     0.230377813308896, 0.714846570552915, 0.630880767929859, -0.027983769416859,
@@ -243,3 +247,69 @@ def test_export_csv(tmp_path):
     assert len(lines) == 1 + 16
     j, gender, m_flat, _ = lines[1].split(",")
     assert (j, gender, m_flat) == ("0", "0", "0")
+
+
+def _reference_analyze_axis(x, h, g, axis):
+    # the earlier gather-window form: an (n/2, taps, ...) window, then tensordot
+    x = np.moveaxis(x, axis, 0)
+    n = x.shape[0]
+    idx = (2 * np.arange(n // 2)[:, None] + np.arange(h.size)[None, :]) % n
+    win = x[idx]
+    lo = np.tensordot(win, h, axes=(1, 0))
+    hi = np.tensordot(win, g, axes=(1, 0))
+    return np.moveaxis(lo, 0, axis), np.moveaxis(hi, 0, axis)
+
+
+def _reference_dwt(x, spec, steps):
+    # the earlier pyramid: samples scaled by 2^(-J d/2), bands by 2^((j+zeta) d/2)
+    d, n = x.ndim, x.shape[0]
+    J = n.bit_length() - 1
+    c = x * 2.0 ** (-J * d / 2.0)
+    levels = {}
+    for _ in range(steps):
+        parts = {0: c}
+        for axis in range(d):
+            grown = {}
+            for mask, arr in parts.items():
+                lo, hi = _reference_analyze_axis(arr, spec.lowpass, spec.highpass, axis)
+                grown[mask] = lo
+                grown[mask | (1 << axis)] = hi
+            parts = grown
+        c = parts[0]
+        j = c.shape[0].bit_length() - 1 - spec.zeta
+        levels[j] = {mask: parts[mask] for mask in range(1, 1 << d)}
+    levels[j][0] = c
+    return {
+        j: {mask: arr * 2.0 ** ((j + spec.zeta) * d / 2.0) for mask, arr in bands.items()}
+        for j, bands in levels.items()
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    d=st.sampled_from([1, 2]),
+    extra=st.integers(0, 4),
+    partial=st.booleans(),
+    block=st.sampled_from([1, 3, 64, wavelets._BLOCK]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_polyphase_dwt_matches_gather_window_reference(k, d, extra, partial, block, seed):
+    # grids from n = 2^(zeta+1), the coarsest a full decomposition reaches, upward;
+    # small analysis blocks make these grids span several blocks, as large ones do
+    spec = WaveletSpec(k=k)
+    J = spec.zeta + 1 + (extra if d == 1 else min(extra, 3))
+    steps = J - spec.zeta
+    if partial:
+        steps = 1 + seed % steps
+    x = make_rng(seed).standard_cauchy(size=(2**J,) * d)
+    with mock.patch.object(wavelets, "_BLOCK", block):
+        coeffs = dwt_periodic(x, spec, levels=steps)
+    reference = _reference_dwt(x, spec, steps)
+    assert sorted(coeffs.levels) == sorted(reference)
+    scale = max(np.abs(arr).max() for bands in reference.values() for arr in bands.values())
+    for j, bands in reference.items():
+        assert sorted(coeffs.levels[j]) == sorted(bands)
+        for mask, arr in bands.items():
+            assert coeffs.levels[j][mask].shape == arr.shape
+            assert np.abs(coeffs.levels[j][mask] - arr).max() <= 1e-13 * scale
