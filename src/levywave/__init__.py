@@ -11,10 +11,10 @@ from .exponents import (
     InverseGaussian,
     KappaPrediction,
     Laplace,
+    FAMILIES,
     ParameterError,
     SAlphaS,
     UniformJump,
-    bg_indices,
     check_besov_membership_prediction,
     psi_eval,
     theoretical_kappa,
@@ -24,10 +24,8 @@ from .sampling import (
     NoiseField,
     generate_noise,
     make_rng,
-    read_field_dump,
     sample_id_increment,
     trial_seed,
-    write_field_dump,
 )
 from .spectral import (
     AdmissibilityError,
@@ -44,10 +42,8 @@ from .spectral import (
 from .wavelets import (
     WaveletCoeffs,
     WaveletSpec,
-    coeff_iter,
     daubechies_lowpass,
     dwt_periodic,
-    export_coeffs_csv,
     idwt_periodic,
     quadrature_mirror_highpass,
 )
@@ -72,5 +68,4 @@ from .harness import (
     load_config,
     parse_config,
     run_experiment,
-    selftest,
 )

@@ -40,8 +40,8 @@ class BesovParams:
     d: int
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise ValueError(f"p must be positive, got {self.p}")
+        if not (self.p > 0 and math.isfinite(self.p)):
+            raise ValueError(f"p must be positive and finite, got {self.p}")
         if not self.q > 0:
             raise ValueError(f"q must be positive, got {self.q}")
         if self.d not in (1, 2):

@@ -1,4 +1,4 @@
-"""Command-line entry points: run, compare, selftest, predict.
+"""Command-line entry points: run, compare, predict.
 
 Exit codes: 0 when the requested check passes, 1 on a verdict failure,
 2 on configuration or runtime errors.
@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .exponents import theoretical_kappa
+from .exponents import FAMILIES, theoretical_kappa
 from .harness import (
     ConfigError,
     compare_families,
@@ -17,7 +17,6 @@ from .harness import (
     exponent_from_params,
     load_config,
     run_experiment,
-    selftest,
     summary_record,
 )
 
@@ -39,21 +38,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("configs", nargs="+", help="config file paths")
     p_cmp.add_argument("--threads", type=int)
 
-    sub.add_parser("selftest", help="run the built-in invariant checks")
-
     p_pre = sub.add_parser("predict", help="print the theoretical decay exponent")
-    p_pre.add_argument("family", choices=[
-        "gaussian", "sas", "compound_poisson", "laplace", "inverse_gaussian",
-    ])
+    p_pre.add_argument("family", choices=list(FAMILIES))
     p_pre.add_argument("gamma", type=float)
     p_pre.add_argument("d", type=int)
     p_pre.add_argument("p0", type=float, nargs="?", default=2.0)
     p_pre.add_argument("tau0", type=float, nargs="?", default=0.0)
+    # the prediction depends on the family's indices only, which no other
+    # family parameter changes
     p_pre.add_argument("--alpha", type=float, help="stability index for sas")
-    p_pre.add_argument("--sigma2", type=float, default=1.0)
-    p_pre.add_argument("--rate", type=float, default=1.0)
-    p_pre.add_argument("--delta", type=float, default=1.0)
-    p_pre.add_argument("--ig-gamma", type=float, default=1.0)
     return parser
 
 
@@ -82,18 +75,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    params = {}
-    if args.family == "sas":
-        if args.alpha is None:
-            raise ConfigError("family 'sas' needs --alpha")
-        params["alpha"] = args.alpha
-    elif args.family == "gaussian":
-        params["sigma2"] = args.sigma2
-    elif args.family == "compound_poisson":
-        params["rate"] = args.rate
-    elif args.family == "inverse_gaussian":
-        params["delta"] = args.delta
-        params["ig_gamma"] = args.ig_gamma
+    params = {} if args.alpha is None else {"alpha": args.alpha}
     exponent = exponent_from_params(args.family, params)
     prediction = theoretical_kappa(exponent, args.gamma, args.d, args.p0, args.tau0)
     print(prediction.describe())
@@ -107,8 +89,6 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.command == "compare":
             return _cmd_compare(args)
-        if args.command == "selftest":
-            return 0 if selftest() else 1
         if args.command == "predict":
             return _cmd_predict(args)
     except (ConfigError, ValueError, OSError) as exc:

@@ -4,12 +4,14 @@ Each supported white-noise family is described by its log-characteristic
 function psi (the Levy exponent of the underlying infinitely divisible
 marginal law) together with its growth indices (beta, beta'), which govern
 how fast the n-term wavelet approximation error of a driven process decays.
+A family class also carries its increment sampler and its config-file keys;
+FAMILIES, the registry of config names, is the one place a family is added.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar, Union
 
 import numpy as np
@@ -26,10 +28,10 @@ __all__ = [
     "Laplace",
     "InverseGaussian",
     "LevyExponent",
+    "FAMILIES",
     "BGIndices",
     "KappaPrediction",
     "psi_eval",
-    "bg_indices",
     "theoretical_kappa",
     "check_besov_membership_prediction",
 ]
@@ -48,6 +50,7 @@ class GaussianJump:
     """Centered normal jump with standard deviation sigma."""
 
     sigma: float = 1.0
+    law_name: ClassVar[str] = "gaussian"
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -67,6 +70,7 @@ class UniformJump:
 
     a: float = -1.0
     b: float = 1.0
+    law_name: ClassVar[str] = "uniform"
 
     def __post_init__(self):
         if not self.a < self.b:
@@ -88,6 +92,7 @@ class DiracJump:
     """Deterministic jump of size c."""
 
     c: float = 1.0
+    law_name: ClassVar[str] = "dirac"
 
     def char_fn(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -98,6 +103,7 @@ class DiracJump:
 
 
 JumpDistribution = Union[GaussianJump, UniformJump, DiracJump]
+_JUMP_LAWS = {law.law_name: law for law in (GaussianJump, UniformJump, DiracJump)}
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +125,38 @@ class BGIndices:
             )
 
 
+class _Family:
+    """Config-file schema shared by the noise families.
+
+    Each dataclass field is one float config key, required when the field
+    has no default.  CompoundPoisson overrides all three methods to flatten
+    its jump law into the keys jump and jump_<field>.
+    """
+
+    @classmethod
+    def config_keys(cls) -> dict:
+        """Config key -> value type."""
+        return {f.name: float for f in fields(cls)}
+
+    @classmethod
+    def from_params(cls, params: dict):
+        """Build from config parameters; absent keys take the field defaults."""
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in params:
+                raise ParameterError(f"family {cls.family_name!r} requires key {f.name!r}")
+        return cls(**params)
+
+    def params(self) -> dict:
+        """Config parameters that rebuild this exponent through from_params."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+# Each family's sample(volume, rng, shape) draws increments whose
+# characteristic function is exp(volume * psi(xi)).
+
+
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(_Family):
     """Gaussian white noise, psi(xi) = -sigma2 * xi^2 / 2."""
 
     sigma2: float = 1.0
@@ -138,9 +174,12 @@ class Gaussian:
     def indices(self):
         return BGIndices(2.0, 2.0)
 
+    def sample(self, volume: float, rng, shape):
+        return rng.normal(0.0, np.sqrt(self.sigma2 * volume), shape)
+
 
 @dataclass(frozen=True)
-class SAlphaS:
+class SAlphaS(_Family):
     """Symmetric alpha-stable noise, psi(xi) = -|xi|^alpha, 0 < alpha < 2."""
 
     alpha: float
@@ -158,9 +197,35 @@ class SAlphaS:
     def indices(self):
         return BGIndices(self.alpha, self.alpha)
 
+    def sample(self, volume: float, rng, shape):
+        """Chambers-Mallows-Stuck transform, symmetric case:
+
+        x = sin(alpha u) / cos(u)^(1/alpha) * (cos((1 - alpha) u) / w)^((1 - alpha)/alpha),
+        evaluated in place, three field-size buffers at most.
+        """
+        alpha = self.alpha
+        u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, shape)
+        if alpha == 1.0:
+            x = np.tan(u, out=u)
+        else:
+            w = rng.exponential(1.0, shape)
+            tail = np.multiply(u, 1.0 - alpha)
+            np.cos(tail, out=tail)
+            tail /= w
+            del w
+            tail **= (1.0 - alpha) / alpha
+            x = np.multiply(u, alpha)
+            np.sin(x, out=x)
+            np.cos(u, out=u)
+            u **= 1.0 / alpha
+            x /= u
+            x *= tail
+        x *= volume ** (1.0 / alpha)
+        return x
+
 
 @dataclass(frozen=True)
-class CompoundPoisson:
+class CompoundPoisson(_Family):
     """Compound Poisson noise with jump rate per unit volume and a jump law.
 
     psi(xi) = rate * (jump characteristic function(xi) - 1).
@@ -175,15 +240,49 @@ class CompoundPoisson:
         if not self.rate > 0:
             raise ParameterError(f"rate must be positive, got {self.rate}")
 
+    @classmethod
+    def config_keys(cls) -> dict:
+        keys = {"rate": float, "jump": str}
+        for law in _JUMP_LAWS.values():
+            keys.update({f"jump_{f.name}": float for f in fields(law)})
+        return keys
+
+    @classmethod
+    def from_params(cls, params: dict) -> CompoundPoisson:
+        kind = params.get("jump", cls.jumps.law_name)
+        if kind not in _JUMP_LAWS:
+            raise ParameterError(f"unknown jump law {kind!r}")
+        law = _JUMP_LAWS[kind]
+        given = {f.name: params[f"jump_{f.name}"] for f in fields(law) if f"jump_{f.name}" in params}
+        return cls(rate=params.get("rate", cls.rate), jumps=law(**given))
+
+    def params(self) -> dict:
+        jumps = self.jumps
+        out = {"rate": self.rate, "jump": jumps.law_name}
+        out.update({f"jump_{f.name}": getattr(jumps, f.name) for f in fields(jumps)})
+        return out
+
     def psi(self, xi):
         return self.rate * (self.jumps.char_fn(xi) - 1.0)
 
     def indices(self):
         return BGIndices(0.0, 0.0)
 
+    def sample(self, volume: float, rng, shape):
+        counts = rng.poisson(self.rate * volume, shape)
+        total = int(counts.sum())
+        out = np.zeros(shape, dtype=float)
+        if total > 0:
+            jumps = self.jumps.sample(rng, total)
+            cell = np.repeat(np.arange(counts.size), counts.ravel())
+            flat = out.ravel()
+            np.add.at(flat, cell, jumps)
+            out = flat.reshape(shape)
+        return out
+
 
 @dataclass(frozen=True)
-class Laplace:
+class Laplace(_Family):
     """Laplace noise, psi(xi) = -log(1 + xi^2)."""
 
     family_name: ClassVar[str] = "laplace"
@@ -196,9 +295,15 @@ class Laplace:
     def indices(self):
         return BGIndices(0.0, 0.0)
 
+    def sample(self, volume: float, rng, shape):
+        """Difference of two gamma(volume) draws."""
+        out = rng.gamma(volume, 1.0, shape)
+        out -= rng.gamma(volume, 1.0, shape)
+        return out
+
 
 @dataclass(frozen=True)
-class InverseGaussian:
+class InverseGaussian(_Family):
     """Inverse Gaussian subordinator noise.
 
     psi(xi) = delta * (ig_gamma - sqrt(ig_gamma^2 - 2i*xi)) with the
@@ -227,8 +332,40 @@ class InverseGaussian:
     def indices(self):
         return BGIndices(0.5, 0.5)
 
+    def sample(self, volume: float, rng, shape):
+        """Michael-Schucany-Haas transform for the inverse Gaussian law of mean
+        mu = delta volume / ig_gamma and shape lam = (delta volume)^2, in place."""
+        mu = self.delta * volume / self.ig_gamma
+        lam = (self.delta * volume) ** 2
+        t = rng.normal(size=shape)
+        t **= 2
+        t *= mu
+        t /= lam
+        # smaller root of the defining quadratic, written without cancellation:
+        # x1 = mu (sqrt(t + 4) - sqrt(t)) / (sqrt(t + 4) + sqrt(t))
+        root = t + 4.0
+        np.sqrt(root, out=root)
+        np.sqrt(t, out=t)
+        x1 = root - t
+        root += t
+        del t
+        x1 *= mu
+        x1 /= root
+        del root
+        u = rng.uniform(size=shape)
+        # keep x1 with probability mu / (mu + x1), else take mu^2 / x1
+        keep = np.add(x1, mu)
+        np.divide(mu, keep, out=keep)
+        keep = np.less_equal(u, keep)
+        np.divide(mu * mu, x1, out=u)
+        np.copyto(u, x1, where=keep)
+        return u
 
-LevyExponent = Union[Gaussian, SAlphaS, CompoundPoisson, Laplace, InverseGaussian]
+
+FAMILIES = {
+    cls.family_name: cls for cls in (Gaussian, SAlphaS, CompoundPoisson, Laplace, InverseGaussian)
+}
+LevyExponent = Union[tuple(FAMILIES.values())]
 
 
 def psi_eval(exponent: LevyExponent, xi):
@@ -237,11 +374,6 @@ def psi_eval(exponent: LevyExponent, xi):
     if np.ndim(xi) == 0:
         return complex(out)
     return out
-
-
-def bg_indices(exponent: LevyExponent) -> BGIndices:
-    """Growth indices (beta, beta') of the family; equal for all supported families."""
-    return exponent.indices()
 
 
 # ---------------------------------------------------------------------------

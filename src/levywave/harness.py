@@ -10,29 +10,18 @@ range because per-trial norms are heavy-tailed for several families.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .besov import BesovParams, DecayCurve, estimate_kappa, sigma_curve
-from .exponents import (
-    CompoundPoisson,
-    DiracJump,
-    Gaussian,
-    GaussianJump,
-    InverseGaussian,
-    KappaPrediction,
-    Laplace,
-    LevyExponent,
-    SAlphaS,
-    UniformJump,
-    theoretical_kappa,
-)
+from .exponents import FAMILIES, KappaPrediction, LevyExponent, theoretical_kappa
 from .sampling import GridSpec, trial_seed
 from .spectral import FractionalLaplacian, Matern, synthesize_process
 from .wavelets import WaveletSpec, dwt_periodic
@@ -46,95 +35,37 @@ __all__ = [
     "parse_config",
     "load_config",
     "exponent_from_params",
-    "params_of_exponent",
     "run_experiment",
     "compare_families",
     "emit_outputs",
-    "selftest",
 ]
 
 THREADS_ENV_VAR = "LEVYWAVE_THREADS"
-
-_FAMILY_KEYS = {
-    "gaussian": {"sigma2"},
-    "sas": {"alpha"},
-    "compound_poisson": {"rate", "jump", "jump_sigma", "jump_a", "jump_b", "jump_c"},
-    "laplace": set(),
-    "inverse_gaussian": {"delta", "ig_gamma"},
-}
-_GENERAL_KEYS = {
-    "family",
-    "operator",
-    "gamma",
-    "d",
-    "J",
-    "k",
-    "trials",
-    "base_seed",
-    "p0",
-    "tau0",
-    "n_grid",
-    "fit_lo",
-    "fit_hi",
-    "tolerance",
-    "allow_inadmissible",
-    "output",
-}
 
 
 class ConfigError(ValueError):
     """Malformed or inadmissible experiment configuration."""
 
 
+def _reject_key(family: str, key: str):
+    if any(key in cls.config_keys() for cls in FAMILIES.values()):
+        raise ConfigError(f"key {key!r} not applicable to family {family!r}")
+    raise ConfigError(f"unknown key {key!r}")
+
+
+def _family_keys(family: str) -> dict:
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown family {family!r}")
+    return FAMILIES[family].config_keys()
+
+
 def exponent_from_params(family: str, params: dict) -> LevyExponent:
-    """Build a noise family from its config-file name and numeric parameters."""
-    if family == "gaussian":
-        return Gaussian(sigma2=params.get("sigma2", 1.0))
-    if family == "sas":
-        if "alpha" not in params:
-            raise ConfigError("family 'sas' requires key 'alpha'")
-        return SAlphaS(alpha=params["alpha"])
-    if family == "compound_poisson":
-        kind = params.get("jump", "gaussian")
-        if kind == "gaussian":
-            jumps = GaussianJump(sigma=params.get("jump_sigma", 1.0))
-        elif kind == "uniform":
-            jumps = UniformJump(a=params.get("jump_a", -1.0), b=params.get("jump_b", 1.0))
-        elif kind == "dirac":
-            jumps = DiracJump(c=params.get("jump_c", 1.0))
-        else:
-            raise ConfigError(f"unknown jump law {kind!r}")
-        return CompoundPoisson(rate=params.get("rate", 1.0), jumps=jumps)
-    if family == "laplace":
-        return Laplace()
-    if family == "inverse_gaussian":
-        return InverseGaussian(
-            delta=params.get("delta", 1.0), ig_gamma=params.get("ig_gamma", 1.0)
-        )
-    raise ConfigError(f"unknown family {family!r}")
-
-
-def params_of_exponent(exponent: LevyExponent) -> dict:
-    """Named numeric parameters, the inverse of exponent_from_params."""
-    if isinstance(exponent, Gaussian):
-        return {"sigma2": exponent.sigma2}
-    if isinstance(exponent, SAlphaS):
-        return {"alpha": exponent.alpha}
-    if isinstance(exponent, CompoundPoisson):
-        out = {"rate": exponent.rate}
-        jumps = exponent.jumps
-        if isinstance(jumps, GaussianJump):
-            out.update(jump="gaussian", jump_sigma=jumps.sigma)
-        elif isinstance(jumps, UniformJump):
-            out.update(jump="uniform", jump_a=jumps.a, jump_b=jumps.b)
-        else:
-            out.update(jump="dirac", jump_c=jumps.c)
-        return out
-    if isinstance(exponent, Laplace):
-        return {}
-    if isinstance(exponent, InverseGaussian):
-        return {"delta": exponent.delta, "ig_gamma": exponent.ig_gamma}
-    raise ConfigError(f"unknown exponent {exponent!r}")
+    """Build a noise family from its config-file name and parameters."""
+    keys = _family_keys(family)
+    for key in params:
+        if key not in keys:
+            _reject_key(family, key)
+    return FAMILIES[family].from_params(params)
 
 
 @dataclass
@@ -248,9 +179,28 @@ def _fmt_value(v) -> str:
 
 
 _BOOL_TOKENS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-_INT_KEYS = {"d", "J", "k", "trials", "base_seed", "fit_lo", "fit_hi"}
-_FLOAT_KEYS = {"gamma", "p0", "tau0", "tolerance", "sigma2", "alpha", "rate",
-               "jump_sigma", "jump_a", "jump_b", "jump_c", "delta", "ig_gamma"}
+_PARSERS = {
+    int: int,
+    Optional[int]: int,
+    float: float,
+    bool: lambda text: _BOOL_TOKENS[text.lower()],
+}
+# general config keys and their types; "family" and "params" are not plain keys
+_GENERAL_KEYS = {
+    name: kind
+    for name, kind in get_type_hints(ExperimentConfig).items()
+    if name not in ("family", "params")
+}
+
+
+def _parse_value(key: str, text: str, kind, lineno: int):
+    try:
+        value = _PARSERS.get(kind, str)(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"line {lineno}: bad value {text!r} for key {key!r}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"line {lineno}: key {key!r} must be finite, got {text!r}")
+    return value
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -265,39 +215,22 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value
+        raw[key] = (lineno, value)
 
     if "family" not in raw:
         raise ConfigError("missing required key 'family'")
-    family = raw.pop("family")
-    if family not in _FAMILY_KEYS:
-        raise ConfigError(f"unknown family {family!r}")
-
-    allowed = _GENERAL_KEYS | _FAMILY_KEYS[family]
-    for key in raw:
-        if key not in allowed:
-            all_family = set().union(*_FAMILY_KEYS.values())
-            if key in all_family:
-                raise ConfigError(f"key {key!r} not applicable to family {family!r}")
-            raise ConfigError(f"unknown key {key!r}")
+    family = raw.pop("family")[1]
+    family_keys = _family_keys(family)
 
     params = {}
     kwargs = {}
-    for key, value in raw.items():
-        if key in _INT_KEYS:
-            parsed = int(value)
-        elif key in _FLOAT_KEYS:
-            parsed = math.inf if value in ("inf", "infinity") else float(value)
-        elif key == "allow_inadmissible":
-            if value.lower() not in _BOOL_TOKENS:
-                raise ConfigError(f"bad boolean {value!r} for allow_inadmissible")
-            parsed = _BOOL_TOKENS[value.lower()]
+    for key, (lineno, value) in raw.items():
+        if key in _GENERAL_KEYS:
+            kwargs[key] = _parse_value(key, value, _GENERAL_KEYS[key], lineno)
+        elif key in family_keys:
+            params[key] = _parse_value(key, value, family_keys[key], lineno)
         else:
-            parsed = value
-        if key in _FAMILY_KEYS[family]:
-            params[key] = parsed
-        else:
-            kwargs[key] = parsed
+            _reject_key(family, key)
 
     config = ExperimentConfig(family=family, params=params, **kwargs)
     config.validate()
@@ -499,33 +432,6 @@ def _json_safe(value):
     return value
 
 
-def _json_dump(obj, indent=0) -> str:
-    # deterministic json writer: sorted keys, repr floats, non-finite as strings
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key in sorted(obj):
-            items.append(f'{pad}  "{key}": {_json_dump(obj[key], indent + 1)}')
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {_json_dump(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, float):
-        safe = _json_safe(obj)
-        return repr(safe) if isinstance(safe, float) else f'"{safe}"'
-    if isinstance(obj, int):
-        return str(obj)
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def summary_record(report: ExperimentReport) -> dict:
     config = report.config
     pred = report.prediction
@@ -579,7 +485,7 @@ def emit_outputs(report: ExperimentReport, out_dir=None) -> list:
 
     summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w") as fh:
-        fh.write(_json_dump(summary_record(report)))
+        fh.write(json.dumps(summary_record(report), sort_keys=True, indent=2))
         fh.write("\n")
 
     # median curve in natural-log coordinates; zero medians are omitted
@@ -594,127 +500,3 @@ def emit_outputs(report: ExperimentReport, out_dir=None) -> list:
                 fh.write(f"{math.log(float(n))!r}\t{math.log(float(s))!r}\n")
 
     return [curves_path, summary_path, plot_path]
-
-
-# ---------------------------------------------------------------------------
-# self-test suite for the CLI
-
-
-def _selftest_checks():
-    from .besov import best_n_term, weighted_magnitudes
-    from .exponents import psi_eval
-    from .sampling import generate_noise, make_rng, sample_id_increment
-    from .spectral import apply_forward_operator, apply_inverse_operator, forward_fft, inverse_fft
-    from .wavelets import daubechies_lowpass, idwt_periodic, quadrature_mirror_highpass
-
-    def filters_ok():
-        golden = np.array([
-            0.482962913144534, 0.836516303737808, 0.224143868042013, -0.129409522551260,
-        ])
-        if np.max(np.abs(daubechies_lowpass(2) - golden)) > 1e-12:
-            return False
-        for k in (1, 2, 4, 6):
-            h = daubechies_lowpass(k)
-            g = quadrature_mirror_highpass(h)
-            for t in range(1, k):
-                if abs(np.dot(h[: 2 * k - 2 * t], h[2 * t:])) > 1e-12:
-                    return False
-            if abs(h.sum() - math.sqrt(2)) > 1e-12 or abs(g.sum()) > 1e-12:
-                return False
-        return True
-
-    def roundtrip_ok():
-        rng = make_rng(7)
-        for d, J in ((1, 8), (2, 5)):
-            spec = WaveletSpec(k=4)
-            x = rng.normal(size=(2**J,) * d)
-            back = idwt_periodic(dwt_periodic(x, spec), spec)
-            if np.max(np.abs(back - x)) > 1e-10 * max(1.0, np.max(np.abs(x))):
-                return False
-        return True
-
-    def parseval_ok():
-        rng = make_rng(11)
-        x = rng.normal(size=256)
-        x -= x.mean()
-        coeffs = dwt_periodic(x, WaveletSpec(k=2))
-        energy = sum(
-            float(np.sum((arr / 2.0 ** ((j + coeffs.zeta) / 2.0)) ** 2))
-            for j, bands in coeffs.levels.items()
-            for arr in bands.values()
-        )
-        target = float(np.sum(x**2)) / 256.0
-        return abs(energy - target) <= 1e-10 * target
-
-    def spectral_ok():
-        grid = GridSpec(d=1, J=6)
-        rng = make_rng(3)
-        x = rng.normal(size=grid.shape)
-        x -= x.mean()
-        sf = forward_fft(x, grid)
-        sym = FractionalLaplacian(gamma=1.0)
-        back = apply_forward_operator(apply_inverse_operator(sf, sym), sym)
-        if np.max(np.abs(back.coeffs - sf.coeffs)) > 1e-12:
-            return False
-        return np.max(np.abs(inverse_fft(sf) - x)) < 1e-10
-
-    def greedy_ok():
-        import itertools
-
-        from .wavelets import WaveletCoeffs
-
-        container = WaveletCoeffs.zeros(d=1, zeta=0, j_coarse=0, j_max=2)
-        container.levels[0][1][0] = 3.0
-        container.levels[1][1][1] = -2.5
-        container.levels[2][1][3] = 1.25
-        params = BesovParams(tau=0.0, p=2.0, q=2.0, d=1)
-        _, residual = best_n_term(container, params, 2)
-        w = weighted_magnitudes(container, params)
-        best = math.inf
-        for kept in itertools.combinations(range(w.size), 2):
-            disc = [i for i in range(w.size) if i not in kept]
-            val = float(np.cumsum(np.sort(w[disc] ** 2))[-1]) ** 0.5
-            best = min(best, val)
-        return abs(residual - best) == 0.0
-
-    def sampler_ok():
-        rng = make_rng(101)
-        h = 2.0**-6
-        m = 2**14
-        for exponent in (Gaussian(1.0), SAlphaS(1.2), CompoundPoisson(1.0),
-                         Laplace(), InverseGaussian(1.0, 1.0)):
-            draws = sample_id_increment(exponent, h, rng, size=m)
-            for xi in (1.0, 3.0):
-                ecf = np.mean(np.exp(1j * xi * draws))
-                target = np.exp(h * psi_eval(exponent, xi))
-                if abs(ecf - target) > 4.0 / math.sqrt(m):
-                    return False
-        return True
-
-    def determinism_ok():
-        exponent = Gaussian(1.0)
-        grid = GridSpec(d=1, J=8)
-        a = generate_noise(exponent, grid, 99).values
-        b = generate_noise(exponent, grid, 99).values
-        return bool(np.array_equal(a, b))
-
-    return [
-        ("daubechies filters and quadrature-mirror identities", filters_ok),
-        ("wavelet round trip", roundtrip_ok),
-        ("wavelet energy identity", parseval_ok),
-        ("spectral transforms and operator inverse", spectral_ok),
-        ("greedy n-term equals exhaustive search", greedy_ok),
-        ("sampler characteristic functions", sampler_ok),
-        ("seeded determinism", determinism_ok),
-    ]
-
-
-def selftest(verbose: bool = True) -> bool:
-    """Run the built-in invariant checks; returns overall success."""
-    ok = True
-    for name, check in _selftest_checks():
-        passed = bool(check())
-        ok = ok and passed
-        if verbose:
-            print(f"{'PASS' if passed else 'FAIL'}  {name}")
-    return ok

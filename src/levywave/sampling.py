@@ -8,20 +8,11 @@ removing the mean produces the zero-mean resolution-J noise field.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import (
-    CompoundPoisson,
-    Gaussian,
-    InverseGaussian,
-    Laplace,
-    LevyExponent,
-    ParameterError,
-    SAlphaS,
-)
+from .exponents import LevyExponent, ParameterError
 
 __all__ = [
     "GridSpec",
@@ -30,16 +21,12 @@ __all__ = [
     "trial_seed",
     "sample_id_increment",
     "generate_noise",
-    "write_field_dump",
-    "read_field_dump",
 ]
 
 _MASK64 = (1 << 64) - 1
 # memory guard on the total cell count: a trial peaks at 24 bytes per cell (laplace,
-# d=2 J=12) to 43 (sas sampler temporaries, d=1 J=20), so 2^26 cells need up to 3 GB
+# d=2 J=12) to 36 (d=1 J=20, sas and inverse_gaussian), so 2^26 cells need up to 2.4 GB
 _MAX_CELLS = 1 << 26
-_DUMP_MAGIC = b"LVNF"
-_DUMP_HEADER = struct.Struct("<4sIIQ12x")  # magic, d, J, seed; 32 bytes total
 
 
 @dataclass(frozen=True)
@@ -104,48 +91,6 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     return (base_seed ^ _splitmix64(trial_index)) & _MASK64
 
 
-# ---------------------------------------------------------------------------
-# per-family samplers; each returns draws whose characteristic function is
-# exp(volume * psi(xi))
-
-
-def _sample_sas(alpha: float, volume: float, rng, shape):
-    """Chambers-Mallows-Stuck transform, symmetric case."""
-    u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, shape)
-    if alpha == 1.0:
-        x = np.tan(u)
-    else:
-        w = rng.exponential(1.0, shape)
-        x = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)) * (
-            np.cos((1.0 - alpha) * u) / w
-        ) ** ((1.0 - alpha) / alpha)
-    return volume ** (1.0 / alpha) * x
-
-
-def _sample_compound_poisson(exponent: CompoundPoisson, volume: float, rng, shape):
-    counts = rng.poisson(exponent.rate * volume, shape)
-    total = int(counts.sum())
-    out = np.zeros(shape, dtype=float)
-    if total > 0:
-        jumps = exponent.jumps.sample(rng, total)
-        cell = np.repeat(np.arange(counts.size), counts.ravel())
-        flat = out.ravel()
-        np.add.at(flat, cell, jumps)
-        out = flat.reshape(shape)
-    return out
-
-
-def _sample_inverse_gaussian(mu: float, lam: float, rng, shape):
-    """Michael-Schucany-Haas transform for the inverse Gaussian law."""
-    y = rng.normal(size=shape) ** 2
-    t = mu * y / lam
-    # smaller root of the defining quadratic, written without cancellation
-    root = np.sqrt(t + 4.0)
-    x1 = mu * (root - np.sqrt(t)) / (root + np.sqrt(t))
-    u = rng.uniform(size=shape)
-    return np.where(u <= mu / (mu + x1), x1, mu * mu / x1)
-
-
 def sample_id_increment(exponent: LevyExponent, volume: float, rng, size=None):
     """Draw increments with characteristic function exp(volume * psi(xi)).
 
@@ -157,24 +102,7 @@ def sample_id_increment(exponent: LevyExponent, volume: float, rng, size=None):
     """
     if not volume > 0:
         raise ParameterError(f"volume must be positive, got {volume}")
-    shape = (1,) if size is None else size
-
-    if isinstance(exponent, Gaussian):
-        out = rng.normal(0.0, np.sqrt(exponent.sigma2 * volume), shape)
-    elif isinstance(exponent, SAlphaS):
-        out = _sample_sas(exponent.alpha, volume, rng, shape)
-    elif isinstance(exponent, CompoundPoisson):
-        out = _sample_compound_poisson(exponent, volume, rng, shape)
-    elif isinstance(exponent, Laplace):
-        out = rng.gamma(volume, 1.0, shape)
-        out -= rng.gamma(volume, 1.0, shape)
-    elif isinstance(exponent, InverseGaussian):
-        mu = exponent.delta * volume / exponent.ig_gamma
-        lam = (exponent.delta * volume) ** 2
-        out = _sample_inverse_gaussian(mu, lam, rng, shape)
-    else:
-        raise ParameterError(f"unsupported exponent {exponent!r}")
-
+    out = exponent.sample(volume, rng, (1,) if size is None else size)
     if size is None:
         return float(out[0])
     return out
@@ -187,32 +115,3 @@ def generate_noise(exponent: LevyExponent, grid: GridSpec, seed: int) -> NoiseFi
     values /= grid.cell_volume
     values -= values.mean()
     return NoiseField(grid=grid, values=values, seed=seed, exponent_tag=repr(exponent))
-
-
-# ---------------------------------------------------------------------------
-# binary field dump, used for cross-implementation golden tests
-
-
-def write_field_dump(path, values: np.ndarray, grid: GridSpec, seed: int) -> None:
-    """Little-endian float64 row-major dump with a 32-byte header."""
-    header = _DUMP_HEADER.pack(_DUMP_MAGIC, grid.d, grid.J, seed & _MASK64)
-    data = np.ascontiguousarray(values, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(data.tobytes())
-
-
-def read_field_dump(path) -> NoiseField:
-    with open(path, "rb") as fh:
-        header = fh.read(_DUMP_HEADER.size)
-        magic, d, J, seed = _DUMP_HEADER.unpack(header)
-        if magic != _DUMP_MAGIC:
-            raise ValueError(f"bad field dump magic {magic!r} in {path}")
-        grid = GridSpec(d=d, J=J)
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != grid.size:
-        raise ValueError(
-            f"field dump {path} holds {data.size} values, expected {grid.size}"
-        )
-    values = data.astype(float).reshape(grid.shape)
-    return NoiseField(grid=grid, values=values, seed=seed)

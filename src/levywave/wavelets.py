@@ -29,8 +29,6 @@ __all__ = [
     "WaveletCoeffs",
     "dwt_periodic",
     "idwt_periodic",
-    "coeff_iter",
-    "export_coeffs_csv",
 ]
 
 
@@ -131,9 +129,6 @@ class WaveletCoeffs:
         """(j, gender, array) in canonical order: levels ascend, then genders."""
         return [(j, g, bands[g]) for j, bands in sorted(self.levels.items()) for g in sorted(bands)]
 
-    def genders(self, j: int):
-        return sorted(self.levels[j])
-
     def scaled(self, a: float) -> "WaveletCoeffs":
         levels = {
             j: {g: a * arr for g, arr in bands.items()}
@@ -152,16 +147,6 @@ class WaveletCoeffs:
                 bands[0] = np.zeros(shape)
             levels[j] = bands
         return cls(d=d, zeta=zeta, j_coarse=j_coarse, levels=levels)
-
-
-def coeff_iter(coeffs: WaveletCoeffs):
-    """Yield (j, gender, shift tuple, value) in the canonical deterministic order.
-
-    Levels ascend, then genders ascend, then shifts in lexicographic order.
-    """
-    for j, g, arr in coeffs.bands():
-        for m in np.ndindex(arr.shape):
-            yield j, g, m, float(arr[m])
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +303,3 @@ def idwt_periodic(coeffs: WaveletCoeffs, spec: WaveletSpec) -> np.ndarray:
         c = _synthesize_step(parts, h, g, d)
     return c
 
-
-def export_coeffs_csv(coeffs: WaveletCoeffs, path) -> None:
-    """Debug and golden-test dump with columns (j, genderIndex, mFlat, lambda)."""
-    with open(path, "w") as fh:
-        fh.write("j,genderIndex,mFlat,lambda\n")
-        for j, gender, arr in coeffs.bands():
-            for m_flat, value in enumerate(arr.ravel()):
-                fh.write(f"{j},{gender},{m_flat},{value!r}\n")

@@ -51,6 +51,12 @@ def test_norm_homogeneity():
     assert besov_seq_norm(coeffs.scaled(3.5), params) == pytest.approx(3.5 * base, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan, 0.0])
+def test_params_reject_non_finite_or_nonpositive_p(p):
+    with pytest.raises(ValueError, match="p must be"):
+        BesovParams(tau=0.0, p=p, q=math.inf, d=1)
+
+
 def test_norm_q_infinity_is_levelwise_max():
     coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_coarse=0, j_max=3)
     coeffs.levels[1][1][0] = 3.0

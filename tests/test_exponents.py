@@ -13,7 +13,6 @@ from levywave import (
     ParameterError,
     SAlphaS,
     UniformJump,
-    bg_indices,
     check_besov_membership_prediction,
     make_rng,
     psi_eval,
@@ -82,14 +81,14 @@ def test_psi_real_part_nonpositive(exponent):
     ],
 )
 def test_bg_indices_table(exponent, beta):
-    idx = bg_indices(exponent)
+    idx = exponent.indices()
     assert idx.beta == beta
     assert idx.beta_prime == beta
 
 
 @pytest.mark.parametrize("exponent", ALL_FAMILIES, ids=repr)
 def test_bg_indices_ordering(exponent):
-    idx = bg_indices(exponent)
+    idx = exponent.indices()
     assert 0.0 <= idx.beta_prime <= idx.beta <= 2.0
 
 

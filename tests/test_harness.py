@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from levywave import ConfigError, compare_families, emit_outputs, run_experiment
+from levywave import FAMILIES, ConfigError, compare_families, emit_outputs, run_experiment
 from levywave.cli import main as cli_main
 from levywave.harness import (
     exponent_from_params,
     load_config,
-    params_of_exponent,
     parse_config,
     summary_record,
 )
@@ -89,15 +88,20 @@ def test_default_dyadic_grid_and_window():
 
 
 def test_exponent_param_round_trip():
-    for family, params in [
+    cases = [
         ("gaussian", {"sigma2": 2.0}),
         ("sas", {"alpha": 1.3}),
         ("compound_poisson", {"rate": 2.0, "jump": "uniform", "jump_a": -1.0, "jump_b": 3.0}),
+        ("compound_poisson", {"jump": "dirac", "jump_c": 0.7}),
         ("laplace", {}),
         ("inverse_gaussian", {"delta": 0.5, "ig_gamma": 2.0}),
-    ]:
+    ]
+    assert {family for family, _ in cases} == set(FAMILIES)
+    for family, params in cases:
         exponent = exponent_from_params(family, params)
-        recovered = params_of_exponent(exponent)
+        assert exponent.family_name == family
+        recovered = exponent.params()
+        assert set(recovered) <= set(FAMILIES[family].config_keys())
         assert exponent_from_params(family, recovered) == exponent
 
 
@@ -211,6 +215,11 @@ def test_cli_predict_missing_alpha(capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def test_cli_predict_alpha_not_applicable(capsys):
+    assert cli_main(["predict", "gaussian", "1.0", "1", "--alpha", "1.0"]) == 2
+    assert "not applicable" in capsys.readouterr().err
+
+
 def test_cli_run_small(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
@@ -230,6 +239,23 @@ def test_cli_run_bad_config(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,key,line",
+    [
+        ("family = laplace\nJ = 1.5\n", "J", 2),
+        ("family = sas\nalpha = x\n", "alpha", 2),
+        ("family = laplace\ntolerance = nan\n", "tolerance", 2),
+        ("family = compound_poisson\njump = dirac\njump_c = nan\n", "jump_c", 3),
+        ("family = gaussian\np0 = inf\n", "p0", 2),
+    ],
+)
+def test_cli_run_bad_value_names_key_and_line(tmp_path, capsys, text, key, line):
+    cfg = _write_config(tmp_path, text)
+    assert cli_main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}:" in err and repr(key) in err
+
+
 def test_cli_compare(tmp_path, capsys):
     base = "J = 10\nk = 2\ntrials = 3\nbase_seed = 7\nn_grid = 4,8,16,32,64,128,256\nfit_lo = 4\nfit_hi = 256\n"
     a = _write_config(tmp_path, "family = gaussian\n" + base, "a.cfg")
@@ -245,12 +271,6 @@ def test_load_config_from_file(tmp_path):
     config = load_config(path)
     assert config.family == "laplace"
     assert config.J == 10
-
-
-def test_cli_selftest(capsys):
-    assert cli_main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
 
 
 def test_thread_count_env_override(monkeypatch):

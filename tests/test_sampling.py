@@ -25,11 +25,9 @@ from levywave import (
     inverse_fft,
     make_rng,
     psi_eval,
-    read_field_dump,
     sample_id_increment,
     sigma_curve,
     trial_seed,
-    write_field_dump,
 )
 from levywave.sampling import NoiseField
 from levywave.spectral import FractionalLaplacian
@@ -259,21 +257,3 @@ def test_trial_seed_derivation():
     assert len(seeds) == 1000
     assert trial_seed(123, 7) != trial_seed(124, 7)
 
-
-def test_field_dump_round_trip(tmp_path):
-    grid = GridSpec(d=2, J=4)
-    field = generate_noise(Gaussian(1.0), grid, 777)
-    path = tmp_path / "field.lvnf"
-    write_field_dump(path, field.values, grid, field.seed)
-    assert path.stat().st_size == 32 + 8 * grid.size
-    back = read_field_dump(path)
-    assert back.grid == grid
-    assert back.seed == 777
-    np.testing.assert_array_equal(back.values, field.values)
-
-
-def test_field_dump_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.lvnf"
-    path.write_bytes(b"XXXX" + bytes(28) + bytes(64))
-    with pytest.raises(ValueError, match="magic"):
-        read_field_dump(path)

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from levywave import (
     WaveletCoeffs,
     WaveletSpec,
-    coeff_iter,
     daubechies_lowpass,
     dwt_periodic,
-    export_coeffs_csv,
     idwt_periodic,
     make_rng,
     quadrature_mirror_highpass,
@@ -182,13 +180,16 @@ def test_gender_cardinalities_2d():
 
 
 def test_coeff_iter_order_and_stability():
-    coeffs = dwt_periodic(make_rng(6).normal(size=32), WaveletSpec(k=1))
-    stream1 = list(coeff_iter(coeffs))
-    stream2 = list(coeff_iter(coeffs))
-    assert stream1 == stream2
-    assert len(stream1) == 32
-    keys = [(j, g, m) for j, g, m, _ in stream1]
-    assert keys == sorted(keys)
+    # bands() fixes the canonical coefficient order: levels ascend, then genders
+    coeffs = dwt_periodic(make_rng(6).normal(size=(16, 16)), WaveletSpec(k=1))
+    bands = coeffs.bands()
+    assert [(j, g) for j, g, _ in bands] == [
+        (0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3),
+        (3, 1), (3, 2), (3, 3),
+    ]
+    assert all(arr is coeffs.levels[j][g] for j, g, arr in bands)
+    assert [(j, g) for j, g, _ in coeffs.bands()] == [(j, g) for j, g, _ in bands]
+    assert sum(arr.size for _, _, arr in bands) == coeffs.total_count() == 256
 
 
 def test_dwt_input_validation():
@@ -236,17 +237,6 @@ def test_vanishing_moments_on_polynomial_samples(k):
             checked += 1
         clean = n_clean_out
     assert checked >= 4
-
-
-def test_export_csv(tmp_path):
-    coeffs = dwt_periodic(np.arange(16.0), WaveletSpec(k=1))
-    path = tmp_path / "coeffs.csv"
-    export_coeffs_csv(coeffs, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "j,genderIndex,mFlat,lambda"
-    assert len(lines) == 1 + 16
-    j, gender, m_flat, _ = lines[1].split(",")
-    assert (j, gender, m_flat) == ("0", "0", "0")
 
 
 def _reference_analyze_axis(x, h, g, axis):
