@@ -10,7 +10,7 @@ log-log regression.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -78,14 +78,10 @@ class DecayCurve:
 
 def weighted_magnitudes(coeffs: WaveletCoeffs, params: BesovParams) -> np.ndarray:
     """Flat array of 2^(j(tau - d/p)) |lambda| in canonical iteration order."""
-    out = np.empty(coeffs.total_count())
-    start = 0
-    for j, _, arr in coeffs.bands():
-        segment = out[start:start + arr.size]
-        np.abs(arr, out=segment.reshape(arr.shape))
-        segment *= params.weight(j)
-        start += arr.size
-    return out
+    out = replace(coeffs, data=np.abs(coeffs.data))
+    for j, _, arr in out.bands():
+        arr *= params.weight(j)
+    return out.data
 
 
 def besov_seq_norm(coeffs: WaveletCoeffs, params: BesovParams) -> float:
@@ -120,20 +116,17 @@ def best_n_term(coeffs: WaveletCoeffs, params: BesovParams, n: int):
         raise ValueError(f"n must be non-negative, got {n}")
     mags = weighted_magnitudes(coeffs, params)
     order = np.argsort(-mags, kind="stable")
-    kept_positions = order[: min(n, mags.size)]
-    discarded = order[min(n, mags.size):]
-    tail = np.cumsum(np.sort(mags[discarded] ** params.p))  # smallest first, for stability
+    tail = np.cumsum(np.sort(mags[order[n:]] ** params.p))  # smallest first, for stability
     residual = float(tail[-1] if tail.size else 0.0) ** (1.0 / params.p)
 
-    # flat position -> (j, g, shift) through the band offsets
-    bands = coeffs.bands()
-    starts = np.cumsum([0] + [arr.size for _, _, arr in bands])
-    positions = np.sort(kept_positions)
-    bounds = np.searchsorted(positions, starts)
-    kept = []
-    for (j, g, arr), start, a, b in zip(bands, starts, bounds, bounds[1:]):
-        shifts = np.unravel_index(positions[a:b] - start, arr.shape)
-        kept += [(j, g, m) for m in zip(*(s.tolist() for s in shifts))]
+    # the kept positions, laid out as a pyramid of flags
+    chosen = np.zeros(mags.size, dtype=bool)
+    chosen[order[:n]] = True
+    kept = [
+        (j, g, m)
+        for j, g, arr in replace(coeffs, data=chosen).bands()
+        for m in zip(*(axis.tolist() for axis in np.nonzero(arr)))
+    ]
     return kept, residual
 
 

@@ -7,6 +7,7 @@ Exit codes: 0 when the requested check passes, 1 on a verdict failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .exponents import FAMILIES, theoretical_kappa
@@ -19,6 +20,13 @@ from .harness import (
     run_experiment,
     summary_record,
 )
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,10 +48,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_pre = sub.add_parser("predict", help="print the theoretical decay exponent")
     p_pre.add_argument("family", choices=list(FAMILIES))
-    p_pre.add_argument("gamma", type=float)
+    p_pre.add_argument("gamma", type=_finite_float)
     p_pre.add_argument("d", type=int)
-    p_pre.add_argument("p0", type=float, nargs="?", default=2.0)
-    p_pre.add_argument("tau0", type=float, nargs="?", default=0.0)
+    p_pre.add_argument("p0", type=_finite_float, nargs="?", default=2.0)
+    p_pre.add_argument("tau0", type=_finite_float, nargs="?", default=0.0)
     # the prediction depends on the family's indices only, which no other
     # family parameter changes
     p_pre.add_argument("--alpha", type=float, help="stability index for sas")

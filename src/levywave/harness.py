@@ -15,6 +15,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -141,6 +142,10 @@ class ExperimentConfig:
         spec = self.wavelet_spec()
         if spec.max_level(self.J) < 0:
             raise ConfigError(f"J={self.J} too coarse for k={self.k}")
+        (lo, hi), n_values = self.fit_range(), self.n_values()
+        inside = int(np.count_nonzero((n_values >= lo) & (n_values <= hi)))
+        if inside < 5:
+            raise ConfigError(f"fit window [{lo}, {hi}] must hold at least 5 points, got {inside}")
         if not self.prediction().condition_satisfied and not self.allow_inadmissible:
             raise ConfigError(
                 f"config violates the admissibility inequality "
@@ -321,19 +326,12 @@ def _verdict(prediction: KappaPrediction, median: float, config: ExperimentConfi
 def run_experiment(config: ExperimentConfig, threads: Optional[int] = None) -> ExperimentReport:
     """Run all trials, aggregate the fitted exponents, and attach the verdict."""
     config.validate()
-    n_workers = _thread_count(threads)
-    indices = list(range(config.trials))
-    if n_workers == 1 or config.trials == 1:
-        curves = [_run_trial(config, i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(_run_trial, config, i) for i in indices]
-            curves = []
-            for i, fut in enumerate(futures):
-                try:
-                    curves.append(fut.result())
-                except Exception as exc:
-                    raise RuntimeError(f"trial {i} failed: {exc}") from exc
+    n_workers = min(_thread_count(threads), config.trials)
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        # one worker runs the trials on the calling thread; a failing
+        # trial's own exception reaches the caller either way
+        run = map if n_workers == 1 else pool.map
+        curves = list(run(partial(_run_trial, config), range(config.trials)))
 
     kappas = [curve.fit.kappa_hat for curve in curves]
     median = _quantile(kappas, 50.0)

@@ -17,8 +17,10 @@ with fine-scale scaling coefficients (standard pyramid initialization).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -105,14 +107,39 @@ class WaveletSpec:
         return J - self.zeta - 1
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class WaveletCoeffs:
-    """Coefficient pyramid: levels[j][gender] -> shift array of shape (2^(j+zeta),)^d."""
+    """Coefficient pyramid in one flat buffer; levels[j][G] is a read-only mapping of views.
+
+    Band (j, G) holds 2^((j+zeta)d) values at offset G * 2^((j+zeta)d): levels
+    ascend, then genders, coarse scaling band first.  So a pyramid up to j_max
+    fills 2^((j_max+1+zeta)d) values, the size of its grid, and the buffer
+    size fixes j_max.
+    """
 
     d: int
     zeta: int
     j_coarse: int
-    levels: dict
+    data: np.ndarray
+    levels: Mapping = field(init=False, repr=False)
+
+    def __post_init__(self):
+        d, zeta, size = self.d, self.zeta, self.data.size
+        top = (size.bit_length() - 1) // d  # 2^top values per axis on the grid
+        if self.data.ndim != 1 or top <= self.j_coarse + zeta or size != 1 << (top * d):
+            raise ValueError(
+                f"a buffer of shape {self.data.shape} does not fill a d={d} pyramid "
+                f"from level {self.j_coarse} (zeta={zeta})"
+            )
+        levels = {}
+        for j in range(self.j_coarse, top - zeta):
+            n = 1 << ((j + zeta) * d)
+            shape = (1 << (j + zeta),) * d
+            genders = range(0 if j == self.j_coarse else 1, 1 << d)
+            levels[j] = MappingProxyType(
+                {g: self.data[g * n:(g + 1) * n].reshape(shape) for g in genders}
+            )
+        object.__setattr__(self, "levels", MappingProxyType(levels))
 
     @property
     def j_max(self) -> int:
@@ -123,30 +150,19 @@ class WaveletCoeffs:
         return self.j_max - self.j_coarse + 1
 
     def total_count(self) -> int:
-        return sum(arr.size for bands in self.levels.values() for arr in bands.values())
+        return self.data.size
 
     def bands(self) -> list:
-        """(j, gender, array) in canonical order: levels ascend, then genders."""
-        return [(j, g, bands[g]) for j, bands in sorted(self.levels.items()) for g in sorted(bands)]
+        """(j, gender, view) in canonical order: levels ascend, then genders."""
+        return [(j, g, arr) for j, bands in self.levels.items() for g, arr in bands.items()]
 
     def scaled(self, a: float) -> "WaveletCoeffs":
-        levels = {
-            j: {g: a * arr for g, arr in bands.items()}
-            for j, bands in self.levels.items()
-        }
-        return WaveletCoeffs(d=self.d, zeta=self.zeta, j_coarse=self.j_coarse, levels=levels)
+        return replace(self, data=a * self.data)
 
     @classmethod
     def zeros(cls, d: int, zeta: int, j_coarse: int, j_max: int) -> "WaveletCoeffs":
         """Empty pyramid with the standard gender layout, for building test inputs."""
-        levels = {}
-        for j in range(j_coarse, j_max + 1):
-            shape = (1 << (j + zeta),) * d
-            bands = {g: np.zeros(shape) for g in range(1, 1 << d)}
-            if j == j_coarse:
-                bands[0] = np.zeros(shape)
-            levels[j] = bands
-        return cls(d=d, zeta=zeta, j_coarse=j_coarse, levels=levels)
+        return cls(d=d, zeta=zeta, j_coarse=j_coarse, data=np.zeros(1 << ((j_max + 1 + zeta) * d)))
 
 
 # ---------------------------------------------------------------------------
@@ -160,17 +176,15 @@ def _along(axis: int, sl: slice) -> tuple:
     return (slice(None),) * axis + (sl,)
 
 
-def _analyze_axis(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
-    """Periodic filter-and-downsample: lo[i] = sum_t h[t] x[(2i + t) mod n].
+def _analyze_axis(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int, lo, hi) -> None:
+    """Periodic filter-and-downsample into zeroed lo, hi: lo[i] += sum_t h[t] x[(2i + t) mod n].
 
     Polyphase form: the input gets a periodic pad of taps - 2 samples, and
-    each tap adds one stride-2 slice of it into preallocated outputs, block
-    by block of leading-axis output rows so that the block stays in cache.
+    each tap adds one stride-2 slice of it into the outputs, block by block
+    of leading-axis output rows so that the block stays in cache.
     """
-    n = x.shape[axis]
+    n, shape = x.shape[axis], lo.shape
     xp = np.concatenate([x, x[_along(axis, slice(0, h.size - 2))]], axis=axis)
-    shape = x.shape[:axis] + (n // 2,) + x.shape[axis + 1:]
-    lo, hi = np.zeros(shape), np.zeros(shape)
     rows = max(1, _BLOCK // math.prod(shape[1:]))
     tmp = np.empty((min(rows, shape[0]),) + shape[1:])
     for r0 in range(0, shape[0], rows):
@@ -182,7 +196,6 @@ def _analyze_axis(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
             phase = src[_along(axis, slice(t, t + m, 2))]
             for acc, f in pairs:
                 acc += np.multiply(phase, f[t], out=tmp[: r1 - r0])
-    return lo, hi
 
 
 def _synthesize_axis(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
@@ -204,27 +217,32 @@ def _synthesize_axis(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarra
     return out
 
 
-def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray) -> dict:
+def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping) -> np.ndarray:
+    """Split c once and return its low-pass part; the last axis pass writes
+    straight into the views in bands (the scaling band too, at the coarsest level)."""
     parts = {0: c}
     for axis in range(c.ndim):
+        bit, last = 1 << axis, axis == c.ndim - 1
         grown = {}
         for mask in list(parts):
-            grown[mask], grown[mask | (1 << axis)] = _analyze_axis(parts.pop(mask), h, g, axis)
+            x = parts.pop(mask)
+            shape = x.shape[:axis] + (x.shape[axis] // 2,) + x.shape[axis + 1:]
+            for out in (mask, mask | bit):
+                grown[out] = bands[out] if last and out in bands else np.zeros(shape)
+            _analyze_axis(x, h, g, axis, grown[mask], grown[mask | bit])
         parts = grown
-    return parts
+    return parts[0]
 
 
-def _synthesize_step(parts: dict, h: np.ndarray, g: np.ndarray, d: int) -> np.ndarray:
-    current = dict(parts)
+def _synthesize_step(parts: Mapping, h: np.ndarray, g: np.ndarray, d: int) -> np.ndarray:
     for axis in reversed(range(d)):
         bit = 1 << axis
-        merged = {}
-        for mask in current:
-            if mask & bit:
-                continue
-            merged[mask] = _synthesize_axis(current[mask], current[mask | bit], h, g, axis)
-        current = merged
-    return current[0]
+        parts = {
+            mask: _synthesize_axis(parts[mask], parts[mask | bit], h, g, axis)
+            for mask in parts
+            if not mask & bit
+        }
+    return parts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +281,11 @@ def dwt_periodic(values, spec: WaveletSpec, levels: int | None = None) -> Wavele
     # fine-scale values and each step filters with h/sqrt(2), g/sqrt(2).
     h = spec.lowpass / math.sqrt(2.0)
     g = spec.highpass / math.sqrt(2.0)
+    coeffs = WaveletCoeffs(d=d, zeta=zeta, j_coarse=J - zeta - steps, data=np.zeros(x.size))
     c = x
-    pyramid = {}
-    for j in range(J - zeta - 1, J - zeta - 1 - steps, -1):
-        parts = _analyze_step(c, h, g)
-        pyramid[j] = {mask: parts[mask] for mask in range(1, 1 << d)}
-        c = parts[0]
-    pyramid[j][0] = c
-    return WaveletCoeffs(d=d, zeta=zeta, j_coarse=j, levels=pyramid)
+    for bands in reversed(coeffs.levels.values()):
+        c = _analyze_step(c, h, g, bands)
+    return coeffs
 
 
 def idwt_periodic(coeffs: WaveletCoeffs, spec: WaveletSpec) -> np.ndarray:
@@ -279,27 +294,10 @@ def idwt_periodic(coeffs: WaveletCoeffs, spec: WaveletSpec) -> np.ndarray:
         raise ValueError(
             f"filter base shift {spec.zeta} does not match coefficients ({coeffs.zeta})"
         )
-    d = coeffs.d
-    js = sorted(coeffs.levels)
-    if js[0] != coeffs.j_coarse or 0 not in coeffs.levels[js[0]]:
-        raise ValueError("coefficient pyramid is missing its coarse scaling band")
     # stored values are scaled as in dwt_periodic, hence sqrt(2) h, sqrt(2) g
     h = spec.lowpass * math.sqrt(2.0)
     g = spec.highpass * math.sqrt(2.0)
-
-    c = coeffs.levels[js[0]][0]
-    for j in js:
-        parts = {}
-        for mask in range(1, 1 << d):
-            if mask not in coeffs.levels[j]:
-                raise ValueError(f"level {j} is missing gender {mask}")
-            band = coeffs.levels[j][mask]
-            if band.shape != c.shape:
-                raise ValueError(
-                    f"level {j} gender {mask} has shape {band.shape}, expected {c.shape}"
-                )
-            parts[mask] = band
-        parts[0] = c
-        c = _synthesize_step(parts, h, g, d)
+    c = coeffs.levels[coeffs.j_coarse][0]
+    for bands in coeffs.levels.values():
+        c = _synthesize_step({**bands, 0: c}, h, g, coeffs.d)
     return c
-

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from levywave import FAMILIES, ConfigError, compare_families, emit_outputs, run_experiment
+from levywave import FAMILIES, ConfigError, compare_families, emit_outputs, harness, run_experiment
 from levywave.cli import main as cli_main
 from levywave.harness import (
     exponent_from_params,
@@ -191,6 +191,27 @@ def test_trial_failure_is_diagnosed():
         run_experiment(config, threads=2)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_trial_exception_is_the_same_at_any_thread_count(monkeypatch, tmp_path, capsys, threads):
+    def failing_trial(config, index):
+        raise ValueError(f"trial {index} cannot fit")
+
+    monkeypatch.setattr(harness, "_run_trial", failing_trial)
+    with pytest.raises(ValueError, match="trial 0 cannot fit") as info:
+        run_experiment(_small_config(trials=3), threads=threads)
+    assert type(info.value) is ValueError
+    cfg = _write_config(tmp_path, SMALL.replace("output = none", ""))
+    assert cli_main(["run", str(cfg), "--threads", str(threads)]) == 2
+    assert "error: trial 0 cannot fit" in capsys.readouterr().err
+
+
+def test_default_window_too_small_for_grid_rejected():
+    # J = 11: the default window [16, 128] holds 16, 32, 64 and 128 only
+    with pytest.raises(ConfigError, match="at least 5 points"):
+        parse_config("family = laplace\nJ = 11\n")
+    assert parse_config("family = laplace\nJ = 12\n").fit_range() == (16, 256)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -218,6 +239,31 @@ def test_cli_predict_missing_alpha(capsys):
 def test_cli_predict_alpha_not_applicable(capsys):
     assert cli_main(["predict", "gaussian", "1.0", "1", "--alpha", "1.0"]) == 2
     assert "not applicable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_run_narrow_fit_window_exits_before_trials(monkeypatch, tmp_path, capsys, threads):
+    def no_trial(config, index):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_run_trial", no_trial)
+    cfg = _write_config(
+        tmp_path, "family = gaussian\nJ = 10\ntrials = 2\nfit_lo = 3\nfit_hi = 5\n"
+    )
+    assert cli_main(["run", str(cfg), "--threads", threads]) == 2
+    err = capsys.readouterr().err
+    assert "fit window [3, 5]" in err and "at least 5" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("index", [2, 4, 5])  # gamma, p0, tau0
+def test_cli_predict_rejects_non_finite(capsys, value, index):
+    argv = ["predict", "gaussian", "1.0", "1", "2.0", "0.0"]
+    argv[index] = value
+    with pytest.raises(SystemExit) as info:
+        cli_main(argv)
+    assert info.value.code == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_cli_run_small(tmp_path, capsys):
@@ -267,7 +313,7 @@ def test_cli_compare(tmp_path, capsys):
 
 
 def test_load_config_from_file(tmp_path):
-    path = _write_config(tmp_path, "family = laplace\nJ = 10\n")
+    path = _write_config(tmp_path, "family = laplace\nJ = 10\nfit_lo = 4\n")
     config = load_config(path)
     assert config.family == "laplace"
     assert config.J == 10

@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levywave import (
+    BesovParams,
     WaveletCoeffs,
     WaveletSpec,
+    best_n_term,
     daubechies_lowpass,
     dwt_periodic,
     idwt_periodic,
     make_rng,
     quadrature_mirror_highpass,
+    weighted_magnitudes,
 )
 from levywave import wavelets
 
@@ -136,15 +139,7 @@ def test_idwt_linearity():
     rng = make_rng(31)
     c1 = dwt_periodic(rng.normal(size=64), spec)
     c2 = dwt_periodic(rng.normal(size=64), spec)
-    combo = WaveletCoeffs(
-        d=1,
-        zeta=c1.zeta,
-        j_coarse=c1.j_coarse,
-        levels={
-            j: {g: 2.5 * c1.levels[j][g] + c2.levels[j][g] for g in c1.levels[j]}
-            for j in c1.levels
-        },
-    )
+    combo = WaveletCoeffs(d=1, zeta=c1.zeta, j_coarse=c1.j_coarse, data=2.5 * c1.data + c2.data)
     lhs = idwt_periodic(combo, spec)
     rhs = 2.5 * idwt_periodic(c1, spec) + idwt_periodic(c2, spec)
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
@@ -192,6 +187,47 @@ def test_coeff_iter_order_and_stability():
     assert sum(arr.size for _, _, arr in bands) == coeffs.total_count() == 256
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    d=st.sampled_from([1, 2]),
+    extra=st.integers(0, 2),
+    partial=st.booleans(),
+    tau=st.sampled_from([0.0, 0.5, 1.5]),
+    p=st.sampled_from([1.0, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_buffer_layout(k, d, extra, partial, tau, p, seed):
+    spec = WaveletSpec(k=k)
+    J = spec.zeta + 1 + extra
+    steps = J - spec.zeta
+    if partial:
+        steps = 1 + seed % steps
+    coeffs = dwt_periodic(make_rng(seed).standard_cauchy(size=(2**J,) * d), spec, levels=steps)
+    data = coeffs.data
+    assert data.shape == (2 ** (J * d),)
+    bands = coeffs.bands()
+    assert all(np.shares_memory(arr, data) for _, _, arr in bands)
+    np.testing.assert_array_equal(np.concatenate([arr.ravel() for _, _, arr in bands]), data)
+
+    params = BesovParams(tau=tau, p=p, q=p, d=d)
+    mags = weighted_magnitudes(coeffs, params)
+    per_band = [params.weight(j) * np.abs(arr).ravel() for j, _, arr in bands]
+    np.testing.assert_array_equal(mags, np.concatenate(per_band))
+
+    n = seed % (data.size + 1)
+    kept, _ = best_n_term(coeffs, params, n)
+    assert len(set(kept)) == len(kept) == n
+    chosen = [params.weight(j) * abs(coeffs.levels[j][g][m]) for j, g, m in kept]
+    np.testing.assert_array_equal(np.sort(chosen), np.sort(mags)[data.size - n:])
+
+    scaling_only = np.zeros(coeffs.levels[coeffs.j_coarse][0].size)
+    wrong = [data[:-1], scaling_only, data.reshape(2, -1)] + [np.zeros(2 * data.size)] * (d == 2)
+    for buffer in wrong:
+        with pytest.raises(ValueError, match="does not fill"):
+            WaveletCoeffs(d=d, zeta=coeffs.zeta, j_coarse=coeffs.j_coarse, data=buffer)
+
+
 def test_dwt_input_validation():
     spec = WaveletSpec(k=4)
     with pytest.raises(ValueError, match="power of two"):
@@ -204,12 +240,15 @@ def test_dwt_input_validation():
         dwt_periodic(np.zeros(64), WaveletSpec(k=1), levels=7)
 
 
-def test_idwt_shape_mismatch_rejected():
-    spec = WaveletSpec(k=1)
-    coeffs = dwt_periodic(np.arange(16.0), spec)
-    coeffs.levels[2][1] = coeffs.levels[2][1][:2]
-    with pytest.raises(ValueError, match="shape"):
-        idwt_periodic(coeffs, spec)
+def test_replacing_a_band_raises():
+    # bands are views into one buffer: values can be written, bands cannot be swapped
+    coeffs = dwt_periodic(np.arange(16.0), WaveletSpec(k=1))
+    coeffs.levels[2][1][0] = 7.0
+    assert coeffs.data[4] == 7.0
+    with pytest.raises(TypeError):
+        coeffs.levels[2][1] = coeffs.levels[2][1][:2]
+    with pytest.raises(TypeError):
+        coeffs.levels[2] = {}
 
 
 @pytest.mark.parametrize("k", [2, 4])
