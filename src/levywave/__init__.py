@@ -15,25 +15,19 @@ from .exponents import (
     ParameterError,
     SAlphaS,
     UniformJump,
-    check_besov_membership_prediction,
-    psi_eval,
     theoretical_kappa,
 )
 from .sampling import (
     GridSpec,
-    NoiseField,
     generate_noise,
     make_rng,
     sample_id_increment,
     trial_seed,
 )
 from .spectral import (
-    AdmissibilityError,
-    Derivative1d,
     FractionalLaplacian,
     Matern,
     SpectralField,
-    apply_forward_operator,
     apply_inverse_operator,
     forward_fft,
     inverse_fft,
@@ -51,7 +45,6 @@ from .besov import (
     BesovParams,
     DecayCurve,
     KappaFit,
-    besov_seq_norm,
     best_n_term,
     empirical_regularity_scan,
     estimate_kappa,

@@ -22,7 +22,6 @@ __all__ = [
     "KappaFit",
     "DecayCurve",
     "weighted_magnitudes",
-    "besov_seq_norm",
     "best_n_term",
     "sigma_curve",
     "estimate_kappa",
@@ -82,24 +81,6 @@ def weighted_magnitudes(coeffs: WaveletCoeffs, params: BesovParams) -> np.ndarra
     for j, _, arr in out.bands():
         arr *= params.weight(j)
     return out.data
-
-
-def besov_seq_norm(coeffs: WaveletCoeffs, params: BesovParams) -> float:
-    """(sum_j 2^(j(tau-d/p)q) sum_G (sum_m |lambda|^p)^(q/p))^(1/q).
-
-    For q = inf the outer sums become a max over (j, G).
-    """
-    p = params.p
-    if math.isinf(params.q):
-        best = 0.0
-        for j, _, arr in coeffs.bands():
-            best = max(best, params.weight(j) * float(np.sum(np.abs(arr) ** p)) ** (1.0 / p))
-        return best
-    q = params.q
-    total = 0.0
-    for j, _, arr in coeffs.bands():
-        total += params.weight(j) ** q * float(np.sum(np.abs(arr) ** p)) ** (q / p)
-    return total ** (1.0 / q)
 
 
 def best_n_term(coeffs: WaveletCoeffs, params: BesovParams, n: int):

@@ -31,9 +31,7 @@ __all__ = [
     "FAMILIES",
     "BGIndices",
     "KappaPrediction",
-    "psi_eval",
     "theoretical_kappa",
-    "check_besov_membership_prediction",
 ]
 
 
@@ -368,14 +366,6 @@ FAMILIES = {
 LevyExponent = Union[tuple(FAMILIES.values())]
 
 
-def psi_eval(exponent: LevyExponent, xi):
-    """Evaluate the Levy exponent; scalar in gives complex out, arrays pass through."""
-    out = exponent.psi(np.asarray(xi, dtype=float))
-    if np.ndim(xi) == 0:
-        return complex(out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # compressibility predictions
 
@@ -460,30 +450,3 @@ def theoretical_kappa(
         lower=(gamma - tau0) / d + 1.0 / idx.beta - 1.0,
         upper=(gamma - tau0) / d + 1.0 / idx.beta_prime - 1.0,
     )
-
-
-def check_besov_membership_prediction(
-    exponent: LevyExponent,
-    gamma: float,
-    d: int,
-    p: float,
-    tau: float,
-) -> str:
-    """Almost-sure smoothness-space membership of s = L^{-1} w.
-
-    Returns "in" when tau is below the positive threshold, "out" when it is
-    above the negative threshold, and "critical" between or exactly on one.
-    """
-    if not p > 0:
-        raise ParameterError(f"p must be positive, got {p}")
-    if exponent.is_gaussian:
-        t_in = t_out = gamma - d / 2.0
-    else:
-        idx = exponent.indices()
-        t_in = gamma + d * (1.0 / max(p, idx.beta) - 1.0)
-        t_out = gamma + d * (1.0 / max(p, idx.beta_prime) - 1.0)
-    if tau < t_in:
-        return "in"
-    if tau > t_out:
-        return "out"
-    return "critical"

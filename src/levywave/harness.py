@@ -41,9 +41,6 @@ __all__ = [
     "emit_outputs",
 ]
 
-THREADS_ENV_VAR = "LEVYWAVE_THREADS"
-
-
 class ConfigError(ValueError):
     """Malformed or inadmissible experiment configuration."""
 
@@ -285,12 +282,11 @@ def _quantile(values, q: float) -> float:
 
 
 def _thread_count(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    if threads is None:
+        return min(4, os.cpu_count() or 1)
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    return int(threads)
 
 
 def _run_trial(config: ExperimentConfig, index: int) -> DecayCurve:
@@ -360,7 +356,6 @@ def run_experiment(config: ExperimentConfig, threads: Optional[int] = None) -> E
 class ComparisonEntry:
     label: str
     theory: KappaPrediction
-    theory_key: float
     kappa_median: float
 
 
@@ -401,16 +396,15 @@ def compare_families(configs, threads: Optional[int] = None) -> ComparisonReport
         ComparisonEntry(
             label=_family_label(r.config),
             theory=r.prediction,
-            theory_key=r.prediction.sort_key(),
             kappa_median=r.kappa_median,
         )
         for r in reports
     ]
-    entries.sort(key=lambda e: e.theory_key)
+    entries.sort(key=lambda e: e.theory.sort_key())
     inversions = []
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
-            if entries[i].theory_key < entries[j].theory_key and not (
+            if entries[i].theory.sort_key() < entries[j].theory.sort_key() and not (
                 entries[i].kappa_median < entries[j].kappa_median
             ):
                 inversions.append((entries[i].label, entries[j].label))

@@ -16,7 +16,6 @@ from .exponents import LevyExponent, ParameterError
 
 __all__ = [
     "GridSpec",
-    "NoiseField",
     "make_rng",
     "trial_seed",
     "sample_id_increment",
@@ -64,16 +63,6 @@ class GridSpec:
         return 2.0 ** (-self.J * self.d)
 
 
-@dataclass(frozen=True)
-class NoiseField:
-    """Zero-mean noise realization; values are cell averages <w, 1_cell>/vol."""
-
-    grid: GridSpec
-    values: np.ndarray
-    seed: int
-    exponent_tag: str = ""
-
-
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator so draws are reproducible across thread counts."""
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
@@ -91,27 +80,27 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     return (base_seed ^ _splitmix64(trial_index)) & _MASK64
 
 
-def sample_id_increment(exponent: LevyExponent, volume: float, rng, size=None):
+def sample_id_increment(exponent: LevyExponent, volume: float, rng, size) -> np.ndarray:
     """Draw increments with characteristic function exp(volume * psi(xi)).
 
     Args:
         exponent: noise family.
         volume: cell volume, must be positive.
         rng: numpy Generator.
-        size: None for a single float, else an output shape.
+        size: output shape.
     """
     if not volume > 0:
         raise ParameterError(f"volume must be positive, got {volume}")
-    out = exponent.sample(volume, rng, (1,) if size is None else size)
-    if size is None:
-        return float(out[0])
-    return out
+    return exponent.sample(volume, rng, size)
 
 
-def generate_noise(exponent: LevyExponent, grid: GridSpec, seed: int) -> NoiseField:
-    """Zero-mean noise field at resolution J, deterministic in (exponent, grid, seed)."""
+def generate_noise(exponent: LevyExponent, grid: GridSpec, seed: int) -> np.ndarray:
+    """Zero-mean noise field at resolution J, deterministic in (exponent, grid, seed).
+
+    The values are the cell averages <w, 1_cell>/vol.
+    """
     rng = make_rng(seed)
     values = sample_id_increment(exponent, grid.cell_volume, rng, size=grid.shape)
     values /= grid.cell_volume
     values -= values.mean()
-    return NoiseField(grid=grid, values=values, seed=seed, exponent_tag=repr(exponent))
+    return values

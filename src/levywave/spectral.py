@@ -16,26 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import LevyExponent, ParameterError
-from .sampling import GridSpec, NoiseField, generate_noise
+from .sampling import GridSpec, generate_noise
 
 __all__ = [
-    "AdmissibilityError",
     "FractionalLaplacian",
     "Matern",
-    "Derivative1d",
     "OperatorSymbol",
     "SpectralField",
     "frequency_lattice",
     "forward_fft",
     "inverse_fft",
     "apply_inverse_operator",
-    "apply_forward_operator",
     "synthesize_process",
 ]
-
-
-class AdmissibilityError(ValueError):
-    """The operator symbol vanishes somewhere on the nonzero lattice."""
 
 
 def frequency_lattice(grid: GridSpec):
@@ -90,42 +83,7 @@ class Matern:
         return (1.0 + _squared_norms(grid)) ** (self.gamma / 2.0)
 
 
-@dataclass(frozen=True)
-class Derivative1d:
-    """Integer-order derivative with lower-order terms, one dimension only.
-
-    Symbol (2*pi*i*m)^order + sum_k a_k (2*pi*i*m)^k with a_k given for
-    k = 0 .. order-1.  Lattice points where the terms cancel are flagged as
-    vanishing so the solve can refuse them.
-    """
-
-    order: int
-    lower_coeffs: tuple = ()
-
-    def __post_init__(self):
-        if not (isinstance(self.order, int) and self.order >= 1):
-            raise ParameterError(f"derivative order must be a positive integer, got {self.order}")
-        if len(self.lower_coeffs) > self.order:
-            raise ParameterError(
-                f"expected at most {self.order} lower coefficients, got {len(self.lower_coeffs)}"
-            )
-
-    def evaluate(self, grid: GridSpec) -> np.ndarray:
-        if grid.d != 1:
-            raise ParameterError("derivative operator is one-dimensional only")
-        m = frequency_lattice(grid)[0]
-        z = 2j * np.pi * m
-        val = z**self.order
-        scale = np.abs(z) ** self.order
-        for k, a in enumerate(self.lower_coeffs):
-            val = val + a * z**k
-            scale = scale + abs(a) * np.abs(z) ** k
-        # near-total cancellation counts as a vanishing symbol
-        val = np.where(np.abs(val) <= 1e-10 * scale, 0.0, val)
-        return val
-
-
-OperatorSymbol = FractionalLaplacian | Matern | Derivative1d
+OperatorSymbol = FractionalLaplacian | Matern
 
 
 @dataclass(frozen=True)
@@ -136,28 +94,13 @@ class SpectralField:
     coeffs: np.ndarray
 
 
-def _unpack(field, grid=None):
-    if isinstance(field, NoiseField):
-        return field.values, field.grid
-    values = np.asarray(field, dtype=float)
-    if grid is None:
-        d = values.ndim
-        n = values.shape[0]
-        J = n.bit_length() - 1
-        if d not in (1, 2) or any(s != n for s in values.shape) or (1 << J) != n:
-            raise ValueError("field must be a square dyadic grid or carry a GridSpec")
-        grid = GridSpec(d=d, J=J)
-    elif values.shape != grid.shape:
-        raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
-    return values, grid
-
-
-def forward_fft(field, grid: GridSpec | None = None) -> SpectralField:
+def forward_fft(values: np.ndarray, grid: GridSpec) -> SpectralField:
     """DFT normalized so coefficients approximate continuous Fourier coefficients.
 
     The zero-frequency coefficient is forced to zero.
     """
-    values, grid = _unpack(field, grid)
+    if values.shape != grid.shape:
+        raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
     coeffs = np.fft.rfftn(values, axes=tuple(range(grid.d)), norm="forward")
     coeffs[(0,) * grid.d] = 0.0
     return SpectralField(grid=grid, coeffs=coeffs)
@@ -166,44 +109,21 @@ def forward_fft(field, grid: GridSpec | None = None) -> SpectralField:
 def inverse_fft(field: SpectralField) -> np.ndarray:
     """Back to the real grid field.
 
-    The imaginary parts of the self-conjugate bins (2m = 0 mod N) are
-    dropped, which keeps the grid-sampled real action of a complex symbol
-    on those modes.
+    The symbols are real, so dividing by one keeps the Hermitian symmetry
+    of a real field's spectrum; irfftn drops only the round-off imaginary
+    parts of the self-conjugate bins (2m = 0 mod N).
     """
     grid = field.grid
     return np.fft.irfftn(field.coeffs, s=grid.shape, axes=tuple(range(grid.d)), norm="forward")
 
 
-def _check_symbol(lhat: np.ndarray, grid: GridSpec) -> None:
-    mask = lhat == 0.0
-    mask[(0,) * grid.d] = False
-    if mask.any():
-        axes = frequency_lattice(grid)
-        where = np.argwhere(mask)[0]
-        if grid.d == 1:
-            m = int(axes[0][where[0]])
-        else:
-            m = (int(axes[0][where[0]]), int(axes[1][where[1]]))
-        raise AdmissibilityError(f"operator symbol vanishes at lattice point m={m}")
-
-
 def apply_inverse_operator(field: SpectralField, symbol: OperatorSymbol) -> SpectralField:
     """Divide by the symbol off the zero frequency: s_hat(m) = w_hat(m)/L_hat(m)."""
     lhat = symbol.evaluate(field.grid)
-    _check_symbol(lhat, field.grid)
     dc = (0,) * field.grid.d
     lhat[dc] = 1.0
     out = field.coeffs / lhat
     out[dc] = 0.0
-    return SpectralField(grid=field.grid, coeffs=out)
-
-
-def apply_forward_operator(field: SpectralField, symbol: OperatorSymbol) -> SpectralField:
-    """Multiply by the symbol off the zero frequency."""
-    lhat = symbol.evaluate(field.grid)
-    _check_symbol(lhat, field.grid)
-    out = field.coeffs * lhat
-    out[(0,) * field.grid.d] = 0.0
     return SpectralField(grid=field.grid, coeffs=out)
 
 
@@ -216,6 +136,6 @@ def synthesize_process(
     """One realization of the process solving (operator) s = noise, zero mean."""
     # one name for every stage frees each full-size array once the next returns
     field = generate_noise(exponent, grid, seed)
-    field = forward_fft(field)
+    field = forward_fft(field, grid)
     field = apply_inverse_operator(field, symbol)
     return inverse_fft(field)

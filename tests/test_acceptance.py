@@ -32,7 +32,6 @@ from levywave import (
     generate_noise,
     idwt_periodic,
     make_rng,
-    psi_eval,
     sample_id_increment,
     synthesize_process,
     trial_seed,
@@ -148,7 +147,7 @@ def test_criterion_3_sampler_fidelity():
         draws = sample_id_increment(exponent, h, rng, size=m)
         for xi in (0.5, 1.0, 2.0, 5.0, 10.0):
             ecf = complex(np.mean(np.exp(1j * xi * draws)))
-            target = complex(np.exp(h * psi_eval(exponent, xi)))
+            target = complex(np.exp(h * exponent.psi(xi)))
             worst = max(worst, abs(ecf - target))
     elapsed = time.time() - t0
     ok = worst <= bound and elapsed < budget
@@ -279,7 +278,7 @@ def test_criterion_8_noise_criticality():
     rows = []
     for t in range(20):
         noise = generate_noise(Gaussian(1.0), grid, trial_seed(BASE_SEED, 1000 + t))
-        coeffs = dwt_periodic(noise.values, spec)
+        coeffs = dwt_periodic(noise, spec)
         rows.append(empirical_regularity_scan(coeffs, [2.0], taus)[0])
     med = np.median(rows, axis=0)
     crossing = float(np.interp(0.0, med, taus))  # med increases with tau

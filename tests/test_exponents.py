@@ -13,9 +13,7 @@ from levywave import (
     ParameterError,
     SAlphaS,
     UniformJump,
-    check_besov_membership_prediction,
     make_rng,
-    psi_eval,
     theoretical_kappa,
 )
 
@@ -35,26 +33,26 @@ ALL_FAMILIES = [
 
 
 def test_psi_gaussian_value():
-    assert psi_eval(Gaussian(1.0), 1.0) == pytest.approx(-0.5, abs=1e-15)
+    assert Gaussian(1.0).psi(1.0) == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_psi_cauchy_value():
-    assert psi_eval(SAlphaS(1.0), 2.0) == pytest.approx(-2.0, abs=1e-15)
+    assert SAlphaS(1.0).psi(2.0) == pytest.approx(-2.0, abs=1e-15)
 
 
 def test_psi_laplace_value():
-    assert psi_eval(Laplace(), 1.0) == pytest.approx(-math.log(2.0), abs=1e-15)
+    assert Laplace().psi(1.0) == pytest.approx(-math.log(2.0), abs=1e-15)
 
 
 def test_psi_inverse_gaussian_principal_root():
-    val = psi_eval(InverseGaussian(1.0, 1.0), 1.0)
+    val = InverseGaussian(1.0, 1.0).psi(1.0)
     expected = 1.0 - complex(1.0, -2.0) ** 0.5  # principal sqrt of gamma^2 - 2i xi
     assert val == pytest.approx(expected, abs=1e-14)
 
 
 @pytest.mark.parametrize("exponent", ALL_FAMILIES, ids=repr)
 def test_psi_vanishes_at_origin(exponent):
-    assert psi_eval(exponent, 0.0) == 0
+    assert exponent.psi(0.0) == 0
 
 
 @pytest.mark.parametrize("exponent", ALL_FAMILIES, ids=repr)
@@ -206,25 +204,3 @@ def test_kappa_monotone_in_beta():
     gauss = theoretical_kappa(Gaussian(1.0), gamma, d, p0, tau0).value
     for sparse in (SAlphaS(0.5), SAlphaS(1.9), InverseGaussian(1.0, 1.0)):
         assert theoretical_kappa(sparse, gamma, d, p0, tau0).lower > gauss
-
-
-# ---------------------------------------------------------------------------
-# membership predictions
-
-
-def test_membership_gaussian_in():
-    assert check_besov_membership_prediction(Gaussian(1.0), 1.0, 1, 2.0, 0.0) == "in"
-
-
-def test_membership_gaussian_boundary_is_critical():
-    assert check_besov_membership_prediction(Gaussian(1.0), 1.0, 1, 2.0, 0.5) == "critical"
-
-
-def test_membership_cauchy_in():
-    # threshold gamma + d(1/max(p, beta) - 1) = 1 + (1/2 - 1) = 0.5 > 0.4
-    assert check_besov_membership_prediction(SAlphaS(1.0), 1.0, 1, 2.0, 0.4) == "in"
-
-
-def test_membership_out():
-    assert check_besov_membership_prediction(Gaussian(1.0), 1.0, 1, 2.0, 0.7) == "out"
-    assert check_besov_membership_prediction(SAlphaS(1.0), 1.0, 1, 2.0, 0.6) == "out"

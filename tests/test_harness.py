@@ -255,15 +255,22 @@ def test_cli_run_narrow_fit_window_exits_before_trials(monkeypatch, tmp_path, ca
     assert "fit window [3, 5]" in err and "at least 5" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("index", [2, 4, 5])  # gamma, p0, tau0
 def test_cli_predict_rejects_non_finite(capsys, value, index):
     argv = ["predict", "gaussian", "1.0", "1", "2.0", "0.0"]
     argv[index] = value
+    # after "--" every token is positional, so "-inf" reaches the finiteness check
+    with pytest.raises(SystemExit) as info:
+        cli_main(argv[:2] + ["--"] + argv[2:])
+    assert info.value.code == 2
+    assert "finite" in capsys.readouterr().err
+    # bare, argparse takes "-inf" for an unknown option; either way the exit code is 2
     with pytest.raises(SystemExit) as info:
         cli_main(argv)
     assert info.value.code == 2
-    assert "finite" in capsys.readouterr().err
+    if value != "-inf":
+        assert "finite" in capsys.readouterr().err
 
 
 def test_cli_run_small(tmp_path, capsys):
@@ -319,11 +326,23 @@ def test_load_config_from_file(tmp_path):
     assert config.J == 10
 
 
-def test_thread_count_env_override(monkeypatch):
-    from levywave.harness import THREADS_ENV_VAR, _thread_count
+def test_thread_count_explicit_and_default():
+    from levywave.harness import _thread_count
 
-    monkeypatch.setenv(THREADS_ENV_VAR, "2")
-    assert _thread_count(None) == 2
-    assert _thread_count(5) == 5  # explicit argument wins
-    monkeypatch.delenv(THREADS_ENV_VAR)
-    assert _thread_count(None) >= 1
+    assert _thread_count(5) == 5
+    assert _thread_count(1) == 1
+    assert 1 <= _thread_count(None) <= 4
+
+
+@pytest.mark.parametrize("threads", [0, -5])
+def test_threads_below_one_rejected(monkeypatch, tmp_path, capsys, threads):
+    def no_trial(config, index):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_run_trial", no_trial)
+    with pytest.raises(ConfigError, match=f"threads must be >= 1, got {threads}"):
+        run_experiment(_small_config(), threads=threads)
+    cfg = _write_config(tmp_path, SMALL.replace("output = none", ""))
+    for command in ("run", "compare"):
+        assert cli_main([command, str(cfg), "--threads", str(threads)]) == 2
+        assert f"error: threads must be >= 1, got {threads}" in capsys.readouterr().err
