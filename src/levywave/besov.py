@@ -183,8 +183,8 @@ def empirical_regularity_scan(
     2^(j(tau - d/p)) (sum_m |lambda|^p)^(1/p) are fitted against j in log2
     scale; a negative slope indicates a convergent tail (membership).
     """
-    if coeffs.depth < 6:
-        raise ValueError(f"need decomposition depth >= 6, got {coeffs.depth}")
+    if len(coeffs.levels) < 6:
+        raise ValueError(f"need decomposition depth >= 6, got {len(coeffs.levels)}")
     p_grid = np.atleast_1d(np.asarray(p_grid, dtype=float))
     tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=float))
     js = np.array(sorted(coeffs.levels), dtype=float)

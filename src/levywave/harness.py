@@ -16,6 +16,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import combinations
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from .besov import BesovParams, DecayCurve, estimate_kappa, sigma_curve
 from .exponents import FAMILIES, KappaPrediction, LevyExponent, theoretical_kappa
-from .sampling import GridSpec, trial_seed
+from .sampling import _MAX_CELLS, GridSpec, trial_seed
 from .spectral import FractionalLaplacian, Matern, synthesize_process
 from .wavelets import WaveletSpec, dwt_periodic
 
@@ -133,6 +134,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         self.exponent()
         self.grid()
+        # the torus has volume 1, so a trial draws about `rate` jumps
+        if self.params.get("rate", 0.0) > _MAX_CELLS:
+            raise ConfigError(
+                f"memory guard: key 'rate' = {self.params['rate']:g} jumps per trial "
+                f"exceeds {_MAX_CELLS}"
+            )
         self.symbol()
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
@@ -393,21 +400,14 @@ def compare_families(configs, threads: Optional[int] = None) -> ComparisonReport
         )
     reports = [run_experiment(c, threads=threads) for c in configs]
     entries = [
-        ComparisonEntry(
-            label=_family_label(r.config),
-            theory=r.prediction,
-            kappa_median=r.kappa_median,
-        )
-        for r in reports
+        ComparisonEntry(_family_label(r.config), r.prediction, r.kappa_median) for r in reports
     ]
     entries.sort(key=lambda e: e.theory.sort_key())
-    inversions = []
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            if entries[i].theory.sort_key() < entries[j].theory.sort_key() and not (
-                entries[i].kappa_median < entries[j].kappa_median
-            ):
-                inversions.append((entries[i].label, entries[j].label))
+    inversions = [
+        (a.label, b.label)
+        for a, b in combinations(entries, 2)
+        if a.theory.sort_key() < b.theory.sort_key() and not a.kappa_median < b.kappa_median
+    ]
     return ComparisonReport(entries=entries, inversions=inversions, ok=not inversions)
 
 

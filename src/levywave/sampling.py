@@ -1,9 +1,11 @@
 """Discrete realizations of periodic Levy white noises.
 
 The torus [-1/2, 1/2)^d is split into 2^J cells per axis.  One draw per cell
-with characteristic function exp(volume * psi(xi)) gives the exact law of
-the noise paired with the cell indicator; dividing by the cell volume and
-removing the mean produces the zero-mean resolution-J noise field.
+with characteristic function exp(volume * psi(xi)) gives the law of the noise
+paired with the cell indicator: exactly for every family but laplace, whose
+jumps below 1e-15 are dropped (their l2 mass is below the FFT's round-off).
+Dividing by the cell volume and removing the mean produces the zero-mean
+resolution-J noise field.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-# memory guard on the total cell count: a trial peaks at 24 bytes per cell (laplace,
-# d=2 J=12) to 36 (d=1 J=20, sas and inverse_gaussian), so 2^26 cells need up to 2.4 GB
+# memory guard on the total cell count: a trial's resident peak is 24 bytes per cell
+# (laplace, d=2 J=12, set by the FFT and DWT) to 36 (d=1 J=20, sas and
+# inverse_gaussian), so 2^26 cells need up to 2.4 GB; the jump families draw
+# 16 bytes per jump, so the config guards compound_poisson's rate by the same bound
 _MAX_CELLS = 1 << 26
 
 
@@ -81,14 +85,8 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
 
 
 def sample_id_increment(exponent: LevyExponent, volume: float, rng, size) -> np.ndarray:
-    """Draw increments with characteristic function exp(volume * psi(xi)).
-
-    Args:
-        exponent: noise family.
-        volume: cell volume, must be positive.
-        rng: numpy Generator.
-        size: output shape.
-    """
+    """Array of the given size of increments over cells of the given positive
+    volume, with characteristic function exp(volume * psi(xi))."""
     if not volume > 0:
         raise ParameterError(f"volume must be positive, got {volume}")
     return exponent.sample(volume, rng, size)

@@ -55,10 +55,6 @@ class FractionalLaplacian:
         if not self.gamma > 0:
             raise ParameterError(f"order gamma must be positive, got {self.gamma}")
 
-    @property
-    def order(self) -> float:
-        return self.gamma
-
     def evaluate(self, grid: GridSpec) -> np.ndarray:
         m2 = _squared_norms(grid)
         with np.errstate(divide="ignore"):
@@ -74,10 +70,6 @@ class Matern:
     def __post_init__(self):
         if not self.gamma > 0:
             raise ParameterError(f"order gamma must be positive, got {self.gamma}")
-
-    @property
-    def order(self) -> float:
-        return self.gamma
 
     def evaluate(self, grid: GridSpec) -> np.ndarray:
         return (1.0 + _squared_norms(grid)) ** (self.gamma / 2.0)

@@ -89,10 +89,7 @@ class WaveletSpec:
     @property
     def zeta(self) -> int:
         """Smallest integer with 2^zeta >= 2k - 1 (support fits the unit cube)."""
-        z = 0
-        while (1 << z) < 2 * self.k - 1:
-            z += 1
-        return z
+        return (2 * self.k - 2).bit_length()
 
     @property
     def lowpass(self) -> np.ndarray:
@@ -140,14 +137,6 @@ class WaveletCoeffs:
                 {g: self.data[g * n:(g + 1) * n].reshape(shape) for g in genders}
             )
         object.__setattr__(self, "levels", MappingProxyType(levels))
-
-    @property
-    def j_max(self) -> int:
-        return max(self.levels)
-
-    @property
-    def depth(self) -> int:
-        return self.j_max - self.j_coarse + 1
 
     def total_count(self) -> int:
         return self.data.size

@@ -116,6 +116,16 @@ def test_run_experiment_deterministic():
         np.testing.assert_array_equal(c1.sigma_values, c2.sigma_values)
 
 
+@pytest.mark.parametrize("d, J", [(1, 9), (2, 5)])
+@pytest.mark.parametrize("family, params", [("laplace", {}), ("compound_poisson", {"rate": 50.0})])
+def test_jump_families_deterministic_across_threads(family, params, d, J):
+    config = _small_config(family=family, params=params, d=d, J=J, gamma=1.5)
+    r1 = run_experiment(config, threads=1)
+    r3 = run_experiment(config, threads=3)
+    for c1, c3 in zip(r1.curves, r3.curves, strict=True):
+        assert c1.sigma_values.tobytes() == c3.sigma_values.tobytes()
+
+
 def test_run_experiment_report_contents():
     config = _small_config()
     report = run_experiment(config, threads=2)
@@ -271,6 +281,18 @@ def test_cli_predict_rejects_non_finite(capsys, value, index):
     assert info.value.code == 2
     if value != "-inf":
         assert "finite" in capsys.readouterr().err
+
+
+def test_jump_count_memory_guard(tmp_path, capsys):
+    # about `rate` jumps per trial; the guard fires before any field is drawn
+    text = "family = compound_poisson\nrate = 1e13\nJ = 14\n"
+    with pytest.raises(ConfigError, match="key 'rate'"):
+        parse_config(text)
+    cfg = tmp_path / "huge_rate.cfg"
+    cfg.write_text(text)
+    assert cli_main(["run", str(cfg)]) == 2
+    assert "key 'rate'" in capsys.readouterr().err
+    assert parse_config(f"family = compound_poisson\nrate = {2**26}\n").params["rate"] == 2**26
 
 
 def test_cli_run_small(tmp_path, capsys):

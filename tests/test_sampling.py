@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import exp1
 
@@ -175,35 +177,30 @@ def test_laplace_tail_counts_match_levy_measure():
     rng = make_rng(0)
     h, m = 2.0**-14, 2**20
     draws = sample_id_increment(Laplace(), h, rng, size=m)
-    for t in (0.01, 0.1, 1.0):
+    # t = 1e-12 checks that the program keeps the small jumps down to there
+    for t in (1e-12, 0.01, 0.1, 1.0):
         expected = 2.0 * m * h * exp1(t)
-        observed = np.count_nonzero(np.abs(draws) > t)
+        above, below = np.count_nonzero(draws > t), np.count_nonzero(draws < -t)
+        observed = above + below
         assert abs(observed - expected) <= 4.0 * math.sqrt(expected), (t, observed, expected)
+        # the measure is symmetric, so each sign holds half the jumps
+        assert abs(above - below) <= 4.0 * math.sqrt(observed), (t, above, below)
 
 
-def _series_laplace_increments(h, rng, size, eps=1e-8):
-    """Laplace increments built from their Levy measure e^{-|x|}/|x| alone.
-
-    Series view (Asmussen and Rosinski, J. Appl. Probab. 2001): the jumps
-    above eps form a Poisson process, drawn here by thinning the dominating
-    measure 1/x on (eps, 1) plus e^{-x} on [1, inf) on each side; the jumps
-    below eps are replaced by a Gaussian of their variance h eps^2."""
-    w_small, w_large = math.log(1.0 / eps), math.exp(-1.0)
-    counts = rng.poisson(2.0 * h * (w_small + w_large), size)
-    k = int(counts.sum())
-    small = rng.uniform(size=k) < w_small / (w_small + w_large)
-    x = np.where(small, eps ** rng.uniform(size=k), 1.0 + rng.exponential(size=k))
-    keep = rng.uniform(size=k) < np.where(small, np.exp(-x), 1.0 / x)
-    jumps = np.where(keep, x, 0.0) * rng.choice([-1.0, 1.0], size=k)
-    out = np.zeros(size)
-    np.add.at(out, np.repeat(np.arange(size), counts), jumps)
-    return out + rng.normal(0.0, eps * math.sqrt(h), size)
+def _gamma_difference_increments(h, rng, size):
+    """Laplace increments as the difference of two Gamma(h) draws, whose
+    characteristic function (1 + xi^2)^(-h) is exact: an oracle that shares
+    no code with the program's Levy-Ito jump sampler."""
+    out = rng.gamma(h, 1.0, size)
+    out -= rng.gamma(h, 1.0, size)
+    return out
 
 
-def test_laplace_sigma_law_matches_series_sampler():
+def test_laplace_sigma_law_matches_gamma_difference_sampler():
     # Criterion 6's laplace errors at d=1, J=14 must come out the same for the
-    # gamma-difference sampler and for the independent series sampler: same
-    # solve, DWT and n-term selection, two-sample KS at n = 64 and n = 256.
+    # program's jump sampler (jumps above 1e-15 only) and for the exact
+    # gamma-difference law: same solve, DWT and n-term selection, two-sample
+    # KS at n = 64 and n = 256.
     grid = GridSpec(d=1, J=14)
     h = grid.cell_volume
     params = BesovParams(tau=0.0, p=2.0, q=2.0, d=1)
@@ -217,17 +214,39 @@ def test_laplace_sigma_law_matches_series_sampler():
         return sigma_curve(dwt_periodic(field, spec), params, n_values).sigma_values
 
     trials = 200
-    rng_program, rng_series = make_rng(61), make_rng(62)
+    rng_program, rng_gamma = make_rng(61), make_rng(62)
     program = np.array(
         [sigmas(sample_id_increment(Laplace(), h, rng_program, size=grid.n)) for _ in range(trials)]
     )
-    series = np.array(
-        [sigmas(_series_laplace_increments(h, rng_series, grid.n)) for _ in range(trials)]
+    gamma = np.array(
+        [sigmas(_gamma_difference_increments(h, rng_gamma, grid.n)) for _ in range(trials)]
     )
     for column, n in enumerate(n_values):
-        a, b = program[:, column], series[:, column]
+        a, b = program[:, column], gamma[:, column]
         pvalue = stats.ks_2samp(a, b).pvalue
         assert pvalue > 0.01, (n, pvalue, np.median(a), np.median(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.integers(1, 256)), st.tuples(st.integers(1, 16), st.integers(1, 16))
+    ),
+    volume=st.floats(min_value=1e-6, max_value=1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_jump_path_is_shape_blind_and_counts_unit_jumps(shape, volume, seed):
+    # the jumps are binned into the flattened cells, so a 2-d field is the
+    # 1-d field of the same draws reshaped; unit jumps make every cell a count
+    size = math.prod(shape)
+    unit = CompoundPoisson(2.0, DiracJump(1.0))
+    for exponent in (Laplace(), unit):
+        field = exponent.sample(volume, make_rng(seed), shape)
+        flat = exponent.sample(volume, make_rng(seed), (size,))
+        assert np.array_equal(field, flat.reshape(shape))
+    counts = unit.sample(volume, make_rng(seed), shape)
+    assert counts.sum() == math.floor(counts.sum())
+    assert np.all(counts >= 0.0) and np.array_equal(counts, np.floor(counts))
 
 
 def test_inverse_gaussian_moments():
