@@ -27,7 +27,6 @@ from .sampling import (
 from .spectral import (
     FractionalLaplacian,
     Matern,
-    SpectralField,
     apply_inverse_operator,
     forward_fft,
     inverse_fft,

@@ -1,10 +1,10 @@
 """Sequence-space quasi-norms, n-term thresholding, and decay-rate fitting.
 
-The (tau, p, q) quasi-norm weights level-j coefficients by 2^(j(tau - d/p)).
-For q = p the norm is a weighted l_p norm over all coefficients, so the best
-n-term approximation is the greedy one: keep the n largest weighted
-magnitudes.  The decay exponent of the resulting error curve is recovered by
-log-log regression.
+The (tau, p) quasi-norm, with fine index equal to p, weights level-j
+coefficients by 2^(j(tau - d/p)).  It is a weighted l_p norm over all
+coefficients, so the best n-term approximation is the greedy one: keep the
+n largest weighted magnitudes.  The decay exponent of the resulting error
+curve is recovered by log-log regression.
 """
 
 from __future__ import annotations
@@ -31,18 +31,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BesovParams:
-    """Smoothness tau, integrability p, fine index q, dimension d."""
+    """Smoothness tau, integrability p (also the fine index), dimension d."""
 
     tau: float
     p: float
-    q: float
     d: int
 
     def __post_init__(self):
         if not (self.p > 0 and math.isfinite(self.p)):
             raise ValueError(f"p must be positive and finite, got {self.p}")
-        if not self.q > 0:
-            raise ValueError(f"q must be positive, got {self.q}")
         if self.d not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.d}")
 
@@ -54,7 +51,6 @@ class BesovParams:
 class KappaFit:
     kappa_hat: float
     stderr: float
-    fit_range: tuple
 
 
 @dataclass
@@ -63,7 +59,6 @@ class DecayCurve:
 
     n_values: np.ndarray
     sigma_values: np.ndarray
-    params: BesovParams
     fit: Optional[KappaFit] = None
 
     def __post_init__(self):
@@ -84,15 +79,13 @@ def weighted_magnitudes(coeffs: WaveletCoeffs, params: BesovParams) -> np.ndarra
 
 
 def best_n_term(coeffs: WaveletCoeffs, params: BesovParams, n: int):
-    """Greedy best n-term approximation in the q = p quasi-norm.
+    """Greedy best n-term approximation in the (tau, p) quasi-norm.
 
     Keeps the n indices of largest weighted magnitude (ties broken by the
     canonical iteration order) and returns them with the residual norm of
     everything discarded.  Greedy is optimal here because the p-th power of
     the norm is additive over coefficients.
     """
-    if params.q != params.p:
-        raise ValueError("n-term selection is defined for q = p only")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     mags = weighted_magnitudes(coeffs, params)
@@ -113,8 +106,6 @@ def best_n_term(coeffs: WaveletCoeffs, params: BesovParams, n: int):
 
 def sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid) -> DecayCurve:
     """Best n-term error for every n in the ascending grid, via one sort."""
-    if params.q != params.p:
-        raise ValueError("n-term selection is defined for q = p only")
     n_grid = np.asarray(n_grid, dtype=int)
     if n_grid.size == 0 or np.any(np.diff(n_grid) <= 0):
         raise ValueError("n grid must be non-empty and strictly ascending")
@@ -129,7 +120,7 @@ def sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid) -> DecayCurv
     inside = n_grid < acc.size
     tail[inside] = acc[acc.size - 1 - n_grid[inside]]
     sigma = tail ** (1.0 / p)
-    return DecayCurve(n_values=n_grid, sigma_values=sigma, params=params)
+    return DecayCurve(n_values=n_grid, sigma_values=sigma)
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray):
@@ -159,7 +150,7 @@ def estimate_kappa(curve: DecayCurve, fit_range: tuple | None = None) -> KappaFi
         raise ValueError(f"no curve points inside fit range [{lo}, {hi}]")
     sig = curve.sigma_values[in_window]
     if np.all(sig == 0.0):
-        return KappaFit(kappa_hat=math.inf, stderr=0.0, fit_range=(lo, hi))
+        return KappaFit(kappa_hat=math.inf, stderr=0.0)
     positive = in_window & (curve.sigma_values > 0.0)
     if positive.sum() < 5:
         raise ValueError(
@@ -169,7 +160,7 @@ def estimate_kappa(curve: DecayCurve, fit_range: tuple | None = None) -> KappaFi
     x = np.log(curve.n_values[positive].astype(float))
     y = -np.log(curve.sigma_values[positive])
     slope, _, stderr = _fit_line(x, y)
-    return KappaFit(kappa_hat=slope, stderr=stderr, fit_range=(lo, hi))
+    return KappaFit(kappa_hat=slope, stderr=stderr)
 
 
 def empirical_regularity_scan(

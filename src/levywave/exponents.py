@@ -278,7 +278,9 @@ class CompoundPoisson(_Family):
         if kind not in _JUMP_LAWS:
             raise ParameterError(f"unknown jump law {kind!r}")
         law = _JUMP_LAWS[kind]
-        given = {f.name: params[f"jump_{f.name}"] for f in fields(law) if f"jump_{f.name}" in params}
+        given = {key[len("jump_"):]: v for key, v in params.items() if key.startswith("jump_")}
+        for name in sorted(set(given) - {f.name for f in fields(law)}):
+            raise ParameterError(f"key 'jump_{name}' not applicable to jump law {kind!r}")
         return cls(rate=params.get("rate", cls.rate), jumps=law(**given))
 
     def params(self) -> dict:

@@ -80,7 +80,6 @@ class ExperimentConfig:
     base_seed: int = 20260810
     p0: float = 2.0
     tau0: float = 0.0
-    n_grid: str = "dyadic"
     fit_lo: Optional[int] = None
     fit_hi: Optional[int] = None
     tolerance: float = 0.15
@@ -104,13 +103,7 @@ class ExperimentConfig:
         return WaveletSpec(k=self.k)
 
     def n_values(self) -> np.ndarray:
-        if self.n_grid == "dyadic":
-            return 2 ** np.arange(2, self.J * self.d - 1)
-        try:
-            values = sorted({int(tok) for tok in self.n_grid.split(",")})
-        except ValueError as exc:
-            raise ConfigError(f"bad n_grid {self.n_grid!r}") from exc
-        return np.array(values, dtype=int)
+        return 2 ** np.arange(2, self.J * self.d - 1)
 
     def fit_range(self) -> tuple:
         lo = self.fit_lo if self.fit_lo is not None else 2**4
@@ -143,6 +136,8 @@ class ExperimentConfig:
         self.symbol()
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.tolerance < 0:
+            raise ConfigError(f"tolerance must be >= 0, got {self.tolerance}")
         spec = self.wavelet_spec()
         if spec.max_level(self.J) < 0:
             raise ConfigError(f"J={self.J} too coarse for k={self.k}")
@@ -170,7 +165,9 @@ class ExperimentConfig:
             "base_seed": self.base_seed,
             "p0": _fmt_value(self.p0),
             "tau0": _fmt_value(self.tau0),
-            "n_grid": self.n_grid,
+            # the n grid is always dyadic; the line stays so that the hashes
+            # of existing outputs remain valid
+            "n_grid": "dyadic",
             "fit_lo": self.fit_range()[0],
             "fit_hi": self.fit_range()[1],
             "tolerance": _fmt_value(self.tolerance),
@@ -265,8 +262,6 @@ class ExperimentReport:
     kappa_q3: float
     prediction: KappaPrediction
     verdict: str
-    config_hash: str
-    version: str
 
     def median_sigma_at(self, n: int) -> float:
         column = []
@@ -302,7 +297,7 @@ def _run_trial(config: ExperimentConfig, index: int) -> DecayCurve:
     fieldvals = synthesize_process(exponent, config.grid(), config.symbol(), seed)
     coeffs = dwt_periodic(fieldvals, config.wavelet_spec())
     del fieldvals
-    params = BesovParams(tau=config.tau0, p=config.p0, q=config.p0, d=config.d)
+    params = BesovParams(tau=config.tau0, p=config.p0, d=config.d)
     curve = sigma_curve(coeffs, params, config.n_values())
     curve.fit = estimate_kappa(curve, config.fit_range())
     return curve
@@ -350,8 +345,6 @@ def run_experiment(config: ExperimentConfig, threads: Optional[int] = None) -> E
         kappa_q3=q3,
         prediction=prediction,
         verdict=_verdict(prediction, median, config),
-        config_hash=config.sha256(),
-        version=__version__,
     )
 
 
@@ -452,8 +445,8 @@ def summary_record(report: ExperimentReport) -> dict:
         "kappa_iqr": [_json_safe(report.kappa_q1), _json_safe(report.kappa_q3)],
         "theory": theory,
         "verdict": report.verdict,
-        "config_sha256": report.config_hash,
-        "version": report.version,
+        "config_sha256": config.sha256(),
+        "version": __version__,
     }
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "FractionalLaplacian",
     "Matern",
     "OperatorSymbol",
-    "SpectralField",
     "frequency_lattice",
     "forward_fft",
     "inverse_fft",
@@ -78,16 +77,9 @@ class Matern:
 OperatorSymbol = FractionalLaplacian | Matern
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Half spectrum of a real zero-mean field, rfftn layout, DC = 0."""
-
-    grid: GridSpec
-    coeffs: np.ndarray
-
-
-def forward_fft(values: np.ndarray, grid: GridSpec) -> SpectralField:
-    """DFT normalized so coefficients approximate continuous Fourier coefficients.
+def forward_fft(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Half spectrum (rfftn layout) of a real field, normalized so coefficients
+    approximate continuous Fourier coefficients.
 
     The zero-frequency coefficient is forced to zero.
     """
@@ -95,28 +87,30 @@ def forward_fft(values: np.ndarray, grid: GridSpec) -> SpectralField:
         raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
     coeffs = np.fft.rfftn(values, axes=tuple(range(grid.d)), norm="forward")
     coeffs[(0,) * grid.d] = 0.0
-    return SpectralField(grid=grid, coeffs=coeffs)
+    return coeffs
 
 
-def inverse_fft(field: SpectralField) -> np.ndarray:
-    """Back to the real grid field.
+def inverse_fft(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Back from a half spectrum to the real grid field.
 
     The symbols are real, so dividing by one keeps the Hermitian symmetry
     of a real field's spectrum; irfftn drops only the round-off imaginary
     parts of the self-conjugate bins (2m = 0 mod N).
     """
-    grid = field.grid
-    return np.fft.irfftn(field.coeffs, s=grid.shape, axes=tuple(range(grid.d)), norm="forward")
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(grid.d)), norm="forward")
 
 
-def apply_inverse_operator(field: SpectralField, symbol: OperatorSymbol) -> SpectralField:
-    """Divide by the symbol off the zero frequency: s_hat(m) = w_hat(m)/L_hat(m)."""
-    lhat = symbol.evaluate(field.grid)
-    dc = (0,) * field.grid.d
+def apply_inverse_operator(
+    coeffs: np.ndarray, symbol: OperatorSymbol, grid: GridSpec
+) -> np.ndarray:
+    """Divide a half spectrum by the symbol off the zero frequency:
+    s_hat(m) = w_hat(m)/L_hat(m), into a new array."""
+    lhat = symbol.evaluate(grid)
+    dc = (0,) * grid.d
     lhat[dc] = 1.0
-    out = field.coeffs / lhat
+    out = coeffs / lhat
     out[dc] = 0.0
-    return SpectralField(grid=field.grid, coeffs=out)
+    return out
 
 
 def synthesize_process(
@@ -129,5 +123,5 @@ def synthesize_process(
     # one name for every stage frees each full-size array once the next returns
     field = generate_noise(exponent, grid, seed)
     field = forward_fft(field, grid)
-    field = apply_inverse_operator(field, symbol)
-    return inverse_fft(field)
+    field = apply_inverse_operator(field, symbol, grid)
+    return inverse_fft(field, grid)

@@ -1,7 +1,7 @@
 """Periodized Daubechies wavelet analysis and synthesis on the d-torus.
 
-Coefficients are indexed by (level j, gender G, shift m).  At the coarsest
-level of a full decomposition there are 2^d genders per shift (the pure
+Coefficients are indexed by (level j, gender G, shift m).  The analysis
+always runs down to level 0, which holds 2^d genders per shift (the pure
 scaling combination included); every finer level has 2^d - 1 detail
 genders.  A gender is stored as a bitmask: bit r set means high-pass along
 axis r.  Level j holds 2^(j + zeta) shifts per axis, where the base shift
@@ -59,6 +59,11 @@ def _lowpass_cached(k: int) -> tuple:
     h = h * (math.sqrt(2.0) / h.sum())
     if abs(h[0]) < abs(h[-1]):  # canonical front-loaded orientation
         h = h[::-1]
+    # the root finding loses accuracy as k grows: past k = 23 the identities
+    # sum_n h[n] h[n + 2m] = delta_m miss by more than 1e-10
+    miss = np.abs(np.correlate(h, h, "full")[h.size - 1::2] - np.eye(1, k)[0]).max()
+    if miss > 1e-10:
+        raise ValueError(f"k={k} too large: its filter misses orthonormality by {miss:.1e}")
     return tuple(float(v) for v in h)
 
 
@@ -83,8 +88,7 @@ class WaveletSpec:
     k: int
 
     def __post_init__(self):
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise ValueError(f"k must be a positive integer, got {self.k}")
+        daubechies_lowpass(self.k)  # rejects a k whose filter cannot be built
 
     @property
     def zeta(self) -> int:
@@ -109,30 +113,26 @@ class WaveletCoeffs:
     """Coefficient pyramid in one flat buffer; levels[j][G] is a read-only mapping of views.
 
     Band (j, G) holds 2^((j+zeta)d) values at offset G * 2^((j+zeta)d): levels
-    ascend, then genders, coarse scaling band first.  So a pyramid up to j_max
-    fills 2^((j_max+1+zeta)d) values, the size of its grid, and the buffer
-    size fixes j_max.
+    ascend from 0, then genders, coarse scaling band first.  So a pyramid up
+    to j_max fills 2^((j_max+1+zeta)d) values, the size of its grid, and the
+    buffer size fixes j_max.
     """
 
     d: int
     zeta: int
-    j_coarse: int
     data: np.ndarray
     levels: Mapping = field(init=False, repr=False)
 
     def __post_init__(self):
         d, zeta, size = self.d, self.zeta, self.data.size
         top = (size.bit_length() - 1) // d  # 2^top values per axis on the grid
-        if self.data.ndim != 1 or top <= self.j_coarse + zeta or size != 1 << (top * d):
-            raise ValueError(
-                f"a buffer of shape {self.data.shape} does not fill a d={d} pyramid "
-                f"from level {self.j_coarse} (zeta={zeta})"
-            )
+        if self.data.ndim != 1 or top <= zeta or size != 1 << (top * d):
+            raise ValueError(f"a buffer of shape {self.data.shape} does not fill a d={d} pyramid")
         levels = {}
-        for j in range(self.j_coarse, top - zeta):
+        for j in range(top - zeta):
             n = 1 << ((j + zeta) * d)
             shape = (1 << (j + zeta),) * d
-            genders = range(0 if j == self.j_coarse else 1, 1 << d)
+            genders = range(0 if j == 0 else 1, 1 << d)
             levels[j] = MappingProxyType(
                 {g: self.data[g * n:(g + 1) * n].reshape(shape) for g in genders}
             )
@@ -149,9 +149,9 @@ class WaveletCoeffs:
         return replace(self, data=a * self.data)
 
     @classmethod
-    def zeros(cls, d: int, zeta: int, j_coarse: int, j_max: int) -> "WaveletCoeffs":
+    def zeros(cls, d: int, zeta: int, j_max: int) -> "WaveletCoeffs":
         """Empty pyramid with the standard gender layout, for building test inputs."""
-        return cls(d=d, zeta=zeta, j_coarse=j_coarse, data=np.zeros(1 << ((j_max + 1 + zeta) * d)))
+        return cls(d=d, zeta=zeta, data=np.zeros(1 << ((j_max + 1 + zeta) * d)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +238,9 @@ def _synthesize_step(parts: Mapping, h: np.ndarray, g: np.ndarray, d: int) -> np
 # multilevel transforms
 
 
-def dwt_periodic(values, spec: WaveletSpec, levels: int | None = None) -> WaveletCoeffs:
-    """Orthonormal periodic analysis of a square dyadic grid.
-
-    Args:
-        values: real grid samples, shape (2^J,) or (2^J, 2^J).
-        spec: filter family.
-        levels: number of splitting steps; defaults to the maximum
-            J - zeta, which decomposes down to level 0.
-    """
+def dwt_periodic(values, spec: WaveletSpec) -> WaveletCoeffs:
+    """Orthonormal periodic analysis of a square dyadic grid, shape (2^J,) or
+    (2^J, 2^J), in J - zeta splitting steps down to level 0."""
     x = np.asarray(values, dtype=float)
     d = x.ndim
     if d not in (1, 2):
@@ -258,19 +252,15 @@ def dwt_periodic(values, spec: WaveletSpec, levels: int | None = None) -> Wavele
     if (1 << J) != n:
         raise ValueError(f"grid length must be a power of two, got {n}")
     zeta = spec.zeta
-    max_steps = J - zeta
-    if max_steps < 1:
+    if J <= zeta:
         raise ValueError(f"grid level {J} too coarse for k={spec.k}: needs J >= {zeta + 1}")
-    steps = max_steps if levels is None else int(levels)
-    if not 1 <= steps <= max_steps:
-        raise ValueError(f"levels must lie in [1, {max_steps}], got {levels}")
 
     # A band of 2^(j+zeta) shifts per axis stores 2^((j+zeta)d/2) times the
     # orthonormal coefficient, so the samples themselves are the stored
     # fine-scale values and each step filters with h/sqrt(2), g/sqrt(2).
     h = spec.lowpass / math.sqrt(2.0)
     g = spec.highpass / math.sqrt(2.0)
-    coeffs = WaveletCoeffs(d=d, zeta=zeta, j_coarse=J - zeta - steps, data=np.zeros(x.size))
+    coeffs = WaveletCoeffs(d=d, zeta=zeta, data=np.zeros(x.size))
     c = x
     for bands in reversed(coeffs.levels.values()):
         c = _analyze_step(c, h, g, bands)
@@ -286,7 +276,7 @@ def idwt_periodic(coeffs: WaveletCoeffs, spec: WaveletSpec) -> np.ndarray:
     # stored values are scaled as in dwt_periodic, hence sqrt(2) h, sqrt(2) g
     h = spec.lowpass * math.sqrt(2.0)
     g = spec.highpass * math.sqrt(2.0)
-    c = coeffs.levels[coeffs.j_coarse][0]
+    c = coeffs.levels[0][0]
     for bands in coeffs.levels.values():
         c = _synthesize_step({**bands, 0: c}, h, g, coeffs.d)
     return c

@@ -24,7 +24,7 @@ from levywave import (
 
 
 def _single(j, gender, index, value, d=1, zeta=0, j_max=4):
-    coeffs = WaveletCoeffs.zeros(d=d, zeta=zeta, j_coarse=0, j_max=j_max)
+    coeffs = WaveletCoeffs.zeros(d=d, zeta=zeta, j_max=j_max)
     coeffs.levels[j][gender][index] = value
     return coeffs
 
@@ -32,7 +32,7 @@ def _single(j, gender, index, value, d=1, zeta=0, j_max=4):
 def test_norm_single_coefficient_weighted():
     # weight 2^(j(tau - d/p)) = 2^(2 * 1/2) = 2
     coeffs = _single(2, 1, (1,), 1.0)
-    params = BesovParams(tau=1.0, p=2.0, q=2.0, d=1)
+    params = BesovParams(tau=1.0, p=2.0, d=1)
     mags = weighted_magnitudes(coeffs, params)
     assert mags.max() == pytest.approx(2.0, abs=1e-14)
     assert np.count_nonzero(mags) == 1
@@ -41,16 +41,16 @@ def test_norm_single_coefficient_weighted():
 @pytest.mark.parametrize("p", [math.inf, math.nan, 0.0])
 def test_params_reject_non_finite_or_nonpositive_p(p):
     with pytest.raises(ValueError, match="p must be"):
-        BesovParams(tau=0.0, p=p, q=math.inf, d=1)
+        BesovParams(tau=0.0, p=p, d=1)
 
 
 def test_best_n_term_weighted_magnitudes_oracle():
     # weighted magnitudes {3, 2, 1}; keeping the largest leaves sqrt(2^2 + 1^2)
-    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_coarse=0, j_max=2)
+    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_max=2)
     coeffs.levels[0][1][0] = 3.0
     coeffs.levels[1][1][1] = 2.0
     coeffs.levels[2][1][0] = 1.0
-    params = BesovParams(tau=0.5, p=2.0, q=2.0, d=1)  # weight 1 at every level
+    params = BesovParams(tau=0.5, p=2.0, d=1)  # weight 1 at every level
     kept, residual = best_n_term(coeffs, params, 1)
     assert kept == [(0, 1, (0,))]
     assert residual == pytest.approx(math.sqrt(5.0), abs=1e-14)
@@ -59,7 +59,7 @@ def test_best_n_term_weighted_magnitudes_oracle():
 def test_best_n_term_edge_cases():
     rng = make_rng(4)
     coeffs = dwt_periodic(rng.normal(size=64), WaveletSpec(k=1))
-    params = BesovParams(tau=0.0, p=2.0, q=2.0, d=1)
+    params = BesovParams(tau=0.0, p=2.0, d=1)
     _, full = best_n_term(coeffs, params, 0)
     expected = math.sqrt(float(np.sum(weighted_magnitudes(coeffs, params) ** 2)))
     assert full == pytest.approx(expected, rel=1e-12)
@@ -68,8 +68,6 @@ def test_best_n_term_edge_cases():
     assert len(kept) == coeffs.total_count()
     with pytest.raises(ValueError):
         best_n_term(coeffs, params, -1)
-    with pytest.raises(ValueError):
-        best_n_term(coeffs, BesovParams(0.0, 2.0, 1.0, 1), 1)
 
 
 def _exhaustive_min_residual(mags, n, p):
@@ -89,7 +87,7 @@ def test_greedy_matches_exhaustive_search(p):
     rng = make_rng(int(p * 1000))
     for case in range(60):
         j_max = int(rng.integers(1, 4))
-        coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_coarse=0, j_max=j_max)
+        coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_max=j_max)
         total = 0
         for j in range(j_max + 1):
             for g in coeffs.levels[j]:
@@ -103,7 +101,7 @@ def test_greedy_matches_exhaustive_search(p):
         if total > 12:
             continue
         tau = 0.0 if case % 2 else 1.0  # weights 2^(-j) or 1 (both exact dyadics)
-        params = BesovParams(tau=tau, p=p, q=p, d=1)
+        params = BesovParams(tau=tau, p=p, d=1)
         mags = weighted_magnitudes(coeffs, params)
         n = int(rng.integers(0, mags.size + 1))
         _, greedy = best_n_term(coeffs, params, n)
@@ -113,7 +111,7 @@ def test_greedy_matches_exhaustive_search(p):
 def test_sigma_curve_monotone_and_exhausts():
     rng = make_rng(9)
     coeffs = dwt_periodic(rng.normal(size=128), WaveletSpec(k=2))
-    params = BesovParams(tau=0.0, p=2.0, q=2.0, d=1)
+    params = BesovParams(tau=0.0, p=2.0, d=1)
     total = coeffs.total_count()
     curve = sigma_curve(coeffs, params, np.arange(1, total + 1))
     assert np.all(np.diff(curve.sigma_values) <= 0)
@@ -121,9 +119,9 @@ def test_sigma_curve_monotone_and_exhausts():
 
 
 def test_sigma_curve_five_nonzeros():
-    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_coarse=0, j_max=3)
+    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_max=3)
     coeffs.levels[3][1][:5] = [5.0, 4.0, 3.0, 2.0, 1.0]
-    params = BesovParams(tau=0.5, p=2.0, q=2.0, d=1)
+    params = BesovParams(tau=0.5, p=2.0, d=1)
     curve = sigma_curve(coeffs, params, np.arange(1, 9))
     assert np.all(curve.sigma_values[4:] == 0.0)
     assert curve.sigma_values[3] > 0
@@ -132,7 +130,7 @@ def test_sigma_curve_five_nonzeros():
 def test_sigma_curve_tail_sum_oracle():
     # magnitudes i^(-1) for i = 1..1024: sigma_n^2 = sum_{i>n} i^(-2)
     size = 1024
-    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_coarse=0, j_max=9)
+    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_max=9)
     values = 1.0 / np.arange(1.0, size + 1.0)
     pos = 0
     for j in sorted(coeffs.levels):
@@ -142,7 +140,7 @@ def test_sigma_curve_tail_sum_oracle():
             arr.ravel()[:] = values[pos : pos + take]
             pos += take
     assert pos == size
-    params = BesovParams(tau=0.5, p=2.0, q=2.0, d=1)  # unit weights
+    params = BesovParams(tau=0.5, p=2.0, d=1)  # unit weights
     n_grid = np.array([1, 2, 4, 10, 100, 500, 1000])
     curve = sigma_curve(coeffs, params, n_grid)
     for n, sigma in zip(n_grid, curve.sigma_values):
@@ -152,7 +150,7 @@ def test_sigma_curve_tail_sum_oracle():
 
 def test_estimate_kappa_pure_power_law():
     n = 2 ** np.arange(1, 12)
-    curve = DecayCurve(n, n.astype(float) ** -2.0, BesovParams(0.0, 2.0, 2.0, 1))
+    curve = DecayCurve(n, n.astype(float) ** -2.0)
     fit = estimate_kappa(curve)
     assert fit.kappa_hat == pytest.approx(2.0, abs=1e-10)
     assert fit.stderr < 1e-10
@@ -160,23 +158,22 @@ def test_estimate_kappa_pure_power_law():
 
 def test_estimate_kappa_constant_curve():
     n = 2 ** np.arange(1, 10)
-    curve = DecayCurve(n, np.full(n.size, 0.7), BesovParams(0.0, 2.0, 2.0, 1))
+    curve = DecayCurve(n, np.full(n.size, 0.7))
     assert estimate_kappa(curve).kappa_hat == pytest.approx(0.0, abs=1e-12)
 
 
 def test_estimate_kappa_perturbed_power_law():
     n = 2 ** np.arange(1, 12)
     wobble = 1.0 + 0.05 * (-1.0) ** np.arange(n.size)
-    curve = DecayCurve(n, wobble / n, BesovParams(0.0, 2.0, 2.0, 1))
+    curve = DecayCurve(n, wobble / n)
     fit = estimate_kappa(curve)
     assert 0.9 <= fit.kappa_hat <= 1.1
 
 
 def test_estimate_kappa_window_and_errors():
     n = 2 ** np.arange(1, 12)
-    curve = DecayCurve(n, n.astype(float) ** -1.5, BesovParams(0.0, 2.0, 2.0, 1))
+    curve = DecayCurve(n, n.astype(float) ** -1.5)
     fit = estimate_kappa(curve, fit_range=(4, 256))
-    assert fit.fit_range == (4, 256)
     assert fit.kappa_hat == pytest.approx(1.5, abs=1e-10)
     with pytest.raises(ValueError, match="at least 5"):
         estimate_kappa(curve, fit_range=(4, 16))
@@ -186,7 +183,7 @@ def test_estimate_kappa_window_and_errors():
 
 def test_estimate_kappa_all_zero_sentinel():
     n = np.array([1, 2, 4, 8, 16])
-    curve = DecayCurve(n, np.zeros(5), BesovParams(0.0, 2.0, 2.0, 1))
+    curve = DecayCurve(n, np.zeros(5))
     fit = estimate_kappa(curve)
     assert math.isinf(fit.kappa_hat)
 
@@ -194,7 +191,7 @@ def test_estimate_kappa_all_zero_sentinel():
 def test_estimate_kappa_scale_invariance():
     rng = make_rng(21)
     coeffs = dwt_periodic(rng.normal(size=2048), WaveletSpec(k=2))
-    params = BesovParams(tau=0.0, p=2.0, q=2.0, d=1)
+    params = BesovParams(tau=0.0, p=2.0, d=1)
     grid_n = 2 ** np.arange(1, 11)
     fit1 = estimate_kappa(sigma_curve(coeffs, params, grid_n), (4, 512))
     fit2 = estimate_kappa(sigma_curve(coeffs.scaled(37.5), params, grid_n), (4, 512))
@@ -203,7 +200,7 @@ def test_estimate_kappa_scale_invariance():
 
 def test_regularity_scan_decaying_levels():
     # one coefficient 2^(-j) per level: weighted level norm 2^(-3j/2)
-    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_coarse=0, j_max=6)
+    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_max=6)
     for j in range(7):
         coeffs.levels[j][1][0] = 2.0**-j
     scores = empirical_regularity_scan(coeffs, [2.0], [0.0])
@@ -211,7 +208,7 @@ def test_regularity_scan_decaying_levels():
 
 
 def test_regularity_scan_growing_levels():
-    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_coarse=0, j_max=6)
+    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_max=6)
     for j in range(7):
         coeffs.levels[j][1][0] = 2.0**j
     scores = empirical_regularity_scan(coeffs, [2.0], [0.0])
@@ -219,7 +216,7 @@ def test_regularity_scan_growing_levels():
 
 
 def test_regularity_scan_depth_precondition():
-    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_coarse=0, j_max=3)
+    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_max=3)
     with pytest.raises(ValueError, match="depth"):
         empirical_regularity_scan(coeffs, [2.0], [0.0])
 
@@ -244,13 +241,13 @@ def test_rate_recovery_for_synthetic_space_member():
     d, p0, tau0, dtau = 1, 2.0, 0.0, 0.75
     p1 = 1.0 / (dtau / d + 1.0 / p0)
     size_levels = 12
-    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_coarse=0, j_max=size_levels)
+    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_max=size_levels)
     total = coeffs.total_count()
     # weighted magnitudes i^(-(1+eps)/p1) lie strictly inside the space
     mags = np.arange(1.0, total + 1.0) ** (-1.01 / p1)
     pos = 0
-    params0 = BesovParams(tau=tau0, p=p0, q=p0, d=d)
-    params1 = BesovParams(tau=tau0 + dtau, p=p1, q=p1, d=d)
+    params0 = BesovParams(tau=tau0, p=p0, d=d)
+    params1 = BesovParams(tau=tau0 + dtau, p=p1, d=d)
     for j in sorted(coeffs.levels):
         w = params0.weight(j)
         for g in sorted(coeffs.levels[j]):

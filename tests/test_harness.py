@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ J = 9
 k = 2
 trials = 4
 base_seed = 4242
-n_grid = 4,8,16,32,64,128
 fit_lo = 4
 fit_hi = 128
 output = none   # placeholder, overridden in tests
@@ -74,7 +75,7 @@ def test_admissibility_gate_names_inequality():
 def test_admissibility_override():
     config = parse_config(
         "family = gaussian\ngamma = 0.4\nallow_inadmissible = true\nJ = 9\nk = 2\n"
-        "trials = 2\nn_grid = 4,8,16,32,64,128\nfit_lo = 4\nfit_hi = 128\n"
+        "trials = 2\nfit_lo = 4\nfit_hi = 128\n"
     )
     assert config.allow_inadmissible
     report = run_experiment(config, threads=1)
@@ -111,7 +112,7 @@ def test_run_experiment_deterministic():
     r2 = run_experiment(config, threads=3)
     assert r1.kappa_values == r2.kappa_values
     assert r1.kappa_median == r2.kappa_median
-    assert r1.config_hash == r2.config_hash
+    assert summary_record(r1) == summary_record(r2)
     for c1, c2 in zip(r1.curves, r2.curves):
         np.testing.assert_array_equal(c1.sigma_values, c2.sigma_values)
 
@@ -183,10 +184,8 @@ def test_compare_families_single_config_trivial():
 
 def test_compare_families_two_stable_indices():
     # alpha = 0.8 is predicted (and measured) more compressible than alpha = 1.5
-    a = _small_config(family="sas", params={"alpha": 1.5}, J=11, trials=6,
-                      n_grid="4,8,16,32,64,128,256,512", fit_lo=8, fit_hi=512)
-    b = _small_config(family="sas", params={"alpha": 0.8}, J=11, trials=6,
-                      n_grid="4,8,16,32,64,128,256,512", fit_lo=8, fit_hi=512)
+    a = _small_config(family="sas", params={"alpha": 1.5}, J=11, trials=6, fit_lo=8, fit_hi=512)
+    b = _small_config(family="sas", params={"alpha": 0.8}, J=11, trials=6, fit_lo=8, fit_hi=512)
     report = compare_families([a, b], threads=2)
     assert report.ok
     labels = [e.label for e in report.entries]
@@ -295,11 +294,62 @@ def test_jump_count_memory_guard(tmp_path, capsys):
     assert parse_config(f"family = compound_poisson\nrate = {2**26}\n").params["rate"] == 2**26
 
 
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ("jump = dirac\njump_sigma = 5.0\njump_a = 3\n", "jump_a"),
+        ("jump_c = 2.0\n", "jump_c"),  # the default law is gaussian
+    ],
+    ids=["dirac_law", "gaussian_law"],
+)
+def test_compound_poisson_rejects_keys_of_another_jump_law(tmp_path, capsys, text, key):
+    text = "family = compound_poisson\n" + text
+    with pytest.raises(ValueError, match=f"key '{key}' not applicable to jump law"):
+        parse_config(text)
+    assert cli_main(["run", str(_write_config(tmp_path, text))]) == 2
+    assert f"key '{key}'" in capsys.readouterr().err
+
+
+def test_negative_tolerance_rejected(tmp_path, capsys):
+    text = "family = gaussian\nJ = 12\ntolerance = -1\n"
+    with pytest.raises(ConfigError, match="tolerance must be >= 0"):
+        parse_config(text)
+    assert cli_main(["run", str(_write_config(tmp_path, text))]) == 2
+    assert "tolerance must be >= 0, got -1.0" in capsys.readouterr().err
+    assert parse_config("family = gaussian\nJ = 12\ntolerance = 0\n").tolerance == 0.0
+
+
+def test_filter_order_beyond_bound_rejected(tmp_path, capsys):
+    text = "family = gaussian\nJ = 14\nk = 60\n"
+    with pytest.raises(ValueError, match="k=60 too large"):
+        parse_config(text)
+    assert cli_main(["run", str(_write_config(tmp_path, text))]) == 2
+    assert "k=60 too large" in capsys.readouterr().err
+
+
+SAMPLE_CONFIG_SHA256 = {
+    "cauchy": "6a75dcf91535a2ec4ced60a964b13055d42983de338ae4cef85a7aa7a8ddeb69",
+    "compound_poisson": "d8d326023681519106dd7657e8fc3d17c10d3751cda8dadd1f4e04ee69f7bfa9",
+    "gaussian": "b1d5dac0eab41e088377236cf6c68b02ac2596640ebb4484a4d7284e75c1bd4c",
+    "inverse_gaussian": "d0c49472c2b6aa2fa52817e1e5fe8336eeb557fed518e3566006da79d0ea16c7",
+    "laplace": "22dbe33af2c4d89e0efdb60c8e6aed0dc9757eafe6743dc84554eed742c189cc",
+    "sas15": "4fa3341598b59fd05c25480f636bf2dda107a3dbb5fc2b02ad3060f16c14eb8c",
+}
+
+
+def test_sample_config_hashes_are_pinned():
+    # summary.json files written earlier carry these hashes; they stay valid
+    # only while canonical_text does not drift
+    configs = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    hashes = {path.stem: load_config(path).sha256() for path in configs.glob("*.cfg")}
+    assert hashes == SAMPLE_CONFIG_SHA256
+
+
 def test_cli_run_small(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
         "family = gaussian\nJ = 9\nk = 2\ntrials = 4\nbase_seed = 4242\n"
-        "n_grid = 4,8,16,32,64,128\nfit_lo = 4\nfit_hi = 128\n",
+        "fit_lo = 4\nfit_hi = 128\n",
     )
     code = cli_main(["run", str(cfg), "--output", str(tmp_path / "out"), "--threads", "1"])
     out = capsys.readouterr().out
@@ -332,7 +382,7 @@ def test_cli_run_bad_value_names_key_and_line(tmp_path, capsys, text, key, line)
 
 
 def test_cli_compare(tmp_path, capsys):
-    base = "J = 10\nk = 2\ntrials = 3\nbase_seed = 7\nn_grid = 4,8,16,32,64,128,256\nfit_lo = 4\nfit_hi = 256\n"
+    base = "J = 10\nk = 2\ntrials = 3\nbase_seed = 7\nfit_lo = 4\nfit_hi = 256\n"
     a = _write_config(tmp_path, "family = gaussian\n" + base, "a.cfg")
     b = _write_config(tmp_path, "family = compound_poisson\nrate = 1.0\n" + base, "b.cfg")
     code = cli_main(["compare", str(a), str(b), "--threads", "2"])

@@ -203,14 +203,14 @@ def test_laplace_sigma_law_matches_gamma_difference_sampler():
     # KS at n = 64 and n = 256.
     grid = GridSpec(d=1, J=14)
     h = grid.cell_volume
-    params = BesovParams(tau=0.0, p=2.0, q=2.0, d=1)
+    params = BesovParams(tau=0.0, p=2.0, d=1)
     spec, symbol = WaveletSpec(k=4), FractionalLaplacian(1.0)
     n_values = np.array([64, 256])
 
     def sigmas(raw):
         values = raw / h
         spectrum = forward_fft(values - values.mean(), grid)
-        field = inverse_fft(apply_inverse_operator(spectrum, symbol))
+        field = inverse_fft(apply_inverse_operator(spectrum, symbol, grid), grid)
         return sigma_curve(dwt_periodic(field, spec), params, n_values).sigma_values
 
     trials = 200

@@ -10,7 +10,6 @@ from levywave import (
     Laplace,
     Matern,
     ParameterError,
-    SpectralField,
     apply_inverse_operator,
     forward_fft,
     inverse_fft,
@@ -30,13 +29,13 @@ def _half_shape(grid):
 def _delta_spectrum(grid, index):
     coeffs = np.zeros(_half_shape(grid), dtype=complex)
     coeffs[index] = 1.0
-    return SpectralField(grid=grid, coeffs=coeffs)
+    return coeffs
 
 
 def test_constant_field_has_zero_spectrum():
     grid = GridSpec(d=1, J=6)
     sf = forward_fft(np.full(grid.shape, 3.7), grid)
-    assert np.abs(sf.coeffs).max() == 0.0
+    assert np.abs(sf).max() == 0.0
 
 
 def test_single_cosine_mode():
@@ -44,9 +43,9 @@ def test_single_cosine_mode():
     x = np.arange(grid.n) / grid.n
     sf = forward_fft(np.cos(2.0 * np.pi * x), grid)
     # the m = -1 partner is the conjugate of m = 1 and is not stored
-    assert sf.coeffs.shape == (grid.n // 2 + 1,)
-    assert sf.coeffs[1] == pytest.approx(0.5, abs=1e-12)
-    rest = sf.coeffs.copy()
+    assert sf.shape == (grid.n // 2 + 1,)
+    assert sf[1] == pytest.approx(0.5, abs=1e-12)
+    rest = sf.copy()
     rest[1] = 0.0
     assert np.abs(rest).max() < 1e-12
 
@@ -58,9 +57,9 @@ def test_parseval_identity():
     x -= x.mean()
     sf = forward_fft(x, grid)
     # last-axis bins other than 0 and n/2 stand for themselves and their conjugates
-    weight = np.full(sf.coeffs.shape[-1], 2.0)
+    weight = np.full(sf.shape[-1], 2.0)
     weight[[0, -1]] = 1.0
-    lhs = float(np.sum(weight * np.abs(sf.coeffs) ** 2))
+    lhs = float(np.sum(weight * np.abs(sf) ** 2))
     rhs = grid.cell_volume * float(np.sum(x**2))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -70,20 +69,20 @@ def test_fft_round_trip():
     rng = make_rng(11)
     x = rng.normal(size=grid.shape)
     x -= x.mean()
-    back = inverse_fft(forward_fft(x, grid))
+    back = inverse_fft(forward_fft(x, grid), grid)
     np.testing.assert_allclose(back, x, atol=1e-12 * np.abs(x).max())
 
 
 def test_inverse_operator_single_mode_1d():
     grid = GridSpec(d=1, J=5)
-    out = apply_inverse_operator(_delta_spectrum(grid, 1), FractionalLaplacian(1.0))
-    assert out.coeffs[1] == pytest.approx(1.0, abs=1e-15)
+    out = apply_inverse_operator(_delta_spectrum(grid, 1), FractionalLaplacian(1.0), grid)
+    assert out[1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_inverse_operator_single_mode_2d():
     grid = GridSpec(d=2, J=5)
-    out = apply_inverse_operator(_delta_spectrum(grid, (3, 4)), FractionalLaplacian(2.0))
-    assert out.coeffs[3, 4] == pytest.approx(1.0 / 25.0, abs=1e-15)
+    out = apply_inverse_operator(_delta_spectrum(grid, (3, 4)), FractionalLaplacian(2.0), grid)
+    assert out[3, 4] == pytest.approx(1.0 / 25.0, abs=1e-15)
 
 
 def test_forward_fft_rejects_a_field_off_the_grid():
@@ -130,8 +129,8 @@ def test_forward_inverse_identity(symbol):
     x = rng.normal(size=grid.shape)
     x -= x.mean()
     sf = forward_fft(x, grid)
-    back = apply_inverse_operator(sf, symbol).coeffs * symbol.evaluate(grid)
-    np.testing.assert_allclose(back, sf.coeffs, atol=1e-12 * np.abs(sf.coeffs).max())
+    back = apply_inverse_operator(sf, symbol, grid) * symbol.evaluate(grid)
+    np.testing.assert_allclose(back, sf, atol=1e-12 * np.abs(sf).max())
 
 
 def test_nyquist_frequency_uses_signed_representative():
@@ -174,7 +173,7 @@ def test_gaussian_process_spectral_slope(gamma):
     trials = 30
     for t in range(trials):
         field = synthesize_process(Gaussian(1.0), grid, sym, trial_seed(55, t))
-        power += np.abs(forward_fft(field, grid).coeffs) ** 2
+        power += np.abs(forward_fft(field, grid)) ** 2
     power /= trials
     m = np.arange(1, grid.n // 2)
     sel = (m >= 2) & (m <= grid.n // 8)

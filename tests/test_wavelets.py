@@ -59,6 +59,16 @@ def test_quadrature_mirror_identities(k):
         assert abs(sum(h[i] * g[i - 2 * t] for i in range(lo, hi))) < 1e-12
 
 
+def test_filter_orthonormality_bound():
+    # the spectral factorization keeps sum_n h[n] h[n + 2m] = delta_m within
+    # 1e-10 up to k = 23; beyond, the filter is rejected rather than used
+    h = daubechies_lowpass(23)
+    assert abs(np.dot(h, h) - 1.0) < 1e-10
+    for k in (24, 40, 60):
+        with pytest.raises(ValueError, match=f"k={k} too large"):
+            WaveletSpec(k=k)
+
+
 @pytest.mark.parametrize("k,zeta", [(1, 0), (2, 2), (3, 3), (4, 3), (5, 4), (8, 4)])
 def test_base_shift(k, zeta):
     spec = WaveletSpec(k=k)
@@ -127,11 +137,10 @@ def test_unit_coefficient_is_orthonormal_basis_function(d):
 def test_coarse_scaling_coefficient_unit_norm():
     spec = WaveletSpec(k=2)
     base = dwt_periodic(np.zeros(128), spec)
-    j0 = base.j_coarse
-    base.levels[j0][0][0] = 1.0
+    base.levels[0][0][0] = 1.0
     f = idwt_periodic(base, spec)
     norm = math.sqrt(float(np.sum(f**2)) / 128.0)
-    assert norm * 2.0 ** ((j0 + spec.zeta) / 2.0) == pytest.approx(1.0, abs=1e-10)
+    assert norm * 2.0 ** (spec.zeta / 2.0) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_idwt_linearity():
@@ -139,7 +148,7 @@ def test_idwt_linearity():
     rng = make_rng(31)
     c1 = dwt_periodic(rng.normal(size=64), spec)
     c2 = dwt_periodic(rng.normal(size=64), spec)
-    combo = WaveletCoeffs(d=1, zeta=c1.zeta, j_coarse=c1.j_coarse, data=2.5 * c1.data + c2.data)
+    combo = WaveletCoeffs(d=1, zeta=c1.zeta, data=2.5 * c1.data + c2.data)
     lhs = idwt_periodic(combo, spec)
     rhs = 2.5 * idwt_periodic(c1, spec) + idwt_periodic(c2, spec)
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
@@ -153,20 +162,11 @@ def test_full_decomposition_counts_1d():
     assert layout == {0: {0: 1, 1: 1}, 1: {1: 2}, 2: {1: 4}}
 
 
-def test_single_level_counts_2d():
-    coeffs = dwt_periodic(np.arange(16.0).reshape(4, 4), WaveletSpec(k=1), levels=1)
-    sizes = {g: arr.size for g, arr in coeffs.levels[coeffs.j_coarse].items()}
-    assert sizes == {0: 4, 1: 4, 2: 4, 3: 4}
-    scaling = sum(arr.size for g, arr in coeffs.levels[coeffs.j_coarse].items() if g == 0)
-    detail = coeffs.total_count() - scaling
-    assert (scaling, detail) == (4, 12)
-
-
 def test_gender_cardinalities_2d():
     coeffs = dwt_periodic(make_rng(5).normal(size=(64, 64)), WaveletSpec(k=2))
     for j in sorted(coeffs.levels):
         bands = coeffs.levels[j]
-        if j == coeffs.j_coarse:
+        if j == 0:
             assert sorted(bands) == [0, 1, 2, 3]
         else:
             assert sorted(bands) == [1, 2, 3]
@@ -192,25 +192,21 @@ def test_coeff_iter_order_and_stability():
     k=st.integers(1, 4),
     d=st.sampled_from([1, 2]),
     extra=st.integers(0, 2),
-    partial=st.booleans(),
     tau=st.sampled_from([0.0, 0.5, 1.5]),
     p=st.sampled_from([1.0, 2.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_flat_buffer_layout(k, d, extra, partial, tau, p, seed):
+def test_flat_buffer_layout(k, d, extra, tau, p, seed):
     spec = WaveletSpec(k=k)
     J = spec.zeta + 1 + extra
-    steps = J - spec.zeta
-    if partial:
-        steps = 1 + seed % steps
-    coeffs = dwt_periodic(make_rng(seed).standard_cauchy(size=(2**J,) * d), spec, levels=steps)
+    coeffs = dwt_periodic(make_rng(seed).standard_cauchy(size=(2**J,) * d), spec)
     data = coeffs.data
     assert data.shape == (2 ** (J * d),)
     bands = coeffs.bands()
     assert all(np.shares_memory(arr, data) for _, _, arr in bands)
     np.testing.assert_array_equal(np.concatenate([arr.ravel() for _, _, arr in bands]), data)
 
-    params = BesovParams(tau=tau, p=p, q=p, d=d)
+    params = BesovParams(tau=tau, p=p, d=d)
     mags = weighted_magnitudes(coeffs, params)
     per_band = [params.weight(j) * np.abs(arr).ravel() for j, _, arr in bands]
     np.testing.assert_array_equal(mags, np.concatenate(per_band))
@@ -221,11 +217,11 @@ def test_flat_buffer_layout(k, d, extra, partial, tau, p, seed):
     chosen = [params.weight(j) * abs(coeffs.levels[j][g][m]) for j, g, m in kept]
     np.testing.assert_array_equal(np.sort(chosen), np.sort(mags)[data.size - n:])
 
-    scaling_only = np.zeros(coeffs.levels[coeffs.j_coarse][0].size)
+    scaling_only = np.zeros(coeffs.levels[0][0].size)
     wrong = [data[:-1], scaling_only, data.reshape(2, -1)] + [np.zeros(2 * data.size)] * (d == 2)
     for buffer in wrong:
         with pytest.raises(ValueError, match="does not fill"):
-            WaveletCoeffs(d=d, zeta=coeffs.zeta, j_coarse=coeffs.j_coarse, data=buffer)
+            WaveletCoeffs(d=d, zeta=coeffs.zeta, data=buffer)
 
 
 def test_dwt_input_validation():
@@ -236,8 +232,6 @@ def test_dwt_input_validation():
         dwt_periodic(np.zeros((8, 16)), spec)
     with pytest.raises(ValueError, match="too coarse"):
         dwt_periodic(np.zeros(8), spec)  # needs J >= zeta + 1 = 4
-    with pytest.raises(ValueError, match="levels"):
-        dwt_periodic(np.zeros(64), WaveletSpec(k=1), levels=7)
 
 
 def test_replacing_a_band_raises():
@@ -267,7 +261,7 @@ def test_vanishing_moments_on_polynomial_samples(k):
     )
     checked = 0
     for j in sorted(coeffs.levels, reverse=True):  # fine to coarse order of creation
-        if j == coeffs.j_coarse:
+        if j == 0:
             break
         n_clean_out = (clean - taps) // 2 + 1
         if n_clean_out >= 1:
@@ -289,13 +283,13 @@ def _reference_analyze_axis(x, h, g, axis):
     return np.moveaxis(lo, 0, axis), np.moveaxis(hi, 0, axis)
 
 
-def _reference_dwt(x, spec, steps):
+def _reference_dwt(x, spec):
     # the earlier pyramid: samples scaled by 2^(-J d/2), bands by 2^((j+zeta) d/2)
     d, n = x.ndim, x.shape[0]
     J = n.bit_length() - 1
     c = x * 2.0 ** (-J * d / 2.0)
     levels = {}
-    for _ in range(steps):
+    for _ in range(J - spec.zeta):
         parts = {0: c}
         for axis in range(d):
             grown = {}
@@ -319,22 +313,18 @@ def _reference_dwt(x, spec, steps):
     k=st.integers(1, 6),
     d=st.sampled_from([1, 2]),
     extra=st.integers(0, 4),
-    partial=st.booleans(),
     block=st.sampled_from([1, 3, 64, wavelets._BLOCK]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_polyphase_dwt_matches_gather_window_reference(k, d, extra, partial, block, seed):
+def test_polyphase_dwt_matches_gather_window_reference(k, d, extra, block, seed):
     # grids from n = 2^(zeta+1), the coarsest a full decomposition reaches, upward;
     # small analysis blocks make these grids span several blocks, as large ones do
     spec = WaveletSpec(k=k)
     J = spec.zeta + 1 + (extra if d == 1 else min(extra, 3))
-    steps = J - spec.zeta
-    if partial:
-        steps = 1 + seed % steps
     x = make_rng(seed).standard_cauchy(size=(2**J,) * d)
     with mock.patch.object(wavelets, "_BLOCK", block):
-        coeffs = dwt_periodic(x, spec, levels=steps)
-    reference = _reference_dwt(x, spec, steps)
+        coeffs = dwt_periodic(x, spec)
+    reference = _reference_dwt(x, spec)
     assert sorted(coeffs.levels) == sorted(reference)
     scale = max(np.abs(arr).max() for bands in reference.values() for arr in bands.values())
     for j, bands in reference.items():
