@@ -25,10 +25,10 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-# memory guard on the total cell count: a trial's resident peak is 24 bytes per cell
-# (laplace, d=2 J=12, set by the FFT and DWT) to 36 (d=1 J=20, sas and
-# inverse_gaussian), so 2^26 cells need up to 2.4 GB; the jump families draw
-# 16 bytes per jump, so the config guards compound_poisson's rate by the same bound
+# memory guard on the total cell count: a trial's resident peak (VmHWM above
+# the interpreter's) is 20 bytes per cell (laplace, d=2 J=12, set by the DWT)
+# to 36 (d=1 J=20, any family), so 2^26 cells need up to 2.4 GB; the jump families
+# draw 16 bytes per jump, so the config guards compound_poisson's rate by the same bound
 _MAX_CELLS = 1 << 26
 
 

@@ -57,7 +57,8 @@ class FractionalLaplacian:
     def evaluate(self, grid: GridSpec) -> np.ndarray:
         m2 = _squared_norms(grid)
         with np.errstate(divide="ignore"):
-            return m2 ** (self.gamma / 2.0)
+            m2 **= self.gamma / 2.0
+        return m2
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,10 @@ class Matern:
             raise ParameterError(f"order gamma must be positive, got {self.gamma}")
 
     def evaluate(self, grid: GridSpec) -> np.ndarray:
-        return (1.0 + _squared_norms(grid)) ** (self.gamma / 2.0)
+        m2 = _squared_norms(grid)
+        m2 += 1.0
+        m2 **= self.gamma / 2.0
+        return m2
 
 
 OperatorSymbol = FractionalLaplacian | Matern
@@ -81,36 +85,42 @@ def forward_fft(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Half spectrum (rfftn layout) of a real field, normalized so coefficients
     approximate continuous Fourier coefficients.
 
-    The zero-frequency coefficient is forced to zero.
+    The zero-frequency coefficient is forced to zero.  Same passes as rfftn,
+    but the leading axes are transformed in place, not into a second array.
     """
     if values.shape != grid.shape:
         raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
-    coeffs = np.fft.rfftn(values, axes=tuple(range(grid.d)), norm="forward")
+    coeffs = np.fft.rfft(values, axis=-1, norm="forward")
+    for axis in reversed(range(grid.d - 1)):
+        np.fft.fft(coeffs, axis=axis, norm="forward", out=coeffs)
     coeffs[(0,) * grid.d] = 0.0
     return coeffs
 
 
 def inverse_fft(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Back from a half spectrum to the real grid field.
+    """Back from a half spectrum to the real grid field; consumes coeffs.
 
+    Same passes as irfftn, but the leading axes are transformed in place.
     The symbols are real, so dividing by one keeps the Hermitian symmetry
-    of a real field's spectrum; irfftn drops only the round-off imaginary
+    of a real field's spectrum; irfft drops only the round-off imaginary
     parts of the self-conjugate bins (2m = 0 mod N).
     """
-    return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(grid.d)), norm="forward")
+    for axis in range(grid.d - 1):
+        np.fft.ifft(coeffs, axis=axis, norm="forward", out=coeffs)
+    return np.fft.irfft(coeffs, n=grid.n, axis=-1, norm="forward")
 
 
 def apply_inverse_operator(
     coeffs: np.ndarray, symbol: OperatorSymbol, grid: GridSpec
 ) -> np.ndarray:
     """Divide a half spectrum by the symbol off the zero frequency:
-    s_hat(m) = w_hat(m)/L_hat(m), into a new array."""
+    s_hat(m) = w_hat(m)/L_hat(m), in place; returns coeffs."""
     lhat = symbol.evaluate(grid)
     dc = (0,) * grid.d
     lhat[dc] = 1.0
-    out = coeffs / lhat
-    out[dc] = 0.0
-    return out
+    coeffs /= lhat
+    coeffs[dc] = 0.0
+    return coeffs
 
 
 def synthesize_process(

@@ -168,18 +168,28 @@ def _along(axis: int, sl: slice) -> tuple:
 def _analyze_axis(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int, lo, hi) -> None:
     """Periodic filter-and-downsample into zeroed lo, hi: lo[i] += sum_t h[t] x[(2i + t) mod n].
 
-    Polyphase form: the input gets a periodic pad of taps - 2 samples, and
-    each tap adds one stride-2 slice of it into the outputs, block by block
-    of leading-axis output rows so that the block stays in cache.
+    Polyphase form, block by block of leading-axis output rows so that the
+    block stays in cache: each tap adds one stride-2 slice of the block's
+    input into the outputs.  Along axis 0 a block reads its rows of x in
+    place, and only a block that runs past the end gets a copy padded with
+    the first taps - 2 rows; along the last axis each block copies its rows
+    with taps - 2 wrapped columns into one small buffer.
     """
-    n, shape = x.shape[axis], lo.shape
-    xp = np.concatenate([x, x[_along(axis, slice(0, h.size - 2))]], axis=axis)
+    n, shape, wrap = x.shape[axis], lo.shape, h.size - 2
     rows = max(1, _BLOCK // math.prod(shape[1:]))
     tmp = np.empty((min(rows, shape[0]),) + shape[1:])
+    if axis:
+        buf = np.empty((tmp.shape[0], n + wrap))
     for r0 in range(0, shape[0], rows):
         r1 = min(r0 + rows, shape[0])
-        # along axis 0, output rows r0 .. r1-1 read input rows 2 r0 .. 2 r1 + taps - 3
-        src, m = (xp[2 * r0:], 2 * (r1 - r0)) if axis == 0 else (xp[r0:r1], n)
+        if axis == 0:
+            # output rows r0 .. r1-1 read input rows 2 r0 .. 2 r1 + taps - 3
+            end, m = 2 * r1 + wrap, 2 * (r1 - r0)
+            src = x[2 * r0:end] if end <= n else np.concatenate([x[2 * r0:], x[:end - n]])
+        else:
+            src, m = buf[: r1 - r0], n
+            src[:, :n] = x[r0:r1]
+            src[:, n:] = x[r0:r1, :wrap]
         pairs = ((lo[r0:r1], h), (hi[r0:r1], g))
         for t in range(h.size):
             phase = src[_along(axis, slice(t, t + m, 2))]

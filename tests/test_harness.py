@@ -1,4 +1,5 @@
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,28 @@ def test_jump_families_deterministic_across_threads(family, params, d, J):
         assert c1.sigma_values.tobytes() == c3.sigma_values.tobytes()
 
 
+@pytest.mark.parametrize(
+    "family, params, gamma, d, J, bound",
+    [
+        # d=2 reads 3.48 fields; one more full-size FFT array, quotient or
+        # DWT pad would cross the bound
+        ("laplace", {}, 1.5, 2, 9, 3.75),
+        # d=1 reads 4.14, set by the sampler
+        ("sas", {"alpha": 0.5}, 1.0, 1, 16, 4.2),
+    ],
+)
+def test_trial_peak_memory_in_field_sizes(family, params, gamma, d, J, bound):
+    config = harness.ExperimentConfig(family=family, params=params, gamma=gamma, d=d, J=J, trials=1)
+    run_experiment(config, threads=1)  # first-call allocations (lazy imports) are not the trial's
+    tracemalloc.start()
+    try:
+        run_experiment(config, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * config.grid().size
+
+
 def test_run_experiment_report_contents():
     config = _small_config()
     report = run_experiment(config, threads=2)
@@ -153,9 +176,9 @@ def test_emit_outputs_counts_and_determinism(tmp_path):
     plot = (out / "plot.tsv").read_text().splitlines()
     assert plot[0] == "log_n\tlog_sigma"
 
-    blobs1 = [open(p, "rb").read() for p in paths]
+    blobs1 = [pathlib.Path(p).read_bytes() for p in paths]
     emit_outputs(report, out_dir=out)
-    blobs2 = [open(p, "rb").read() for p in paths]
+    blobs2 = [pathlib.Path(p).read_bytes() for p in paths]
     assert blobs1 == blobs2
 
 

@@ -73,6 +73,32 @@ def test_fft_round_trip():
     np.testing.assert_allclose(back, x, atol=1e-12 * np.abs(x).max())
 
 
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2]), J=st.integers(3, 9), seed=st.integers(0, 2**32 - 1))
+def test_in_place_passes_equal_numpy_nd_transforms(d, J, seed):
+    # the leading-axis passes run in place, yet every value is bit-for-bit rfftn's / irfftn's
+    grid = GridSpec(d=d, J=J)
+    axes = tuple(range(d))
+    x = make_rng(seed).standard_cauchy(size=grid.shape)
+    expected = np.fft.rfftn(x, axes=axes, norm="forward")
+    expected[(0,) * d] = 0.0
+    sf = forward_fft(x, grid)
+    assert np.array_equal(sf, expected)
+    back = np.fft.irfftn(sf.copy(), s=grid.shape, axes=axes, norm="forward")
+    assert np.array_equal(inverse_fft(sf, grid), back)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_apply_inverse_operator_divides_in_place(d):
+    grid = GridSpec(d=d, J=5)
+    sf = forward_fft(make_rng(5).normal(size=grid.shape), grid)
+    lhat = Matern(1.5).evaluate(grid)
+    expected = sf / lhat
+    out = apply_inverse_operator(sf, Matern(1.5), grid)
+    assert out is sf
+    assert np.array_equal(out, expected)
+
+
 def test_inverse_operator_single_mode_1d():
     grid = GridSpec(d=1, J=5)
     out = apply_inverse_operator(_delta_spectrum(grid, 1), FractionalLaplacian(1.0), grid)
@@ -129,7 +155,7 @@ def test_forward_inverse_identity(symbol):
     x = rng.normal(size=grid.shape)
     x -= x.mean()
     sf = forward_fft(x, grid)
-    back = apply_inverse_operator(sf, symbol, grid) * symbol.evaluate(grid)
+    back = apply_inverse_operator(sf.copy(), symbol, grid) * symbol.evaluate(grid)
     np.testing.assert_allclose(back, sf, atol=1e-12 * np.abs(sf).max())
 
 
