@@ -85,14 +85,13 @@ def forward_fft(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Half spectrum (rfftn layout) of a real field, normalized so coefficients
     approximate continuous Fourier coefficients.
 
-    The zero-frequency coefficient is forced to zero.  Same passes as rfftn,
-    but the leading axes are transformed in place, not into a second array.
+    The zero-frequency coefficient is forced to zero.  Given out=, rfftn
+    transforms the leading axes in place rather than into a second array.
     """
     if values.shape != grid.shape:
         raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
-    coeffs = np.fft.rfft(values, axis=-1, norm="forward")
-    for axis in reversed(range(grid.d - 1)):
-        np.fft.fft(coeffs, axis=axis, norm="forward", out=coeffs)
+    half = np.empty(grid.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+    coeffs = np.fft.rfftn(values, axes=tuple(range(grid.d)), norm="forward", out=half)
     coeffs[(0,) * grid.d] = 0.0
     return coeffs
 
