@@ -15,13 +15,13 @@ from .exponents import (
     ParameterError,
     SAlphaS,
     UniformJump,
+    admissibility,
     theoretical_kappa,
 )
 from .sampling import (
     GridSpec,
     generate_noise,
     make_rng,
-    sample_id_increment,
     trial_seed,
 )
 from .spectral import (
@@ -37,15 +37,12 @@ from .wavelets import (
     WaveletSpec,
     daubechies_lowpass,
     dwt_periodic,
-    idwt_periodic,
     quadrature_mirror_highpass,
 )
 from .besov import (
     BesovParams,
     DecayCurve,
     KappaFit,
-    best_n_term,
-    empirical_regularity_scan,
     estimate_kappa,
     sigma_curve,
     weighted_magnitudes,

@@ -1,10 +1,11 @@
-"""Sequence-space quasi-norms, n-term thresholding, and decay-rate fitting.
+"""Sequence-space quasi-norms, n-term errors, and decay-rate fitting.
 
 The (tau, p) quasi-norm, with fine index equal to p, weights level-j
 coefficients by 2^(j(tau - d/p)).  It is a weighted l_p norm over all
 coefficients, so the best n-term approximation is the greedy one: keep the
-n largest weighted magnitudes.  The decay exponent of the resulting error
-curve is recovered by log-log regression.
+n largest weighted magnitudes, and the error is the l_p norm of the rest.
+The decay exponent of the resulting error curve is recovered by log-log
+regression.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ __all__ = [
     "KappaFit",
     "DecayCurve",
     "weighted_magnitudes",
-    "best_n_term",
     "sigma_curve",
     "estimate_kappa",
-    "empirical_regularity_scan",
 ]
 
 
@@ -78,32 +77,6 @@ def weighted_magnitudes(coeffs: WaveletCoeffs, params: BesovParams) -> np.ndarra
     return out.data
 
 
-def best_n_term(coeffs: WaveletCoeffs, params: BesovParams, n: int):
-    """Greedy best n-term approximation in the (tau, p) quasi-norm.
-
-    Keeps the n indices of largest weighted magnitude (ties broken by the
-    canonical iteration order) and returns them with the residual norm of
-    everything discarded.  Greedy is optimal here because the p-th power of
-    the norm is additive over coefficients.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    mags = weighted_magnitudes(coeffs, params)
-    order = np.argsort(-mags, kind="stable")
-    tail = np.cumsum(np.sort(mags[order[n:]] ** params.p))  # smallest first, for stability
-    residual = float(tail[-1] if tail.size else 0.0) ** (1.0 / params.p)
-
-    # the kept positions, laid out as a pyramid of flags
-    chosen = np.zeros(mags.size, dtype=bool)
-    chosen[order[:n]] = True
-    kept = [
-        (j, g, m)
-        for j, g, arr in replace(coeffs, data=chosen).bands()
-        for m in zip(*(axis.tolist() for axis in np.nonzero(arr)))
-    ]
-    return kept, residual
-
-
 def sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid) -> DecayCurve:
     """Best n-term error for every n in the ascending grid, via one sort."""
     n_grid = np.asarray(n_grid, dtype=int)
@@ -135,16 +108,13 @@ def _fit_line(x: np.ndarray, y: np.ndarray):
     return slope, intercept, stderr
 
 
-def estimate_kappa(curve: DecayCurve, fit_range: tuple | None = None) -> KappaFit:
+def estimate_kappa(curve: DecayCurve, fit_range: tuple) -> KappaFit:
     """Least-squares slope of -log sigma(n) against log n over the fit window.
 
     All-zero sigma over the window yields the infinite-decay sentinel.
     Raises when fewer than five positive-sigma points are available.
     """
-    if fit_range is None:
-        lo, hi = int(curve.n_values[0]), int(curve.n_values[-1])
-    else:
-        lo, hi = int(fit_range[0]), int(fit_range[1])
+    lo, hi = int(fit_range[0]), int(fit_range[1])
     in_window = (curve.n_values >= lo) & (curve.n_values <= hi)
     if not in_window.any():
         raise ValueError(f"no curve points inside fit range [{lo}, {hi}]")
@@ -161,39 +131,3 @@ def estimate_kappa(curve: DecayCurve, fit_range: tuple | None = None) -> KappaFi
     y = -np.log(curve.sigma_values[positive])
     slope, _, stderr = _fit_line(x, y)
     return KappaFit(kappa_hat=slope, stderr=stderr)
-
-
-def empirical_regularity_scan(
-    coeffs: WaveletCoeffs,
-    p_grid,
-    tau_grid,
-) -> np.ndarray:
-    """Level-norm slopes as a membership proxy, one row per p, one column per tau.
-
-    For each (p, tau) the detail-level partial norms
-    2^(j(tau - d/p)) (sum_m |lambda|^p)^(1/p) are fitted against j in log2
-    scale; a negative slope indicates a convergent tail (membership).
-    """
-    if len(coeffs.levels) < 6:
-        raise ValueError(f"need decomposition depth >= 6, got {len(coeffs.levels)}")
-    p_grid = np.atleast_1d(np.asarray(p_grid, dtype=float))
-    tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=float))
-    js = np.array(sorted(coeffs.levels), dtype=float)
-
-    scores = np.empty((p_grid.size, tau_grid.size))
-    for i, p in enumerate(p_grid):
-        level_p = []
-        for j in sorted(coeffs.levels):
-            detail = [arr for g, arr in coeffs.levels[j].items() if g != 0]
-            total = sum(float(np.sum(np.abs(arr) ** p)) for arr in detail)
-            level_p.append(total ** (1.0 / p))
-        level_p = np.array(level_p)
-        for t, tau in enumerate(tau_grid):
-            b = 2.0 ** (js * (tau - coeffs.d / p)) * level_p
-            ok = b > 0.0
-            if ok.sum() < 2:
-                scores[i, t] = -math.inf
-                continue
-            slope, _, _ = _fit_line(js[ok], np.log2(b[ok]))
-            scores[i, t] = slope
-    return scores

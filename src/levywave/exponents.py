@@ -31,6 +31,7 @@ __all__ = [
     "FAMILIES",
     "BGIndices",
     "KappaPrediction",
+    "admissibility",
     "theoretical_kappa",
 ]
 
@@ -432,6 +433,17 @@ class KappaPrediction:
         return "no prediction (admissibility condition not met)"
 
 
+def admissibility(exponent: LevyExponent, d: int, p0: float = 2.0, tau0: float = 0.0) -> tuple:
+    """The inequality gamma must satisfy for a prediction to hold: (formula, bound).
+
+    Gaussian noise needs gamma > tau0 + d/2; any other family needs
+    gamma > tau0 + d - d/p0.
+    """
+    if exponent.is_gaussian:
+        return "gamma > tau0 + d/2", tau0 + d / 2.0
+    return "gamma > tau0 + d - d/p0", tau0 + d - d / p0
+
+
 def theoretical_kappa(
     exponent: LevyExponent,
     gamma: float,
@@ -454,13 +466,10 @@ def theoretical_kappa(
     if not p0 > 0:
         raise ParameterError(f"p0 must be positive, got {p0}")
 
-    if exponent.is_gaussian:
-        if not gamma > tau0 + d / 2.0:
-            return KappaPrediction(kind=None, condition_satisfied=False)
-        return KappaPrediction("exact", value=(gamma - tau0) / d - 0.5)
-
-    if not gamma > tau0 + d - d / p0:
+    if not gamma > admissibility(exponent, d, p0, tau0)[1]:
         return KappaPrediction(kind=None, condition_satisfied=False)
+    if exponent.is_gaussian:
+        return KappaPrediction("exact", value=(gamma - tau0) / d - 0.5)
     idx = exponent.indices()
     if idx.beta == 0.0:
         return KappaPrediction("infinite")

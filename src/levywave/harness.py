@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .besov import BesovParams, DecayCurve, estimate_kappa, sigma_curve
-from .exponents import FAMILIES, KappaPrediction, LevyExponent, theoretical_kappa
+from .exponents import FAMILIES, KappaPrediction, LevyExponent, admissibility, theoretical_kappa
 from .sampling import _MAX_CELLS, GridSpec, trial_seed
 from .spectral import FractionalLaplacian, Matern, synthesize_process
 from .wavelets import WaveletSpec, dwt_periodic
@@ -113,17 +113,6 @@ class ExperimentConfig:
     def prediction(self) -> KappaPrediction:
         return theoretical_kappa(self.exponent(), self.gamma, self.d, self.p0, self.tau0)
 
-    def admissibility_inequality(self) -> str:
-        if self.exponent().is_gaussian:
-            return (
-                f"gamma > tau0 + d/2 "
-                f"({self.gamma} > {self.tau0 + self.d / 2.0} required)"
-            )
-        return (
-            f"gamma > tau0 + d - d/p0 "
-            f"({self.gamma} > {self.tau0 + self.d - self.d / self.p0} required)"
-        )
-
     def validate(self) -> None:
         self.exponent()
         self.grid()
@@ -146,9 +135,10 @@ class ExperimentConfig:
         if inside < 5:
             raise ConfigError(f"fit window [{lo}, {hi}] must hold at least 5 points, got {inside}")
         if not self.prediction().condition_satisfied and not self.allow_inadmissible:
+            formula, bound = admissibility(self.exponent(), self.d, self.p0, self.tau0)
             raise ConfigError(
                 f"config violates the admissibility inequality "
-                f"{self.admissibility_inequality()}; set allow_inadmissible = true "
+                f"{formula} ({self.gamma} > {bound} required); set allow_inadmissible = true "
                 f"to run anyway"
             )
 
@@ -263,14 +253,6 @@ class ExperimentReport:
     prediction: KappaPrediction
     verdict: str
 
-    def median_sigma_at(self, n: int) -> float:
-        column = []
-        for curve in self.curves:
-            where = np.nonzero(curve.n_values == n)[0]
-            if where.size == 0:
-                raise ValueError(f"n={n} is not on the curve grid")
-            column.append(curve.sigma_values[where[0]])
-        return float(np.median(column))
 
 
 def _quantile(values, q: float) -> float:
@@ -299,6 +281,12 @@ def _run_trial(config: ExperimentConfig, index: int) -> DecayCurve:
     del fieldvals
     params = BesovParams(tau=config.tau0, p=config.p0, d=config.d)
     curve = sigma_curve(coeffs, params, config.n_values())
+    # the FFT spreads a nan or inf of the noise over the whole field, so the
+    # few n-term errors stand in for a sweep of it
+    if not np.isfinite(curve.sigma_values).all():
+        raise ValueError(
+            f"trial {index}: the realization is not finite (its n-term errors are nan or inf)"
+        )
     curve.fit = estimate_kappa(curve, config.fit_range())
     return curve
 

@@ -20,7 +20,6 @@ __all__ = [
     "GridSpec",
     "make_rng",
     "trial_seed",
-    "sample_id_increment",
     "generate_noise",
 ]
 
@@ -84,21 +83,13 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     return (base_seed ^ _splitmix64(trial_index)) & _MASK64
 
 
-def sample_id_increment(exponent: LevyExponent, volume: float, rng, size) -> np.ndarray:
-    """Array of the given size of increments over cells of the given positive
-    volume, with characteristic function exp(volume * psi(xi))."""
-    if not volume > 0:
-        raise ParameterError(f"volume must be positive, got {volume}")
-    return exponent.sample(volume, rng, size)
-
-
 def generate_noise(exponent: LevyExponent, grid: GridSpec, seed: int) -> np.ndarray:
     """Zero-mean noise field at resolution J, deterministic in (exponent, grid, seed).
 
     The values are the cell averages <w, 1_cell>/vol.
     """
     rng = make_rng(seed)
-    values = sample_id_increment(exponent, grid.cell_volume, rng, size=grid.shape)
+    values = exponent.sample(grid.cell_volume, rng, grid.shape)
     values /= grid.cell_volume
     values -= values.mean()
     return values

@@ -1,4 +1,4 @@
-"""Periodized Daubechies wavelet analysis and synthesis on the d-torus.
+"""Periodized Daubechies wavelet analysis on the d-torus.
 
 Coefficients are indexed by (level j, gender G, shift m).  The analysis
 always runs down to level 0, which holds 2^d genders per shift (the pure
@@ -17,7 +17,7 @@ with fine-scale scaling coefficients (standard pyramid initialization).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
@@ -30,7 +30,6 @@ __all__ = [
     "WaveletSpec",
     "WaveletCoeffs",
     "dwt_periodic",
-    "idwt_periodic",
 ]
 
 
@@ -145,14 +144,6 @@ class WaveletCoeffs:
         """(j, gender, view) in canonical order: levels ascend, then genders."""
         return [(j, g, arr) for j, bands in self.levels.items() for g, arr in bands.items()]
 
-    def scaled(self, a: float) -> "WaveletCoeffs":
-        return replace(self, data=a * self.data)
-
-    @classmethod
-    def zeros(cls, d: int, zeta: int, j_max: int) -> "WaveletCoeffs":
-        """Empty pyramid with the standard gender layout, for building test inputs."""
-        return cls(d=d, zeta=zeta, data=np.zeros(1 << ((j_max + 1 + zeta) * d)))
-
 
 # ---------------------------------------------------------------------------
 # single-axis periodic filter-bank steps
@@ -197,25 +188,6 @@ def _analyze_axis(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int, lo, hi
                 acc += np.multiply(phase, f[t], out=tmp[: r1 - r0])
 
 
-def _synthesize_axis(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
-    """Adjoint of _analyze_axis: out[2r + e] = sum_s h[2s + e] lo[r - s] + g[2s + e] hi[r - s].
-
-    Polyphase form over a periodic pad of k - 1 samples in front of each band.
-    """
-    half, pad = lo.shape[axis], h.size // 2 - 1
-    front = _along(axis, slice(half - pad, half))
-    pairs = [(np.concatenate([band[front], band], axis=axis), f) for band, f in ((lo, h), (hi, g))]
-    out = np.zeros(lo.shape[:axis] + (2 * half,) + lo.shape[axis + 1:])
-    tmp = np.empty(lo.shape)
-    for e in (0, 1):
-        acc = out[_along(axis, slice(e, None, 2))]
-        for s in range(pad + 1):
-            shift = _along(axis, slice(pad - s, pad - s + half))
-            for padded, f in pairs:
-                acc += np.multiply(padded[shift], f[2 * s + e], out=tmp)
-    return out
-
-
 def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping) -> np.ndarray:
     """Split c once and return its low-pass part; the last axis pass writes
     straight into the views in bands (the scaling band too, at the coarsest level)."""
@@ -230,17 +202,6 @@ def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping) -
                 grown[out] = bands[out] if last and out in bands else np.zeros(shape)
             _analyze_axis(x, h, g, axis, grown[mask], grown[mask | bit])
         parts = grown
-    return parts[0]
-
-
-def _synthesize_step(parts: Mapping, h: np.ndarray, g: np.ndarray, d: int) -> np.ndarray:
-    for axis in reversed(range(d)):
-        bit = 1 << axis
-        parts = {
-            mask: _synthesize_axis(parts[mask], parts[mask | bit], h, g, axis)
-            for mask in parts
-            if not mask & bit
-        }
     return parts[0]
 
 
@@ -275,18 +236,3 @@ def dwt_periodic(values, spec: WaveletSpec) -> WaveletCoeffs:
     for bands in reversed(coeffs.levels.values()):
         c = _analyze_step(c, h, g, bands)
     return coeffs
-
-
-def idwt_periodic(coeffs: WaveletCoeffs, spec: WaveletSpec) -> np.ndarray:
-    """Exact inverse of dwt_periodic."""
-    if spec.zeta != coeffs.zeta:
-        raise ValueError(
-            f"filter base shift {spec.zeta} does not match coefficients ({coeffs.zeta})"
-        )
-    # stored values are scaled as in dwt_periodic, hence sqrt(2) h, sqrt(2) g
-    h = spec.lowpass * math.sqrt(2.0)
-    g = spec.highpass * math.sqrt(2.0)
-    c = coeffs.levels[0][0]
-    for bands in coeffs.levels.values():
-        c = _synthesize_step({**bands, 0: c}, h, g, coeffs.d)
-    return c

@@ -1,0 +1,139 @@
+"""Reference implementations the tests check the program against.
+
+None of these runs in the pipeline: each is the plain form of a quantity
+the program computes another way, or a tool for building test inputs.
+"""
+
+import itertools
+import math
+from dataclasses import replace
+
+import numpy as np
+
+from levywave import BesovParams, WaveletCoeffs, WaveletSpec, weighted_magnitudes
+from levywave.besov import _fit_line
+
+
+def zero_pyramid(d: int, zeta: int, j_max: int) -> WaveletCoeffs:
+    """Empty pyramid with the standard gender layout, for building test inputs."""
+    return WaveletCoeffs(d=d, zeta=zeta, data=np.zeros(1 << ((j_max + 1 + zeta) * d)))
+
+
+def _window(n: int, taps: int) -> np.ndarray:
+    """(n/2, taps) indices (2i + t) mod n of the samples output i reads with tap t."""
+    return (2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n
+
+
+def analyze_axis(x, h, g, axis):
+    """Periodic filter bank in gather-window form: lo[i] = sum_t h[t] x[(2i + t) mod n]."""
+    x = np.moveaxis(x, axis, 0)
+    win = x[_window(x.shape[0], h.size)]
+    lo = np.tensordot(win, h, axes=(1, 0))
+    hi = np.tensordot(win, g, axes=(1, 0))
+    return np.moveaxis(lo, 0, axis), np.moveaxis(hi, 0, axis)
+
+
+def synthesize_axis(lo, hi, h, g, axis):
+    """Transpose of analyze_axis: x[(2i + t) mod n] += h[t] lo[i] + g[t] hi[i]."""
+    lo, hi = np.moveaxis(lo, axis, 0), np.moveaxis(hi, axis, 0)
+    idx = _window(2 * lo.shape[0], h.size)
+    x = np.zeros((2 * lo.shape[0],) + lo.shape[1:])
+    for t in range(h.size):
+        x[idx[:, t]] += h[t] * lo + g[t] * hi  # one tap writes each sample once
+    return np.moveaxis(x, 0, axis)
+
+
+def idwt_periodic(coeffs: WaveletCoeffs, spec: WaveletSpec) -> np.ndarray:
+    """Inverse of dwt_periodic: the orthonormal filter bank's transpose, with
+    sqrt(2) h and sqrt(2) g undoing the stored scaling of 1/sqrt(2) per axis and step."""
+    h, g = spec.lowpass * math.sqrt(2.0), spec.highpass * math.sqrt(2.0)
+    c = coeffs.levels[0][0]
+    for bands in coeffs.levels.values():
+        parts = {**bands, 0: c}
+        for axis in reversed(range(coeffs.d)):
+            bit = 1 << axis
+            parts = {m: synthesize_axis(parts[m], parts[m | bit], h, g, axis)
+                     for m in parts if not m & bit}
+        c = parts[0]
+    return c
+
+
+def best_n_term(coeffs: WaveletCoeffs, params: BesovParams, n: int):
+    """Greedy best n-term approximation in the (tau, p) quasi-norm.
+
+    Keeps the n indices of largest weighted magnitude (ties broken by the
+    canonical iteration order) and returns them with the residual norm of
+    everything discarded.  Greedy is optimal here because the p-th power of
+    the norm is additive over coefficients.
+    """
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    mags = weighted_magnitudes(coeffs, params)
+    order = np.argsort(-mags, kind="stable")
+    tail = np.cumsum(np.sort(mags[order[n:]] ** params.p))  # smallest first, for stability
+    residual = float(tail[-1] if tail.size else 0.0) ** (1.0 / params.p)
+
+    # the kept positions, laid out as a pyramid of flags
+    chosen = np.zeros(mags.size, dtype=bool)
+    chosen[order[:n]] = True
+    kept = [
+        (j, g, m)
+        for j, g, arr in replace(coeffs, data=chosen).bands()
+        for m in zip(*(axis.tolist() for axis in np.nonzero(arr)))
+    ]
+    return kept, residual
+
+
+def exhaustive_min_residual(mags, n: int, p: float) -> float:
+    """Smallest residual norm over every choice of n kept magnitudes."""
+    best = math.inf
+    for kept in itertools.combinations(range(mags.size), n):
+        disc = sorted(float(mags[i]) ** p for i in range(mags.size) if i not in kept)
+        acc = 0.0
+        for v in disc:
+            acc += v
+        best = min(best, acc ** (1.0 / p))
+    return best
+
+
+def empirical_regularity_scan(coeffs: WaveletCoeffs, p_grid, tau_grid) -> np.ndarray:
+    """Level-norm slopes as a membership proxy, one row per p, one column per tau.
+
+    For each (p, tau) the detail-level partial norms
+    2^(j(tau - d/p)) (sum_m |lambda|^p)^(1/p) are fitted against j in log2
+    scale; a negative slope indicates a convergent tail (membership).
+    """
+    if len(coeffs.levels) < 6:
+        raise ValueError(f"need decomposition depth >= 6, got {len(coeffs.levels)}")
+    p_grid = np.atleast_1d(np.asarray(p_grid, dtype=float))
+    tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=float))
+    js = np.array(sorted(coeffs.levels), dtype=float)
+
+    scores = np.empty((p_grid.size, tau_grid.size))
+    for i, p in enumerate(p_grid):
+        level_p = []
+        for j in sorted(coeffs.levels):
+            detail = [arr for g, arr in coeffs.levels[j].items() if g != 0]
+            total = sum(float(np.sum(np.abs(arr) ** p)) for arr in detail)
+            level_p.append(total ** (1.0 / p))
+        level_p = np.array(level_p)
+        for t, tau in enumerate(tau_grid):
+            b = 2.0 ** (js * (tau - coeffs.d / p)) * level_p
+            ok = b > 0.0
+            if ok.sum() < 2:
+                scores[i, t] = -math.inf
+                continue
+            slope, _, _ = _fit_line(js[ok], np.log2(b[ok]))
+            scores[i, t] = slope
+    return scores
+
+
+def median_sigma_at(report, n: int) -> float:
+    """Median over the trials of a run of the n-term error at n."""
+    column = []
+    for curve in report.curves:
+        where = np.nonzero(curve.n_values == n)[0]
+        if where.size == 0:
+            raise ValueError(f"n={n} is not on the curve grid")
+        column.append(curve.sigma_values[where[0]])
+    return float(np.median(column))

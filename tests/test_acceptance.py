@@ -6,7 +6,6 @@ expected value is either derived from an independent oracle inside the
 test or checked against the closed-form rate predictions.
 """
 
-import itertools
 import math
 import time
 
@@ -22,23 +21,26 @@ from levywave import (
     InverseGaussian,
     Laplace,
     SAlphaS,
-    WaveletCoeffs,
     WaveletSpec,
-    best_n_term,
     compare_families,
     dwt_periodic,
-    empirical_regularity_scan,
     forward_fft,
     generate_noise,
-    idwt_periodic,
     make_rng,
-    sample_id_increment,
     synthesize_process,
     trial_seed,
     weighted_magnitudes,
 )
 from levywave.harness import ExperimentConfig, run_experiment
 from levywave.spectral import FractionalLaplacian
+from oracles import (
+    best_n_term,
+    empirical_regularity_scan,
+    exhaustive_min_residual,
+    idwt_periodic,
+    median_sigma_at,
+    zero_pyramid,
+)
 
 BASE_SEED = 20260810
 
@@ -87,15 +89,13 @@ def test_criterion_1_wavelet_correctness():
 def _random_small_container(rng):
     zeta = int(rng.integers(0, 2))
     j_max = int(rng.integers(0, 3 if zeta == 0 else 2))
-    coeffs = WaveletCoeffs.zeros(d=1, zeta=zeta, j_max=j_max)
-    for j in range(j_max + 1):
-        for g in coeffs.levels[j]:
-            arr = coeffs.levels[j][g]
-            picks = rng.integers(0, 2, size=arr.shape).astype(bool)
-            if rng.integers(0, 2):
-                arr[picks] = rng.integers(0, 5, size=int(picks.sum())).astype(float)
-            else:
-                arr[picks] = rng.normal(size=int(picks.sum()))
+    coeffs = zero_pyramid(d=1, zeta=zeta, j_max=j_max)
+    for _, _, arr in coeffs.bands():
+        picks = rng.integers(0, 2, size=arr.shape).astype(bool)
+        if rng.integers(0, 2):
+            arr[picks] = rng.integers(0, 5, size=int(picks.sum())).astype(float)
+        else:
+            arr[picks] = rng.normal(size=int(picks.sum()))
     return coeffs
 
 
@@ -113,14 +113,7 @@ def test_criterion_2_nterm_oracle_equivalence():
             continue
         n = int(rng.integers(0, mags.size + 1))
         _, greedy = best_n_term(coeffs, params, n)
-        best = math.inf
-        p = params.p
-        for kept in itertools.combinations(range(mags.size), n):
-            disc = sorted(float(mags[i]) ** p for i in range(mags.size) if i not in kept)
-            acc = 0.0
-            for v in disc:
-                acc += v
-            best = min(best, acc ** (1.0 / p))
+        best = exhaustive_min_residual(mags, n, params.p)
         assert greedy == best, f"case {cases}: greedy {greedy!r} != exhaustive {best!r}"
         cases += 1
     elapsed = time.time() - t0
@@ -144,7 +137,7 @@ def test_criterion_3_sampler_fidelity():
     ]
     worst = 0.0
     for exponent in families:
-        draws = sample_id_increment(exponent, h, rng, size=m)
+        draws = exponent.sample(h, rng, m)
         for xi in (0.5, 1.0, 2.0, 5.0, 10.0):
             ecf = complex(np.mean(np.exp(1j * xi * draws)))
             target = complex(np.exp(h * exponent.psi(xi)))
@@ -193,7 +186,7 @@ def _steepening(report, lo, hi):
     in the window has decayed past any power law: the factor is infinite."""
     mid = math.sqrt(lo * hi)
     n = np.array([v for v in report.curves[0].n_values if lo <= v <= hi], dtype=float)
-    sigma = np.array([report.median_sigma_at(int(v)) for v in n])
+    sigma = np.array([median_sigma_at(report, int(v)) for v in n])
     if np.any(sigma == 0):
         return math.inf
     lower, upper = (
@@ -215,7 +208,7 @@ def test_criterion_6_superpolynomial_regime():
          _experiment("inverse_gaussian", {"delta": 1.0, "ig_gamma": 1.0}, trials=20)),
     )
     lo, hi = gauss.config.fit_range()
-    g64 = gauss.median_sigma_at(64)
+    g64 = median_sigma_at(gauss, 64)
     checks = []
 
     def note(report):
@@ -226,7 +219,7 @@ def test_criterion_6_superpolynomial_regime():
     # compound_poisson keeps the error ratio at n = 64: at k = 4 its local rate
     # peaks below n = 128 and then falls to a slower polynomial tail, so it
     # does not steepen across the window
-    s64 = poisson.median_sigma_at(64)
+    s64 = median_sigma_at(poisson, 64)
     ratio = g64 / s64 if s64 > 0 else math.inf
     checks.append(
         (f"compound_poisson sigma64 ratio {ratio:.1f} >= 10 {note(poisson)}", ratio >= 10.0)

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -11,9 +10,7 @@ from levywave import (
     GridSpec,
     WaveletCoeffs,
     WaveletSpec,
-    best_n_term,
     dwt_periodic,
-    empirical_regularity_scan,
     estimate_kappa,
     generate_noise,
     make_rng,
@@ -21,10 +18,11 @@ from levywave import (
     trial_seed,
     weighted_magnitudes,
 )
+from oracles import best_n_term, empirical_regularity_scan, exhaustive_min_residual, zero_pyramid
 
 
 def _single(j, gender, index, value, d=1, zeta=0, j_max=4):
-    coeffs = WaveletCoeffs.zeros(d=d, zeta=zeta, j_max=j_max)
+    coeffs = zero_pyramid(d=d, zeta=zeta, j_max=j_max)
     coeffs.levels[j][gender][index] = value
     return coeffs
 
@@ -46,7 +44,7 @@ def test_params_reject_non_finite_or_nonpositive_p(p):
 
 def test_best_n_term_weighted_magnitudes_oracle():
     # weighted magnitudes {3, 2, 1}; keeping the largest leaves sqrt(2^2 + 1^2)
-    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_max=2)
+    coeffs = zero_pyramid(d=1, zeta=0, j_max=2)
     coeffs.levels[0][1][0] = 3.0
     coeffs.levels[1][1][1] = 2.0
     coeffs.levels[2][1][0] = 1.0
@@ -70,42 +68,27 @@ def test_best_n_term_edge_cases():
         best_n_term(coeffs, params, -1)
 
 
-def _exhaustive_min_residual(mags, n, p):
-    best = math.inf
-    for kept in itertools.combinations(range(mags.size), n):
-        disc = sorted(float(mags[i]) ** p for i in range(mags.size) if i not in kept)
-        acc = 0.0
-        for v in disc:
-            acc += v
-        best = min(best, acc ** (1.0 / p))
-    return best
-
-
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_greedy_matches_exhaustive_search(p):
     # small containers, including tied integer magnitudes, exact equality
     rng = make_rng(int(p * 1000))
     for case in range(60):
         j_max = int(rng.integers(1, 4))
-        coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_max=j_max)
-        total = 0
-        for j in range(j_max + 1):
-            for g in coeffs.levels[j]:
-                arr = coeffs.levels[j][g]
-                picks = rng.integers(0, 2, size=arr.shape).astype(bool)
-                if case % 2 == 0:
-                    arr[picks] = rng.integers(0, 5, size=int(picks.sum())).astype(float)
-                else:
-                    arr[picks] = rng.normal(size=int(picks.sum()))
-                total += arr.size
-        if total > 12:
+        coeffs = zero_pyramid(d=1, zeta=0, j_max=j_max)
+        for _, _, arr in coeffs.bands():
+            picks = rng.integers(0, 2, size=arr.shape).astype(bool)
+            if case % 2 == 0:
+                arr[picks] = rng.integers(0, 5, size=int(picks.sum())).astype(float)
+            else:
+                arr[picks] = rng.normal(size=int(picks.sum()))
+        if coeffs.total_count() > 12:
             continue
         tau = 0.0 if case % 2 else 1.0  # weights 2^(-j) or 1 (both exact dyadics)
         params = BesovParams(tau=tau, p=p, d=1)
         mags = weighted_magnitudes(coeffs, params)
         n = int(rng.integers(0, mags.size + 1))
         _, greedy = best_n_term(coeffs, params, n)
-        assert greedy == _exhaustive_min_residual(mags, n, p)
+        assert greedy == exhaustive_min_residual(mags, n, p)
 
 
 def test_sigma_curve_monotone_and_exhausts():
@@ -119,7 +102,7 @@ def test_sigma_curve_monotone_and_exhausts():
 
 
 def test_sigma_curve_five_nonzeros():
-    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_max=3)
+    coeffs = zero_pyramid(d=1, zeta=0, j_max=3)
     coeffs.levels[3][1][:5] = [5.0, 4.0, 3.0, 2.0, 1.0]
     params = BesovParams(tau=0.5, p=2.0, d=1)
     curve = sigma_curve(coeffs, params, np.arange(1, 9))
@@ -130,15 +113,12 @@ def test_sigma_curve_five_nonzeros():
 def test_sigma_curve_tail_sum_oracle():
     # magnitudes i^(-1) for i = 1..1024: sigma_n^2 = sum_{i>n} i^(-2)
     size = 1024
-    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_max=9)
+    coeffs = zero_pyramid(d=1, zeta=0, j_max=9)
     values = 1.0 / np.arange(1.0, size + 1.0)
     pos = 0
-    for j in sorted(coeffs.levels):
-        for g in sorted(coeffs.levels[j]):
-            arr = coeffs.levels[j][g]
-            take = arr.size
-            arr.ravel()[:] = values[pos : pos + take]
-            pos += take
+    for _, _, arr in coeffs.bands():
+        arr.ravel()[:] = values[pos : pos + arr.size]
+        pos += arr.size
     assert pos == size
     params = BesovParams(tau=0.5, p=2.0, d=1)  # unit weights
     n_grid = np.array([1, 2, 4, 10, 100, 500, 1000])
@@ -151,7 +131,7 @@ def test_sigma_curve_tail_sum_oracle():
 def test_estimate_kappa_pure_power_law():
     n = 2 ** np.arange(1, 12)
     curve = DecayCurve(n, n.astype(float) ** -2.0)
-    fit = estimate_kappa(curve)
+    fit = estimate_kappa(curve, (n[0], n[-1]))
     assert fit.kappa_hat == pytest.approx(2.0, abs=1e-10)
     assert fit.stderr < 1e-10
 
@@ -159,14 +139,14 @@ def test_estimate_kappa_pure_power_law():
 def test_estimate_kappa_constant_curve():
     n = 2 ** np.arange(1, 10)
     curve = DecayCurve(n, np.full(n.size, 0.7))
-    assert estimate_kappa(curve).kappa_hat == pytest.approx(0.0, abs=1e-12)
+    assert estimate_kappa(curve, (n[0], n[-1])).kappa_hat == pytest.approx(0.0, abs=1e-12)
 
 
 def test_estimate_kappa_perturbed_power_law():
     n = 2 ** np.arange(1, 12)
     wobble = 1.0 + 0.05 * (-1.0) ** np.arange(n.size)
     curve = DecayCurve(n, wobble / n)
-    fit = estimate_kappa(curve)
+    fit = estimate_kappa(curve, (n[0], n[-1]))
     assert 0.9 <= fit.kappa_hat <= 1.1
 
 
@@ -184,7 +164,7 @@ def test_estimate_kappa_window_and_errors():
 def test_estimate_kappa_all_zero_sentinel():
     n = np.array([1, 2, 4, 8, 16])
     curve = DecayCurve(n, np.zeros(5))
-    fit = estimate_kappa(curve)
+    fit = estimate_kappa(curve, (n[0], n[-1]))
     assert math.isinf(fit.kappa_hat)
 
 
@@ -193,14 +173,15 @@ def test_estimate_kappa_scale_invariance():
     coeffs = dwt_periodic(rng.normal(size=2048), WaveletSpec(k=2))
     params = BesovParams(tau=0.0, p=2.0, d=1)
     grid_n = 2 ** np.arange(1, 11)
+    scaled = WaveletCoeffs(d=coeffs.d, zeta=coeffs.zeta, data=37.5 * coeffs.data)
     fit1 = estimate_kappa(sigma_curve(coeffs, params, grid_n), (4, 512))
-    fit2 = estimate_kappa(sigma_curve(coeffs.scaled(37.5), params, grid_n), (4, 512))
+    fit2 = estimate_kappa(sigma_curve(scaled, params, grid_n), (4, 512))
     assert fit2.kappa_hat == pytest.approx(fit1.kappa_hat, abs=1e-10)
 
 
 def test_regularity_scan_decaying_levels():
     # one coefficient 2^(-j) per level: weighted level norm 2^(-3j/2)
-    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_max=6)
+    coeffs = zero_pyramid(d=1, zeta=0, j_max=6)
     for j in range(7):
         coeffs.levels[j][1][0] = 2.0**-j
     scores = empirical_regularity_scan(coeffs, [2.0], [0.0])
@@ -208,7 +189,7 @@ def test_regularity_scan_decaying_levels():
 
 
 def test_regularity_scan_growing_levels():
-    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_max=6)
+    coeffs = zero_pyramid(d=1, zeta=0, j_max=6)
     for j in range(7):
         coeffs.levels[j][1][0] = 2.0**j
     scores = empirical_regularity_scan(coeffs, [2.0], [0.0])
@@ -216,7 +197,7 @@ def test_regularity_scan_growing_levels():
 
 
 def test_regularity_scan_depth_precondition():
-    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_max=3)
+    coeffs = zero_pyramid(d=1, zeta=0, j_max=3)
     with pytest.raises(ValueError, match="depth"):
         empirical_regularity_scan(coeffs, [2.0], [0.0])
 
@@ -241,20 +222,16 @@ def test_rate_recovery_for_synthetic_space_member():
     d, p0, tau0, dtau = 1, 2.0, 0.0, 0.75
     p1 = 1.0 / (dtau / d + 1.0 / p0)
     size_levels = 12
-    coeffs = WaveletCoeffs.zeros(d=1, zeta=0, j_max=size_levels)
+    coeffs = zero_pyramid(d=1, zeta=0, j_max=size_levels)
     total = coeffs.total_count()
     # weighted magnitudes i^(-(1+eps)/p1) lie strictly inside the space
     mags = np.arange(1.0, total + 1.0) ** (-1.01 / p1)
     pos = 0
     params0 = BesovParams(tau=tau0, p=p0, d=d)
     params1 = BesovParams(tau=tau0 + dtau, p=p1, d=d)
-    for j in sorted(coeffs.levels):
-        w = params0.weight(j)
-        for g in sorted(coeffs.levels[j]):
-            arr = coeffs.levels[j][g]
-            take = arr.size
-            arr.ravel()[:] = mags[pos : pos + take] / w
-            pos += take
+    for j, _, arr in coeffs.bands():
+        arr.ravel()[:] = mags[pos : pos + arr.size] / params0.weight(j)
+        pos += arr.size
     assert math.isfinite(float(np.sum(weighted_magnitudes(coeffs, params1) ** p1)))
     curve = sigma_curve(coeffs, params0, 2 ** np.arange(2, size_levels))
     fit = estimate_kappa(curve, (16, 2 ** (size_levels - 2)))

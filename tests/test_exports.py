@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import math
 import os
 import pathlib
@@ -8,8 +9,10 @@ import subprocess
 import sys
 
 import levywave
+from levywave import harness
 
 MODULES = [info.name for info in pkgutil.iter_modules(levywave.__path__)]
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_exports_resolve_and_package_imports_are_exported():
@@ -28,7 +31,7 @@ def test_exports_resolve_and_package_imports_are_exported():
 
 
 def test_readme_library_example_runs():
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    readme = ROOT / "README.md"
     section = readme.read_text().split("## Library layout", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     src = pathlib.Path(levywave.__file__).resolve().parents[1]
@@ -39,3 +42,28 @@ def test_readme_library_example_runs():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.split()
     assert len(lines) == 1 and math.isfinite(float(lines[0])), done.stdout
+
+
+def test_perfbench_patch_points_are_looked_up(monkeypatch, tmp_path):
+    # perfbench/spans.py times a layer by replacing the module attribute its
+    # caller looks up; a name no caller looks up any more would read as a
+    # zero per-layer metric instead of failing
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    calls = dict.fromkeys(spans.SPAN_NAMES, 0)
+    for layer, func, module in spans.WRAPPED:
+        original = getattr(importlib.import_module(module), func)
+        assert callable(original), f"{module}.{func}"
+
+        def counted(*args, _name=f"{layer}.{func}", _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(f"{module}.{func}", counted)
+    config = harness.parse_config(
+        "family = gaussian\nJ = 9\nk = 2\ntrials = 2\nfit_lo = 4\nfit_hi = 128\n"
+    )
+    harness.compare_families([config], threads=1)
+    harness.emit_outputs(harness.run_experiment(config, threads=1), tmp_path)
+    assert all(calls.values()), calls

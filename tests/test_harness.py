@@ -1,5 +1,6 @@
 import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,20 @@ def test_trial_exception_is_the_same_at_any_thread_count(monkeypatch, tmp_path, 
     cfg = _write_config(tmp_path, SMALL.replace("output = none", ""))
     assert cli_main(["run", str(cfg), "--threads", str(threads)]) == 2
     assert "error: trial 0 cannot fit" in capsys.readouterr().err
+
+
+def test_non_finite_trial_is_named(tmp_path, capsys):
+    # at alpha = 0.01 the Chambers-Mallows-Stuck draw overflows float64, so
+    # the field and every n-term error are nan: the error names the trial,
+    # not the fit window
+    text = "family = sas\nalpha = 0.01\nJ = 10\nk = 2\ntrials = 2\nfit_lo = 4\n"
+    cfg = _write_config(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the sampler's overflow
+        with pytest.raises(ValueError, match="trial 0: the realization is not finite"):
+            run_experiment(load_config(cfg), threads=1)
+        assert cli_main(["run", str(cfg), "--threads", "1"]) == 2
+    assert "error: trial 0: the realization is not finite" in capsys.readouterr().err
 
 
 def test_default_window_too_small_for_grid_rejected():

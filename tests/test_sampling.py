@@ -26,7 +26,6 @@ from levywave import (
     generate_noise,
     inverse_fft,
     make_rng,
-    sample_id_increment,
     sigma_curve,
     trial_seed,
 )
@@ -64,17 +63,11 @@ def test_grid_invalid_parameters():
         GridSpec(d=1, J=0)
 
 
-def test_volume_must_be_positive():
-    rng = make_rng(1)
-    with pytest.raises(ParameterError):
-        sample_id_increment(Gaussian(1.0), 0.0, rng, size=4)
-
-
 def test_compound_poisson_zero_fraction():
     # draws are exactly zero iff the cell saw no jumps: probability e^{-rate*h}
     rng = make_rng(7)
     h, m = 0.5, 40000
-    draws = sample_id_increment(CompoundPoisson(1.0, GaussianJump(1.0)), h, rng, size=m)
+    draws = CompoundPoisson(1.0, GaussianJump(1.0)).sample(h, rng, m)
     frac = np.mean(draws == 0.0)
     p = math.exp(-h)
     assert abs(frac - p) <= 4.0 * math.sqrt(p * (1.0 - p) / m)
@@ -83,7 +76,7 @@ def test_compound_poisson_zero_fraction():
 def test_gaussian_variance_scales_with_volume():
     rng = make_rng(8)
     h, m = 0.25, 50000
-    draws = sample_id_increment(Gaussian(1.0), h, rng, size=m)
+    draws = Gaussian(1.0).sample(h, rng, m)
     assert abs(np.var(draws) - h) <= 4.0 * h * math.sqrt(2.0 / m)
 
 
@@ -92,8 +85,8 @@ def test_sas_stability_property(alpha):
     # draws at volume h must match h^(1/alpha) times volume-1 draws in law
     rng = make_rng(hash(alpha) & 0xFFFF)
     h, m = 0.125, 2**13
-    a = sample_id_increment(SAlphaS(alpha), h, rng, size=m)
-    b = h ** (1.0 / alpha) * sample_id_increment(SAlphaS(alpha), 1.0, rng, size=m)
+    a = SAlphaS(alpha).sample(h, rng, m)
+    b = h ** (1.0 / alpha) * SAlphaS(alpha).sample(1.0, rng, m)
     stat = stats.ks_2samp(a, b).statistic
     critical = 1.628 * math.sqrt((m + m) / (m * m))  # 1% level
     assert stat < critical
@@ -104,7 +97,7 @@ def test_empirical_characteristic_function(exponent):
     grid = GridSpec(d=1, J=14)
     rng = make_rng(2718)
     h = grid.cell_volume
-    draws = sample_id_increment(exponent, h, rng, size=grid.size)
+    draws = exponent.sample(h, rng, grid.size)
     for xi in (1.0, 2.0, 5.0):
         ecf = np.mean(np.exp(1j * xi * draws))
         target = np.exp(h * exponent.psi(xi))
@@ -156,7 +149,7 @@ def test_compound_poisson_total_jump_count_is_poisson():
     grid = GridSpec(d=1, J=7)
     exponent = CompoundPoisson(1.0, DiracJump(1.0))
     trials = 2000
-    draws = sample_id_increment(exponent, grid.cell_volume, rng, size=(trials, grid.size))
+    draws = exponent.sample(grid.cell_volume, rng, (trials, grid.size))
     totals = draws.sum(axis=1)
     edges = [0, 1, 2, 3]
     observed = np.array(
@@ -176,7 +169,7 @@ def test_laplace_tail_counts_match_levy_measure():
     # ECF tests' 4/sqrt(M) noise, so the jump counts check what they cannot.
     rng = make_rng(0)
     h, m = 2.0**-14, 2**20
-    draws = sample_id_increment(Laplace(), h, rng, size=m)
+    draws = Laplace().sample(h, rng, m)
     # t = 1e-12 checks that the program keeps the small jumps down to there
     for t in (1e-12, 0.01, 0.1, 1.0):
         expected = 2.0 * m * h * exp1(t)
@@ -215,9 +208,7 @@ def test_laplace_sigma_law_matches_gamma_difference_sampler():
 
     trials = 200
     rng_program, rng_gamma = make_rng(61), make_rng(62)
-    program = np.array(
-        [sigmas(sample_id_increment(Laplace(), h, rng_program, size=grid.n)) for _ in range(trials)]
-    )
+    program = np.array([sigmas(Laplace().sample(h, rng_program, grid.n)) for _ in range(trials)])
     gamma = np.array(
         [sigmas(_gamma_difference_increments(h, rng_gamma, grid.n)) for _ in range(trials)]
     )
@@ -253,7 +244,7 @@ def test_inverse_gaussian_moments():
     # mean delta*h/gamma and variance delta*h/gamma^3 for the subordinator marginal
     rng = make_rng(909)
     delta, g, h, m = 1.5, 2.0, 0.8, 200000
-    draws = sample_id_increment(InverseGaussian(delta, g), h, rng, size=m)
+    draws = InverseGaussian(delta, g).sample(h, rng, m)
     assert np.all(draws > 0)
     mu = delta * h / g
     var = delta * h / g**3

@@ -10,15 +10,14 @@ from levywave import (
     BesovParams,
     WaveletCoeffs,
     WaveletSpec,
-    best_n_term,
     daubechies_lowpass,
     dwt_periodic,
-    idwt_periodic,
     make_rng,
     quadrature_mirror_highpass,
     weighted_magnitudes,
 )
 from levywave import wavelets
+from oracles import analyze_axis, best_n_term, idwt_periodic
 
 DB4_PUBLISHED = np.array([
     0.230377813308896, 0.714846570552915, 0.630880767929859, -0.027983769416859,
@@ -272,17 +271,6 @@ def test_vanishing_moments_on_polynomial_samples(k):
     assert checked >= 4
 
 
-def _reference_analyze_axis(x, h, g, axis):
-    # the earlier gather-window form: an (n/2, taps, ...) window, then tensordot
-    x = np.moveaxis(x, axis, 0)
-    n = x.shape[0]
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(h.size)[None, :]) % n
-    win = x[idx]
-    lo = np.tensordot(win, h, axes=(1, 0))
-    hi = np.tensordot(win, g, axes=(1, 0))
-    return np.moveaxis(lo, 0, axis), np.moveaxis(hi, 0, axis)
-
-
 def _reference_dwt(x, spec):
     # the earlier pyramid: samples scaled by 2^(-J d/2), bands by 2^((j+zeta) d/2)
     d, n = x.ndim, x.shape[0]
@@ -294,7 +282,7 @@ def _reference_dwt(x, spec):
         for axis in range(d):
             grown = {}
             for mask, arr in parts.items():
-                lo, hi = _reference_analyze_axis(arr, spec.lowpass, spec.highpass, axis)
+                lo, hi = analyze_axis(arr, spec.lowpass, spec.highpass, axis)
                 grown[mask] = lo
                 grown[mask | (1 << axis)] = hi
             parts = grown
