@@ -276,9 +276,10 @@ def _thread_count(threads: Optional[int]) -> int:
 def _run_trial(config: ExperimentConfig, index: int) -> DecayCurve:
     exponent = config.exponent()
     seed = trial_seed(config.base_seed, index)
-    fieldvals = synthesize_process(exponent, config.grid(), config.symbol(), seed)
-    coeffs = dwt_periodic(fieldvals, config.wavelet_spec())
-    del fieldvals
+    # passed on with no name kept, so the DWT frees the field after its finest level
+    coeffs = dwt_periodic(
+        synthesize_process(exponent, config.grid(), config.symbol(), seed), config.wavelet_spec()
+    )
     params = BesovParams(tau=config.tau0, p=config.p0, d=config.d)
     curve = sigma_curve(coeffs, params, config.n_values())
     # the FFT spreads a nan or inf of the noise over the whole field, so the

@@ -25,8 +25,9 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 # memory guard on the total cell count: a trial's resident peak (VmHWM above
-# the interpreter's) is 20 bytes per cell (laplace, d=2 J=12, set by the DWT)
-# to 36 (d=1 J=20, any family), so 2^26 cells need up to 2.4 GB; the jump families
+# the interpreter's) is 16 bytes per cell in d=2 (laplace J=12, two fields, set
+# equally by the two FFT stages, the DWT's finest level and sigma_curve) to 36 in
+# d=1 (J=20, any family), so 2^26 cells need up to 2.4 GB; the jump families
 # draw 16 bytes per jump, so the config guards compound_poisson's rate by the same bound
 _MAX_CELLS = 1 << 26
 

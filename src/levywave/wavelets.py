@@ -156,53 +156,51 @@ def _along(axis: int, sl: slice) -> tuple:
     return (slice(None),) * axis + (sl,)
 
 
-def _analyze_axis(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int, lo, hi) -> None:
-    """Periodic filter-and-downsample into zeroed lo, hi: lo[i] += sum_t h[t] x[(2i + t) mod n].
-
-    Polyphase form, block by block of leading-axis output rows so that the
-    block stays in cache: each tap adds one stride-2 slice of the block's
-    input into the outputs.  Along axis 0 a block reads its rows of x in
-    place, and only a block that runs past the end gets a copy padded with
-    the first taps - 2 rows; along the last axis each block copies its rows
-    with taps - 2 wrapped columns into one small buffer.
-    """
-    n, shape, wrap = x.shape[axis], lo.shape, h.size - 2
-    rows = max(1, _BLOCK // math.prod(shape[1:]))
-    tmp = np.empty((min(rows, shape[0]),) + shape[1:])
-    if axis:
-        buf = np.empty((tmp.shape[0], n + wrap))
-    for r0 in range(0, shape[0], rows):
-        r1 = min(r0 + rows, shape[0])
-        if axis == 0:
-            # output rows r0 .. r1-1 read input rows 2 r0 .. 2 r1 + taps - 3
-            end, m = 2 * r1 + wrap, 2 * (r1 - r0)
-            src = x[2 * r0:end] if end <= n else np.concatenate([x[2 * r0:], x[:end - n]])
-        else:
-            src, m = buf[: r1 - r0], n
-            src[:, :n] = x[r0:r1]
-            src[:, n:] = x[r0:r1, :wrap]
-        pairs = ((lo[r0:r1], h), (hi[r0:r1], g))
-        for t in range(h.size):
-            phase = src[_along(axis, slice(t, t + m, 2))]
-            for acc, f in pairs:
-                acc += np.multiply(phase, f[t], out=tmp[: r1 - r0])
+def _analyze_axis(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int, lo, hi, tmp) -> None:
+    """Periodic filter-and-downsample of one block into zeroed lo, hi:
+    lo[i] += h[t] x[2i + t] for t in order, where x already holds the taps - 2
+    wrapped samples past its 2 lo.shape[axis] along axis.  Polyphase form: each
+    tap multiplies one stride-2 slice of x into the head of the flat buffer
+    tmp, kept contiguous, and adds it to an output."""
+    m, tmp = 2 * lo.shape[axis], tmp[:lo.size].reshape(lo.shape)
+    for t in range(h.size):
+        phase = x[_along(axis, slice(t, t + m, 2))]
+        for acc, f in ((lo, h), (hi, g)):
+            acc += np.multiply(phase, f[t], out=tmp)
 
 
 def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping) -> np.ndarray:
-    """Split c once and return its low-pass part; the last axis pass writes
-    straight into the views in bands (the scaling band too, at the coarsest level)."""
-    parts = {0: c}
-    for axis in range(c.ndim):
-        bit, last = 1 << axis, axis == c.ndim - 1
-        grown = {}
-        for mask in list(parts):
-            x = parts.pop(mask)
-            shape = x.shape[:axis] + (x.shape[axis] // 2,) + x.shape[axis + 1:]
-            for out in (mask, mask | bit):
-                grown[out] = bands[out] if last and out in bands else np.zeros(shape)
-            _analyze_axis(x, h, g, axis, grown[mask], grown[mask | bit])
-        parts = grown
-    return parts[0]
+    """Split c once and return its low-pass part (the scaling band itself at the coarsest level).
+
+    One loop runs over blocks of leading-axis output rows, small enough to
+    stay in cache.  A block reads its input rows of c in place, and only a
+    block that runs past the end gets a copy padded with the first taps - 2
+    rows.  In d=1 the block filters straight into the bands.  In d=2 its
+    axis-0 pass fills two strips, and each strip's axis-1 pass, through a
+    buffer with taps - 2 wrapped columns, writes straight into the bands or
+    the coarse part: no whole-size intermediate is made, and every
+    coefficient gets the products, in the order, of two whole-level passes.
+    """
+    n, d, wrap = c.shape[0], c.ndim, h.size - 2
+    out = {m: bands[m] if m in bands else np.zeros((n // 2,) * d) for m in range(1 << d)}
+    rows = min(n // 2, max(1, _BLOCK // math.prod(c.shape[1:])))
+    tmp = np.empty(rows * math.prod(c.shape[1:]))
+    if d == 2:
+        strips, buf = np.empty((2, rows, n)), np.empty((rows, n + wrap))
+    for r0 in range(0, n // 2, rows):
+        r1 = min(r0 + rows, n // 2)
+        # output rows r0 .. r1-1 read input rows 2 r0 .. 2 r1 + taps - 3
+        end, b = 2 * r1 + wrap, r1 - r0
+        src = c[2 * r0:end] if end <= n else np.concatenate([c[2 * r0:], c[:end - n]])
+        if d == 1:
+            _analyze_axis(src, h, g, 0, out[0][r0:r1], out[1][r0:r1], tmp)
+            continue
+        strips[:, :b] = 0.0
+        _analyze_axis(src, h, g, 0, strips[0, :b], strips[1, :b], tmp)
+        for mask in (0, 1):
+            buf[:b, :n], buf[:b, n:] = strips[mask, :b], strips[mask, :b, :wrap]
+            _analyze_axis(buf[:b], h, g, 1, out[mask][r0:r1], out[mask | 2][r0:r1], tmp)
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +209,12 @@ def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping) -
 
 def dwt_periodic(values, spec: WaveletSpec) -> WaveletCoeffs:
     """Orthonormal periodic analysis of a square dyadic grid, shape (2^J,) or
-    (2^J, 2^J), in J - zeta splitting steps down to level 0."""
+    (2^J, 2^J), in J - zeta splitting steps down to level 0.
+
+    Only the finest step reads values: a float array that the caller holds
+    no other reference to is freed once that step is done.  A d=2 analysis
+    then holds at most the grid, the coefficient buffer, a quarter-size
+    coarse part and a few cache-sized strips."""
     x = np.asarray(values, dtype=float)
     d = x.ndim
     if d not in (1, 2):
@@ -232,7 +235,8 @@ def dwt_periodic(values, spec: WaveletSpec) -> WaveletCoeffs:
     h = spec.lowpass / math.sqrt(2.0)
     g = spec.highpass / math.sqrt(2.0)
     coeffs = WaveletCoeffs(d=d, zeta=zeta, data=np.zeros(x.size))
-    c = x
+    c = x  # this function's only name for its input from here on
+    del values, x
     for bands in reversed(coeffs.levels.values()):
         c = _analyze_step(c, h, g, bands)
     return coeffs

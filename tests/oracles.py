@@ -33,6 +33,39 @@ def analyze_axis(x, h, g, axis):
     return np.moveaxis(lo, 0, axis), np.moveaxis(hi, 0, axis)
 
 
+def dwt_taps(x: np.ndarray, spec: WaveletSpec) -> np.ndarray:
+    """dwt_periodic's flat buffer from whole-level gather-window passes, tap by tap.
+
+    Each level filters the whole coarse part along axis 0, then each half
+    along axis 1, with lo[i] += x[(2i + t) mod n] * h[t] for t in order and
+    the package's h/sqrt(2), g/sqrt(2): the products and sums of the
+    polyphase blocks, so the result should match bit for bit.  Bands go to
+    the canonical flat layout, band (j, G) at offset G * 2^((j+zeta)d).
+    """
+    h, g = spec.lowpass / math.sqrt(2.0), spec.highpass / math.sqrt(2.0)
+    data, c = np.empty(x.size), x
+    while c.shape[0] > 1 << spec.zeta:
+        parts = {0: c}
+        for axis in range(x.ndim):
+            grown = {}
+            for mask, arr in parts.items():
+                arr = np.moveaxis(arr, axis, 0)
+                win = _window(arr.shape[0], h.size)
+                shape = (arr.shape[0] // 2,) + arr.shape[1:]
+                lo, hi = np.zeros(shape), np.zeros(shape)
+                for t in range(h.size):
+                    lo += arr[win[:, t]] * h[t]
+                    hi += arr[win[:, t]] * g[t]
+                grown[mask] = np.moveaxis(lo, 0, axis)
+                grown[mask | 1 << axis] = np.moveaxis(hi, 0, axis)
+            parts = grown
+        c, size = parts[0], parts[0].size
+        for mask in range(1, 1 << x.ndim):
+            data[mask * size:(mask + 1) * size] = parts[mask].ravel()
+    data[:c.size] = c.ravel()
+    return data
+
+
 def synthesize_axis(lo, hi, h, g, axis):
     """Transpose of analyze_axis: x[(2i + t) mod n] += h[t] lo[i] + g[t] hi[i]."""
     lo, hi = np.moveaxis(lo, axis, 0), np.moveaxis(hi, axis, 0)

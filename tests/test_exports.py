@@ -67,3 +67,20 @@ def test_perfbench_patch_points_are_looked_up(monkeypatch, tmp_path):
     harness.compare_families([config], threads=1)
     harness.emit_outputs(harness.run_experiment(config, threads=1), tmp_path)
     assert all(calls.values()), calls
+
+
+def test_compare_outputs_runs_parseable_configs():
+    # tools/compare_outputs.py parses perfbench's workload table without
+    # importing it and rewrites the sample configs to d=2; every text it runs
+    # must parse, or a byte-identity check would report failed runs only
+    spec = importlib.util.spec_from_file_location("compare", ROOT / "tools" / "compare_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    configs = [harness.parse_config(text) for _, text in tool.config_set(ROOT)]
+    samples = sorted((ROOT / "configs").glob("*.cfg"))
+    assert len(configs) == 2 * len(samples) + 2
+    workloads = configs[len(samples):len(samples) + 2]
+    assert [(c.family, c.d, c.J) for c in workloads] == [("sas", 1, 20), ("laplace", 2, 12)]
+    d2 = configs[len(samples) + 2:]
+    assert [(c.d, c.J, c.gamma) for c in d2] == [(2, 9, 1.5)] * len(samples)
+    assert [c.family for c in d2] == [c.family for c in configs[:len(samples)]]

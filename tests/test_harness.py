@@ -1,11 +1,23 @@
 import pathlib
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from levywave import FAMILIES, ConfigError, compare_families, emit_outputs, harness, run_experiment
+from levywave import (
+    FAMILIES,
+    ConfigError,
+    WaveletSpec,
+    compare_families,
+    dwt_periodic,
+    emit_outputs,
+    harness,
+    make_rng,
+    run_experiment,
+    wavelets,
+)
 from levywave.cli import main as cli_main
 from levywave.harness import (
     exponent_from_params,
@@ -132,9 +144,10 @@ def test_jump_families_deterministic_across_threads(family, params, d, J):
 @pytest.mark.parametrize(
     "family, params, gamma, d, J, bound",
     [
-        # d=2 reads 3.48 fields; one more full-size FFT array, quotient or
-        # DWT pad would cross the bound
-        ("laplace", {}, 1.5, 2, 9, 3.75),
+        # d=2 reads 2.67 fields: the field, the coefficient buffer and the
+        # quarter-size coarse part, at the DWT's finest level; whole-size
+        # axis-0 parts there, or one more full-size array, would cross it
+        ("laplace", {}, 1.5, 2, 9, 2.75),
         # d=1 reads 4.14, set by the sampler
         ("sas", {"alpha": 0.5}, 1.0, 1, 16, 4.2),
     ],
@@ -149,6 +162,38 @@ def test_trial_peak_memory_in_field_sizes(family, params, gamma, d, J, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * 8 * config.grid().size
+
+
+def test_trial_field_is_freed_after_the_finest_level(monkeypatch):
+    # the DWT holds the only reference to a trial's field, so every step
+    # after the finest level runs without it
+    fields, alive = [], []
+    synthesize, step = harness.synthesize_process, wavelets._analyze_step
+
+    def recording_synthesize(*args, **kwargs):
+        field = synthesize(*args, **kwargs)
+        fields.append(weakref.ref(field))
+        return field
+
+    def spy_step(*args):
+        alive.append(fields[-1]() is not None)
+        return step(*args)
+
+    monkeypatch.setattr(harness, "synthesize_process", recording_synthesize)
+    monkeypatch.setattr(wavelets, "_analyze_step", spy_step)
+    config = _small_config(d=2, J=6, gamma=1.5, trials=1)
+    steps = config.J - config.wavelet_spec().zeta
+    run_experiment(config, threads=1)
+    assert alive == [True] + [False] * (steps - 1)
+
+    def make_field():
+        field = make_rng(7).standard_normal((1 << config.J,) * 2)
+        fields.append(weakref.ref(field))
+        return field
+
+    alive.clear()
+    dwt_periodic(make_field(), WaveletSpec(k=config.k))
+    assert alive == [True] + [False] * (steps - 1)
 
 
 def test_run_experiment_report_contents():

@@ -17,7 +17,7 @@ from levywave import (
     weighted_magnitudes,
 )
 from levywave import wavelets
-from oracles import analyze_axis, best_n_term, idwt_periodic
+from oracles import analyze_axis, best_n_term, dwt_taps, idwt_periodic
 
 DB4_PUBLISHED = np.array([
     0.230377813308896, 0.714846570552915, 0.630880767929859, -0.027983769416859,
@@ -314,6 +314,9 @@ def test_polyphase_dwt_matches_gather_window_reference(k, d, extra, block, seed)
         coeffs = dwt_periodic(x, spec)
     # blocks, and the wrap padding of the blocks that run past the end, move no bit
     assert np.array_equal(coeffs.data, dwt_periodic(x, spec).data)
+    # nor do the one-row strips and the fused d=2 step: every coefficient gets
+    # the tap-by-tap products and sums of whole-level passes
+    assert np.array_equal(coeffs.data, dwt_taps(x, spec))
     reference = _reference_dwt(x, spec)
     assert sorted(coeffs.levels) == sorted(reference)
     scale = max(np.abs(arr).max() for bands in reference.values() for arr in bands.values())
