@@ -41,8 +41,6 @@ from .wavelets import (
 )
 from .besov import (
     BesovParams,
-    DecayCurve,
-    KappaFit,
     estimate_kappa,
     sigma_curve,
     weighted_magnitudes,

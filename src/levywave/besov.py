@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -20,8 +19,6 @@ from .wavelets import WaveletCoeffs
 
 __all__ = [
     "BesovParams",
-    "KappaFit",
-    "DecayCurve",
     "weighted_magnitudes",
     "sigma_curve",
     "estimate_kappa",
@@ -46,29 +43,6 @@ class BesovParams:
         return 2.0 ** (j * (self.tau - self.d / self.p))
 
 
-@dataclass(frozen=True)
-class KappaFit:
-    kappa_hat: float
-    stderr: float
-
-
-@dataclass
-class DecayCurve:
-    """Best n-term error sigma(n) on an ascending n grid, plus an optional fit."""
-
-    n_values: np.ndarray
-    sigma_values: np.ndarray
-    fit: Optional[KappaFit] = None
-
-    def __post_init__(self):
-        self.n_values = np.asarray(self.n_values, dtype=int)
-        self.sigma_values = np.asarray(self.sigma_values, dtype=float)
-        if np.any(np.diff(self.n_values) <= 0):
-            raise ValueError("n grid must be strictly ascending")
-        if np.any(np.diff(self.sigma_values) > 0):
-            raise ValueError("sigma values must be non-increasing")
-
-
 def weighted_magnitudes(coeffs: WaveletCoeffs, params: BesovParams) -> np.ndarray:
     """Flat array of 2^(j(tau - d/p)) |lambda| in canonical iteration order."""
     out = replace(coeffs, data=np.abs(coeffs.data))
@@ -77,8 +51,11 @@ def weighted_magnitudes(coeffs: WaveletCoeffs, params: BesovParams) -> np.ndarra
     return out.data
 
 
-def sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid) -> DecayCurve:
-    """Best n-term error for every n in the ascending grid, via one sort."""
+def sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid) -> np.ndarray:
+    """Best n-term error for every n in the ascending grid, via one sort.
+
+    The errors are tail sums of non-negative values, so they never increase
+    along the grid."""
     n_grid = np.asarray(n_grid, dtype=int)
     if n_grid.size == 0 or np.any(np.diff(n_grid) <= 0):
         raise ValueError("n grid must be non-empty and strictly ascending")
@@ -92,8 +69,7 @@ def sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid) -> DecayCurv
     tail = np.zeros(n_grid.size)
     inside = n_grid < acc.size
     tail[inside] = acc[acc.size - 1 - n_grid[inside]]
-    sigma = tail ** (1.0 / p)
-    return DecayCurve(n_values=n_grid, sigma_values=sigma)
+    return tail ** (1.0 / p)
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray):
@@ -108,26 +84,28 @@ def _fit_line(x: np.ndarray, y: np.ndarray):
     return slope, intercept, stderr
 
 
-def estimate_kappa(curve: DecayCurve, fit_range: tuple) -> KappaFit:
-    """Least-squares slope of -log sigma(n) against log n over the fit window.
+def estimate_kappa(n_values, sigma, fit_range: tuple) -> tuple:
+    """(kappa, stderr): least-squares slope of -log sigma(n) against log n
+    over the fit window, and its standard error.
 
     All-zero sigma over the window yields the infinite-decay sentinel.
     Raises when fewer than five positive-sigma points are available.
     """
+    n_values = np.asarray(n_values)
+    sigma = np.asarray(sigma, dtype=float)
     lo, hi = int(fit_range[0]), int(fit_range[1])
-    in_window = (curve.n_values >= lo) & (curve.n_values <= hi)
+    in_window = (n_values >= lo) & (n_values <= hi)
     if not in_window.any():
         raise ValueError(f"no curve points inside fit range [{lo}, {hi}]")
-    sig = curve.sigma_values[in_window]
-    if np.all(sig == 0.0):
-        return KappaFit(kappa_hat=math.inf, stderr=0.0)
-    positive = in_window & (curve.sigma_values > 0.0)
+    if np.all(sigma[in_window] == 0.0):
+        return math.inf, 0.0
+    positive = in_window & (sigma > 0.0)
     if positive.sum() < 5:
         raise ValueError(
             f"need at least 5 positive-sigma points in [{lo}, {hi}], "
             f"got {int(positive.sum())}"
         )
-    x = np.log(curve.n_values[positive].astype(float))
-    y = -np.log(curve.sigma_values[positive])
+    x = np.log(n_values[positive].astype(float))
+    y = -np.log(sigma[positive])
     slope, _, stderr = _fit_line(x, y)
-    return KappaFit(kappa_hat=slope, stderr=stderr)
+    return slope, stderr

@@ -128,7 +128,7 @@ class _Family:
     """Config-file schema shared by the noise families.
 
     Each dataclass field is one float config key, required when the field
-    has no default.  CompoundPoisson overrides all three methods to flatten
+    has no default.  CompoundPoisson overrides both methods to flatten
     its jump law into the keys jump and jump_<field>.
     """
 
@@ -144,10 +144,6 @@ class _Family:
             if f.default is MISSING and f.name not in params:
                 raise ParameterError(f"family {cls.family_name!r} requires key {f.name!r}")
         return cls(**params)
-
-    def params(self) -> dict:
-        """Config parameters that rebuild this exponent through from_params."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # Each family's sample(volume, rng, shape) draws increments whose
@@ -283,12 +279,6 @@ class CompoundPoisson(_Family):
         for name in sorted(set(given) - {f.name for f in fields(law)}):
             raise ParameterError(f"key 'jump_{name}' not applicable to jump law {kind!r}")
         return cls(rate=params.get("rate", cls.rate), jumps=law(**given))
-
-    def params(self) -> dict:
-        jumps = self.jumps
-        out = {"rate": self.rate, "jump": jumps.law_name}
-        out.update({f"jump_{f.name}": getattr(jumps, f.name) for f in fields(jumps)})
-        return out
 
     def psi(self, xi):
         return self.rate * (self.jumps.char_fn(xi) - 1.0)

@@ -22,7 +22,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from . import __version__
-from .besov import BesovParams, DecayCurve, estimate_kappa, sigma_curve
+from .besov import BesovParams, estimate_kappa, sigma_curve
 from .exponents import FAMILIES, KappaPrediction, LevyExponent, admissibility, theoretical_kappa
 from .sampling import _MAX_CELLS, GridSpec, trial_seed
 from .spectral import FractionalLaplacian, Matern, synthesize_process
@@ -127,8 +127,7 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.tolerance < 0:
             raise ConfigError(f"tolerance must be >= 0, got {self.tolerance}")
-        spec = self.wavelet_spec()
-        if spec.max_level(self.J) < 0:
+        if self.J <= self.wavelet_spec().zeta:
             raise ConfigError(f"J={self.J} too coarse for k={self.k}")
         (lo, hi), n_values = self.fit_range(), self.n_values()
         inside = int(np.count_nonzero((n_values >= lo) & (n_values <= hi)))
@@ -244,9 +243,13 @@ def load_config(path) -> ExperimentConfig:
 
 @dataclass
 class ExperimentReport:
+    """Per-trial results as arrays: row t of sigma is trial t's n-term
+    errors, its columns are config.n_values()."""
+
     config: ExperimentConfig
-    curves: list
+    sigma: np.ndarray
     kappa_values: list
+    kappa_stderr: list
     kappa_median: float
     kappa_q1: float
     kappa_q3: float
@@ -273,7 +276,8 @@ def _thread_count(threads: Optional[int]) -> int:
     return int(threads)
 
 
-def _run_trial(config: ExperimentConfig, index: int) -> DecayCurve:
+def _run_trial(config: ExperimentConfig, index: int) -> tuple:
+    """(sigma, kappa, stderr) of trial `index`."""
     exponent = config.exponent()
     seed = trial_seed(config.base_seed, index)
     # passed on with no name kept, so the DWT frees the field after its finest level
@@ -281,15 +285,15 @@ def _run_trial(config: ExperimentConfig, index: int) -> DecayCurve:
         synthesize_process(exponent, config.grid(), config.symbol(), seed), config.wavelet_spec()
     )
     params = BesovParams(tau=config.tau0, p=config.p0, d=config.d)
-    curve = sigma_curve(coeffs, params, config.n_values())
+    n_values = config.n_values()
+    sigma = sigma_curve(coeffs, params, n_values)
     # the FFT spreads a nan or inf of the noise over the whole field, so the
     # few n-term errors stand in for a sweep of it
-    if not np.isfinite(curve.sigma_values).all():
+    if not np.isfinite(sigma).all():
         raise ValueError(
             f"trial {index}: the realization is not finite (its n-term errors are nan or inf)"
         )
-    curve.fit = estimate_kappa(curve, config.fit_range())
-    return curve
+    return (sigma, *estimate_kappa(n_values, sigma, config.fit_range()))
 
 
 def _gaussian_reference_value(config: ExperimentConfig) -> float:
@@ -318,17 +322,17 @@ def run_experiment(config: ExperimentConfig, threads: Optional[int] = None) -> E
         # one worker runs the trials on the calling thread; a failing
         # trial's own exception reaches the caller either way
         run = map if n_workers == 1 else pool.map
-        curves = list(run(partial(_run_trial, config), range(config.trials)))
+        sigmas, kappas, stderrs = zip(*run(partial(_run_trial, config), range(config.trials)))
 
-    kappas = [curve.fit.kappa_hat for curve in curves]
     median = _quantile(kappas, 50.0)
     q1 = _quantile(kappas, 25.0)
     q3 = _quantile(kappas, 75.0)
     prediction = config.prediction()
     return ExperimentReport(
         config=config,
-        curves=curves,
-        kappa_values=kappas,
+        sigma=np.array(sigmas),
+        kappa_values=list(kappas),
+        kappa_stderr=list(stderrs),
         kappa_median=median,
         kappa_q1=q1,
         kappa_q3=q3,
@@ -450,11 +454,12 @@ def emit_outputs(report: ExperimentReport, out_dir=None) -> list:
         raise ValueError("no output directory: set config 'output' or pass out_dir")
     os.makedirs(out_dir, exist_ok=True)
 
+    n_values = report.config.n_values()
     curves_path = os.path.join(out_dir, "curves.csv")
     with open(curves_path, "w") as fh:
         fh.write("trial,n,sigma\n")
-        for t, curve in enumerate(report.curves):
-            for n, s in zip(curve.n_values, curve.sigma_values):
+        for t, row in enumerate(report.sigma):
+            for n, s in zip(n_values, row):
                 fh.write(f"{t},{int(n)},{float(s)!r}\n")
 
     summary_path = os.path.join(out_dir, "summary.json")
@@ -464,9 +469,7 @@ def emit_outputs(report: ExperimentReport, out_dir=None) -> list:
 
     # median curve in natural-log coordinates; zero medians are omitted
     plot_path = os.path.join(out_dir, "plot.tsv")
-    n_values = report.curves[0].n_values
-    stacked = np.vstack([c.sigma_values for c in report.curves])
-    medians = np.median(stacked, axis=0)
+    medians = np.median(report.sigma, axis=0)
     with open(plot_path, "w") as fh:
         fh.write("log_n\tlog_sigma\n")
         for n, s in zip(n_values, medians):

@@ -102,10 +102,6 @@ class WaveletSpec:
     def highpass(self) -> np.ndarray:
         return quadrature_mirror_highpass(self.lowpass)
 
-    def max_level(self, J: int) -> int:
-        """Finest coefficient level available on a 2^J-per-axis grid."""
-        return J - self.zeta - 1
-
 
 @dataclass(frozen=True, eq=False)
 class WaveletCoeffs:

@@ -163,10 +163,7 @@ def empirical_regularity_scan(coeffs: WaveletCoeffs, p_grid, tau_grid) -> np.nda
 
 def median_sigma_at(report, n: int) -> float:
     """Median over the trials of a run of the n-term error at n."""
-    column = []
-    for curve in report.curves:
-        where = np.nonzero(curve.n_values == n)[0]
-        if where.size == 0:
-            raise ValueError(f"n={n} is not on the curve grid")
-        column.append(curve.sigma_values[where[0]])
-    return float(np.median(column))
+    where = np.nonzero(report.config.n_values() == n)[0]
+    if where.size == 0:
+        raise ValueError(f"n={n} is not on the curve grid")
+    return float(np.median(report.sigma[:, where[0]]))

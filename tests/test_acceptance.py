@@ -185,7 +185,7 @@ def _steepening(report, lo, hi):
     exponents it does not move with the noise amplitude.  A zero median error
     in the window has decayed past any power law: the factor is infinite."""
     mid = math.sqrt(lo * hi)
-    n = np.array([v for v in report.curves[0].n_values if lo <= v <= hi], dtype=float)
+    n = np.array([v for v in report.config.n_values() if lo <= v <= hi], dtype=float)
     sigma = np.array([median_sigma_at(report, int(v)) for v in n])
     if np.any(sigma == 0):
         return math.inf
@@ -212,9 +212,9 @@ def test_criterion_6_superpolynomial_regime():
     checks = []
 
     def note(report):
-        zero = sum(1 for curve in report.curves if not np.any(curve.sigma_values))
+        zero = int(np.count_nonzero(~report.sigma.any(axis=1)))
         kappa = report.prediction.sort_key()
-        return f"(closed-form kappa {kappa:.3g}, {zero}/{len(report.curves)} all-zero trials)"
+        return f"(closed-form kappa {kappa:.3g}, {zero}/{len(report.sigma)} all-zero trials)"
 
     # compound_poisson keeps the error ratio at n = 64: at k = 4 its local rate
     # peaks below n = 128 and then falls to a slower polynomial tail, so it

@@ -204,7 +204,7 @@ def test_laplace_sigma_law_matches_gamma_difference_sampler():
         values = raw / h
         spectrum = forward_fft(values - values.mean(), grid)
         field = inverse_fft(apply_inverse_operator(spectrum, symbol, grid), grid)
-        return sigma_curve(dwt_periodic(field, spec), params, n_values).sigma_values
+        return sigma_curve(dwt_periodic(field, spec), params, n_values)
 
     trials = 200
     rng_program, rng_gamma = make_rng(61), make_rng(62)
