@@ -195,7 +195,10 @@ def test_run_experiment_report_contents():
     config = _small_config()
     report = run_experiment(config, threads=2)
     assert report.sigma.shape == (config.trials, len(config.n_values()))
+    assert report.sigma.dtype == np.float64 and report.sigma.flags.c_contiguous
     assert len(report.kappa_values) == config.trials
+    assert all(type(v) is float for v in report.kappa_values + report.kappa_stderr)
+    assert len(report.kappa_stderr) == config.trials
     assert report.prediction.kind == "exact"
     assert report.kappa_q1 <= report.kappa_median <= report.kappa_q3
     assert report.verdict in ("pass", "fail")
