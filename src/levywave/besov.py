@@ -27,27 +27,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BesovParams:
-    """Smoothness tau, integrability p (also the fine index), dimension d."""
+    """Smoothness tau and integrability p (also the fine index); the
+    dimension d is the coefficients' own."""
 
     tau: float
     p: float
-    d: int
 
     def __post_init__(self):
         if not (self.p > 0 and math.isfinite(self.p)):
             raise ValueError(f"p must be positive and finite, got {self.p}")
-        if self.d not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.d}")
 
-    def weight(self, j: int) -> float:
-        return 2.0 ** (j * (self.tau - self.d / self.p))
+    def weight(self, j: int, d: int) -> float:
+        return 2.0 ** (j * (self.tau - d / self.p))
 
 
 def weighted_magnitudes(coeffs: WaveletCoeffs, params: BesovParams) -> np.ndarray:
     """Flat array of 2^(j(tau - d/p)) |lambda| in canonical iteration order."""
     out = replace(coeffs, data=np.abs(coeffs.data))
     for j, _, arr in out.bands():
-        arr *= params.weight(j)
+        arr *= params.weight(j, coeffs.d)
     return out.data
 
 

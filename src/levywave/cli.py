@@ -18,7 +18,6 @@ from .harness import (
     exponent_from_params,
     load_config,
     run_experiment,
-    summary_record,
 )
 
 
@@ -61,8 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     report = run_experiment(config, threads=args.threads)
-    record = summary_record(report)
-    print(f"family          : {record['family']} {record['params']}")
+    print(f"family          : {config.family} {config.params}")
     print(f"gamma, d, J, k  : {config.gamma}, {config.d}, {config.J}, {config.k}")
     print(f"trials          : {config.trials} (base seed {config.base_seed})")
     print(f"theory          : {report.prediction.describe()}")

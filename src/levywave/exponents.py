@@ -382,9 +382,11 @@ LevyExponent = Union[tuple(FAMILIES.values())]
 
 @dataclass(frozen=True)
 class KappaPrediction:
-    """Predicted n-term decay exponent for a driven process.
+    """Predicted n-term decay exponent for a driven process, and the rule
+    that judges a measured median against it.
 
-    kind is "exact", "bounds", or "infinite"; it is None when the
+    kind is "exact" (value), "bounds" ([lower, upper]) or "infinite", whose
+    lower is the floor a median must reach; it is None when the
     admissibility inequality for the prediction does not hold, in which
     case no value is attached.
     """
@@ -393,7 +395,6 @@ class KappaPrediction:
     value: float | None = None
     lower: float | None = None
     upper: float | None = None
-    condition_satisfied: bool = True
 
     def __post_init__(self):
         if self.kind not in ("exact", "bounds", "infinite", None):
@@ -402,6 +403,10 @@ class KappaPrediction:
             raise ParameterError(
                 f"bounds must be ordered, got [{self.lower}, {self.upper}]"
             )
+
+    @property
+    def condition_satisfied(self) -> bool:
+        return self.kind is not None
 
     def sort_key(self) -> float:
         """Scalar usable to order families by predicted compressibility."""
@@ -412,6 +417,30 @@ class KappaPrediction:
         if self.kind == "infinite":
             return math.inf
         return math.nan
+
+    def verdict(self, median: float, tolerance: float) -> str:
+        """Verdict on a measured median: "pass", "fail", or "unchecked" with no prediction.
+
+        Two-sided within tolerance of an exact value, one-sided against each
+        bound, and with no tolerance at the floor of an infinite prediction."""
+        if self.kind is None:
+            return "unchecked"
+        if self.kind == "exact":
+            ok = abs(median - self.value) <= tolerance
+        elif self.kind == "bounds":
+            ok = self.lower - tolerance <= median <= self.upper + tolerance
+        else:
+            ok = median >= self.lower
+        return "pass" if ok else "fail"
+
+    def record(self) -> dict:
+        """The summary's theory entry: the kind and its values, the floor left out."""
+        record = {"kind": self.kind, "condition_satisfied": self.condition_satisfied}
+        if self.kind == "exact":
+            record["value"] = self.value
+        elif self.kind == "bounds":
+            record.update(lower=self.lower, upper=self.upper)
+        return record
 
     def describe(self) -> str:
         if self.kind == "exact":
@@ -429,6 +458,10 @@ def admissibility(exponent: LevyExponent, d: int, p0: float = 2.0, tau0: float =
     Gaussian noise needs gamma > tau0 + d/2; any other family needs
     gamma > tau0 + d - d/p0.
     """
+    if d < 1:
+        raise ParameterError(f"dimension must be >= 1, got {d}")
+    if not p0 > 0:
+        raise ParameterError(f"p0 must be positive, got {p0}")
     if exponent.is_gaussian:
         return "gamma > tau0 + d/2", tau0 + d / 2.0
     return "gamma > tau0 + d - d/p0", tau0 + d - d / p0
@@ -451,18 +484,16 @@ def theoretical_kappa(
     """
     if not gamma > 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
-    if not p0 > 0:
-        raise ParameterError(f"p0 must be positive, got {p0}")
-
     if not gamma > admissibility(exponent, d, p0, tau0)[1]:
-        return KappaPrediction(kind=None, condition_satisfied=False)
+        return KappaPrediction(kind=None)
+    gaussian_rate = (gamma - tau0) / d - 0.5
     if exponent.is_gaussian:
-        return KappaPrediction("exact", value=(gamma - tau0) / d - 0.5)
+        return KappaPrediction("exact", value=gaussian_rate)
     idx = exponent.indices()
     if idx.beta == 0.0:
-        return KappaPrediction("infinite")
+        # no finite target exists; require a clear margin over the matching
+        # Gaussian-noise rate, which every family of this kind must beat
+        return KappaPrediction("infinite", lower=gaussian_rate + 0.5)
     return KappaPrediction(
         "bounds",
         lower=(gamma - tau0) / d + 1.0 / idx.beta - 1.0,

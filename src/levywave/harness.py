@@ -133,8 +133,8 @@ class ExperimentConfig:
         inside = int(np.count_nonzero((n_values >= lo) & (n_values <= hi)))
         if inside < 5:
             raise ConfigError(f"fit window [{lo}, {hi}] must hold at least 5 points, got {inside}")
-        if not self.prediction().condition_satisfied and not self.allow_inadmissible:
-            formula, bound = admissibility(self.exponent(), self.d, self.p0, self.tau0)
+        formula, bound = admissibility(self.exponent(), self.d, self.p0, self.tau0)
+        if not self.gamma > bound and not self.allow_inadmissible:
             raise ConfigError(
                 f"config violates the admissibility inequality "
                 f"{formula} ({self.gamma} > {bound} required); set allow_inadmissible = true "
@@ -241,23 +241,6 @@ def load_config(path) -> ExperimentConfig:
 # experiment execution
 
 
-@dataclass
-class ExperimentReport:
-    """Per-trial results as arrays: row t of sigma is trial t's n-term
-    errors, its columns are config.n_values()."""
-
-    config: ExperimentConfig
-    sigma: np.ndarray
-    kappa_values: list
-    kappa_stderr: list
-    kappa_median: float
-    kappa_q1: float
-    kappa_q3: float
-    prediction: KappaPrediction
-    verdict: str
-
-
-
 def _quantile(values, q: float) -> float:
     """Percentile that stays finite-math safe: all-zero-jump trials can make
     the fitted exponent infinite, and linear interpolation between two
@@ -266,6 +249,30 @@ def _quantile(values, q: float) -> float:
     if np.all(np.isfinite(arr)):
         return float(np.percentile(arr, q))
     return float(np.percentile(arr, q, method="nearest"))
+
+
+@dataclass
+class ExperimentReport:
+    """Per-trial results as arrays: row t of sigma is trial t's n-term
+    errors, its columns are config.n_values().  The quartiles of the fitted
+    exponents, the prediction and its verdict on the median follow from them."""
+
+    config: ExperimentConfig
+    sigma: np.ndarray
+    kappa_values: list
+    kappa_stderr: list
+    kappa_q1: float = field(init=False)
+    kappa_median: float = field(init=False)
+    kappa_q3: float = field(init=False)
+    prediction: KappaPrediction = field(init=False)
+    verdict: str = field(init=False)
+
+    def __post_init__(self):
+        self.kappa_q1, self.kappa_median, self.kappa_q3 = (
+            _quantile(self.kappa_values, q) for q in (25.0, 50.0, 75.0)
+        )
+        self.prediction = self.config.prediction()
+        self.verdict = self.prediction.verdict(self.kappa_median, self.config.tolerance)
 
 
 def _thread_count(threads: Optional[int]) -> int:
@@ -284,7 +291,7 @@ def _run_trial(config: ExperimentConfig, index: int) -> tuple:
     coeffs = dwt_periodic(
         synthesize_process(exponent, config.grid(), config.symbol(), seed), config.wavelet_spec()
     )
-    params = BesovParams(tau=config.tau0, p=config.p0, d=config.d)
+    params = BesovParams(tau=config.tau0, p=config.p0)
     n_values = config.n_values()
     sigma = sigma_curve(coeffs, params, n_values)
     # the FFT spreads a nan or inf of the noise over the whole field, so the
@@ -296,24 +303,6 @@ def _run_trial(config: ExperimentConfig, index: int) -> tuple:
     return (sigma, *estimate_kappa(n_values, sigma, config.fit_range()))
 
 
-def _gaussian_reference_value(config: ExperimentConfig) -> float:
-    return (config.gamma - config.tau0) / config.d - 0.5
-
-
-def _verdict(prediction: KappaPrediction, median: float, config: ExperimentConfig) -> str:
-    tol = config.tolerance
-    if prediction.kind == "exact":
-        return "pass" if abs(median - prediction.value) <= tol else "fail"
-    if prediction.kind == "bounds":
-        ok = (median >= prediction.lower - tol) and (median <= prediction.upper + tol)
-        return "pass" if ok else "fail"
-    if prediction.kind == "infinite":
-        # no finite target exists; require a clear margin over the matching
-        # Gaussian-noise rate, which every family of this kind must beat
-        return "pass" if median >= _gaussian_reference_value(config) + 0.5 else "fail"
-    return "unchecked"
-
-
 def run_experiment(config: ExperimentConfig, threads: Optional[int] = None) -> ExperimentReport:
     """Run all trials, aggregate the fitted exponents, and attach the verdict."""
     config.validate()
@@ -323,22 +312,7 @@ def run_experiment(config: ExperimentConfig, threads: Optional[int] = None) -> E
         # trial's own exception reaches the caller either way
         run = map if n_workers == 1 else pool.map
         sigmas, kappas, stderrs = zip(*run(partial(_run_trial, config), range(config.trials)))
-
-    median = _quantile(kappas, 50.0)
-    q1 = _quantile(kappas, 25.0)
-    q3 = _quantile(kappas, 75.0)
-    prediction = config.prediction()
-    return ExperimentReport(
-        config=config,
-        sigma=np.array(sigmas),
-        kappa_values=list(kappas),
-        kappa_stderr=list(stderrs),
-        kappa_median=median,
-        kappa_q1=q1,
-        kappa_q3=q3,
-        prediction=prediction,
-        verdict=_verdict(prediction, median, config),
-    )
+    return ExperimentReport(config, np.array(sigmas), list(kappas), list(stderrs))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +330,10 @@ class ComparisonEntry:
 class ComparisonReport:
     entries: list
     inversions: list
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return not self.inversions
 
     def table(self) -> str:
         lines = [f"{'family':<28} {'theory':<32} {'median kappa':>12}"]
@@ -394,7 +371,7 @@ def compare_families(configs, threads: Optional[int] = None) -> ComparisonReport
         for a, b in combinations(entries, 2)
         if a.theory.sort_key() < b.theory.sort_key() and not a.kappa_median < b.kappa_median
     ]
-    return ComparisonReport(entries=entries, inversions=inversions, ok=not inversions)
+    return ComparisonReport(entries, inversions)
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +389,6 @@ def _json_safe(value):
 
 def summary_record(report: ExperimentReport) -> dict:
     config = report.config
-    pred = report.prediction
-    theory = {"kind": pred.kind, "condition_satisfied": pred.condition_satisfied}
-    if pred.kind == "exact":
-        theory["value"] = pred.value
-    elif pred.kind == "bounds":
-        theory["lower"] = pred.lower
-        theory["upper"] = pred.upper
     return {
         "family": config.family,
         "params": dict(config.params),
@@ -436,7 +406,7 @@ def summary_record(report: ExperimentReport) -> dict:
         "kappa_values": [_json_safe(v) for v in report.kappa_values],
         "kappa_median": _json_safe(report.kappa_median),
         "kappa_iqr": [_json_safe(report.kappa_q1), _json_safe(report.kappa_q3)],
-        "theory": theory,
+        "theory": report.prediction.record(),
         "verdict": report.verdict,
         "config_sha256": config.sha256(),
         "version": __version__,

@@ -107,7 +107,7 @@ def test_criterion_2_nterm_oracle_equivalence():
     while cases < 500:
         coeffs = _random_small_container(rng)
         p = float(rng.integers(1, 3))
-        params = BesovParams(tau=float(rng.integers(0, 2)), p=p, d=1)
+        params = BesovParams(tau=float(rng.integers(0, 2)), p=p)
         mags = weighted_magnitudes(coeffs, params)
         if mags.size > 12:
             continue

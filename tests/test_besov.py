@@ -29,16 +29,24 @@ def _single(j, gender, index, value, d=1, zeta=0, j_max=4):
 def test_norm_single_coefficient_weighted():
     # weight 2^(j(tau - d/p)) = 2^(2 * 1/2) = 2
     coeffs = _single(2, 1, (1,), 1.0)
-    params = BesovParams(tau=1.0, p=2.0, d=1)
+    params = BesovParams(tau=1.0, p=2.0)
     mags = weighted_magnitudes(coeffs, params)
     assert mags.max() == pytest.approx(2.0, abs=1e-14)
+    assert np.count_nonzero(mags) == 1
+
+
+def test_level_weights_use_the_coefficients_dimension():
+    # d = 2: weight 2^(j(tau - d/p)) = 2^(2 * (1 - 2/2)) = 1, where d = 1 would give 2
+    coeffs = _single(2, 3, (1, 1), 1.0, d=2, j_max=2)
+    mags = weighted_magnitudes(coeffs, BesovParams(tau=1.0, p=2.0))
+    assert mags.max() == 1.0
     assert np.count_nonzero(mags) == 1
 
 
 @pytest.mark.parametrize("p", [math.inf, math.nan, 0.0])
 def test_params_reject_non_finite_or_nonpositive_p(p):
     with pytest.raises(ValueError, match="p must be"):
-        BesovParams(tau=0.0, p=p, d=1)
+        BesovParams(tau=0.0, p=p)
 
 
 def test_best_n_term_weighted_magnitudes_oracle():
@@ -47,7 +55,7 @@ def test_best_n_term_weighted_magnitudes_oracle():
     coeffs.levels[0][1][0] = 3.0
     coeffs.levels[1][1][1] = 2.0
     coeffs.levels[2][1][0] = 1.0
-    params = BesovParams(tau=0.5, p=2.0, d=1)  # weight 1 at every level
+    params = BesovParams(tau=0.5, p=2.0)  # weight 1 at every level
     kept, residual = best_n_term(coeffs, params, 1)
     assert kept == [(0, 1, (0,))]
     assert residual == pytest.approx(math.sqrt(5.0), abs=1e-14)
@@ -56,7 +64,7 @@ def test_best_n_term_weighted_magnitudes_oracle():
 def test_best_n_term_edge_cases():
     rng = make_rng(4)
     coeffs = dwt_periodic(rng.normal(size=64), WaveletSpec(k=1))
-    params = BesovParams(tau=0.0, p=2.0, d=1)
+    params = BesovParams(tau=0.0, p=2.0)
     _, full = best_n_term(coeffs, params, 0)
     expected = math.sqrt(float(np.sum(weighted_magnitudes(coeffs, params) ** 2)))
     assert full == pytest.approx(expected, rel=1e-12)
@@ -83,7 +91,7 @@ def test_greedy_matches_exhaustive_search(p):
         if coeffs.total_count() > 12:
             continue
         tau = 0.0 if case % 2 else 1.0  # weights 2^(-j) or 1 (both exact dyadics)
-        params = BesovParams(tau=tau, p=p, d=1)
+        params = BesovParams(tau=tau, p=p)
         mags = weighted_magnitudes(coeffs, params)
         n = int(rng.integers(0, mags.size + 1))
         _, greedy = best_n_term(coeffs, params, n)
@@ -93,7 +101,7 @@ def test_greedy_matches_exhaustive_search(p):
 def test_sigma_curve_monotone_and_exhausts():
     rng = make_rng(9)
     coeffs = dwt_periodic(rng.normal(size=128), WaveletSpec(k=2))
-    params = BesovParams(tau=0.0, p=2.0, d=1)
+    params = BesovParams(tau=0.0, p=2.0)
     total = coeffs.total_count()
     sigma = sigma_curve(coeffs, params, np.arange(1, total + 1))
     assert np.all(np.diff(sigma) <= 0)
@@ -103,7 +111,7 @@ def test_sigma_curve_monotone_and_exhausts():
 def test_sigma_curve_five_nonzeros():
     coeffs = zero_pyramid(d=1, zeta=0, j_max=3)
     coeffs.levels[3][1][:5] = [5.0, 4.0, 3.0, 2.0, 1.0]
-    params = BesovParams(tau=0.5, p=2.0, d=1)
+    params = BesovParams(tau=0.5, p=2.0)
     sigma = sigma_curve(coeffs, params, np.arange(1, 9))
     assert np.all(sigma[4:] == 0.0)
     assert sigma[3] > 0
@@ -119,7 +127,7 @@ def test_sigma_curve_tail_sum_oracle():
         arr.ravel()[:] = values[pos : pos + arr.size]
         pos += arr.size
     assert pos == size
-    params = BesovParams(tau=0.5, p=2.0, d=1)  # unit weights
+    params = BesovParams(tau=0.5, p=2.0)  # unit weights
     n_grid = np.array([1, 2, 4, 10, 100, 500, 1000])
     sigma = sigma_curve(coeffs, params, n_grid)
     for n, value in zip(n_grid, sigma):
@@ -169,7 +177,7 @@ def test_estimate_kappa_all_zero_sentinel():
 def test_estimate_kappa_scale_invariance():
     rng = make_rng(21)
     coeffs = dwt_periodic(rng.normal(size=2048), WaveletSpec(k=2))
-    params = BesovParams(tau=0.0, p=2.0, d=1)
+    params = BesovParams(tau=0.0, p=2.0)
     grid_n = 2 ** np.arange(1, 11)
     scaled = WaveletCoeffs(d=coeffs.d, zeta=coeffs.zeta, data=37.5 * coeffs.data)
     kappa1, _ = estimate_kappa(grid_n, sigma_curve(coeffs, params, grid_n), (4, 512))
@@ -225,10 +233,10 @@ def test_rate_recovery_for_synthetic_space_member():
     # weighted magnitudes i^(-(1+eps)/p1) lie strictly inside the space
     mags = np.arange(1.0, total + 1.0) ** (-1.01 / p1)
     pos = 0
-    params0 = BesovParams(tau=tau0, p=p0, d=d)
-    params1 = BesovParams(tau=tau0 + dtau, p=p1, d=d)
+    params0 = BesovParams(tau=tau0, p=p0)
+    params1 = BesovParams(tau=tau0 + dtau, p=p1)
     for j, _, arr in coeffs.bands():
-        arr.ravel()[:] = mags[pos : pos + arr.size] / params0.weight(j)
+        arr.ravel()[:] = mags[pos : pos + arr.size] / params0.weight(j, d)
         pos += arr.size
     assert math.isfinite(float(np.sum(weighted_magnitudes(coeffs, params1) ** p1)))
     n_grid = 2 ** np.arange(2, size_levels)

@@ -9,6 +9,7 @@ from levywave import (
     Gaussian,
     GaussianJump,
     InverseGaussian,
+    KappaPrediction,
     Laplace,
     ParameterError,
     SAlphaS,
@@ -204,3 +205,42 @@ def test_kappa_monotone_in_beta():
     gauss = theoretical_kappa(Gaussian(1.0), gamma, d, p0, tau0).value
     for sparse in (SAlphaS(0.5), SAlphaS(1.9), InverseGaussian(1.0, 1.0)):
         assert theoretical_kappa(sparse, gamma, d, p0, tau0).lower > gauss
+
+
+def _up(x):
+    return float(np.nextafter(x, math.inf))
+
+
+def _down(x):
+    return float(np.nextafter(x, -math.inf))
+
+
+# an admissible infinite prediction whose floor, (0.1 - 0.5) + 0.5, is not 0.1
+SPARSE_FLOOR = theoretical_kappa(CompoundPoisson(1.0), gamma=0.1, d=1, p0=1.0)
+EXACT = theoretical_kappa(Gaussian(1.0), gamma=1.0, d=1)  # 0.5
+BOUNDS = KappaPrediction("bounds", lower=1.0, upper=1.5)
+TOL = 0.125  # dyadic, so each edge is met exactly
+
+
+@pytest.mark.parametrize(
+    "prediction, median, verdict",
+    [
+        (EXACT, 0.5 + TOL, "pass"),
+        (EXACT, 0.5 - TOL, "pass"),
+        (EXACT, _up(0.5 + TOL), "fail"),
+        (EXACT, _down(0.5 - TOL), "fail"),
+        (BOUNDS, 1.0 - TOL, "pass"),
+        (BOUNDS, 1.5 + TOL, "pass"),
+        (BOUNDS, _down(1.0 - TOL), "fail"),
+        (BOUNDS, _up(1.5 + TOL), "fail"),
+        (theoretical_kappa(SAlphaS(0.5), gamma=1.0, d=1), 2.0 - TOL, "pass"),
+        (theoretical_kappa(Laplace(), gamma=1.0, d=1), 1.0, "pass"),
+        (theoretical_kappa(Laplace(), gamma=1.0, d=1), _down(1.0), "fail"),
+        (SPARSE_FLOOR, 0.09999999999999998, "pass"),
+        (SPARSE_FLOOR, _down(0.09999999999999998), "fail"),
+        (theoretical_kappa(Gaussian(1.0), gamma=0.4, d=1), 0.5, "unchecked"),
+        (theoretical_kappa(Gaussian(1.0), gamma=0.4, d=1), math.nan, "unchecked"),
+    ],
+)
+def test_verdict_rule_at_its_edges(prediction, median, verdict):
+    assert prediction.verdict(median, TOL) == verdict

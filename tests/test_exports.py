@@ -75,16 +75,24 @@ def test_perfbench_patch_points_are_looked_up(monkeypatch, tmp_path):
 
 def test_compare_outputs_runs_parseable_configs():
     # tools/compare_outputs.py parses perfbench's workload table without
-    # importing it and rewrites the sample configs to d=2; every text it runs
-    # must parse, or a byte-identity check would report failed runs only
+    # importing it and rewrites the sample configs to d=2, to tau0 = 0.25 and
+    # gaussian to an inadmissible gamma; every text it runs must parse, or a
+    # byte-identity check would report failed runs only
     spec = importlib.util.spec_from_file_location("compare", ROOT / "tools" / "compare_outputs.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     configs = [harness.parse_config(text) for _, text in tool.config_set(ROOT)]
-    samples = sorted((ROOT / "configs").glob("*.cfg"))
-    assert len(configs) == 2 * len(samples) + 2
-    workloads = configs[len(samples):len(samples) + 2]
+    n = len(list((ROOT / "configs").glob("*.cfg")))
+    assert len(configs) == 3 * n + 3
+    samples = configs[:n]
+    workloads = configs[n:n + 2]
     assert [(c.family, c.d, c.J) for c in workloads] == [("sas", 1, 20), ("laplace", 2, 12)]
-    d2 = configs[len(samples) + 2:]
-    assert [(c.d, c.J, c.gamma) for c in d2] == [(2, 9, 1.5)] * len(samples)
-    assert [c.family for c in d2] == [c.family for c in configs[:len(samples)]]
+    d2 = configs[n + 2:2 * n + 2]
+    assert [(c.d, c.J, c.gamma) for c in d2] == [(2, 9, 1.5)] * n
+    assert [c.family for c in d2] == [c.family for c in samples]
+    shifted = configs[2 * n + 2:3 * n + 2]
+    assert [(c.family, c.tau0) for c in shifted] == [(c.family, 0.25) for c in samples]
+    assert all(c.prediction().condition_satisfied for c in shifted)
+    (inadmissible,) = configs[3 * n + 2:]
+    assert (inadmissible.family, inadmissible.gamma) == ("gaussian", 0.4)
+    assert inadmissible.prediction().verdict(0.5, inadmissible.tolerance) == "unchecked"

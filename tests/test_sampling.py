@@ -196,7 +196,7 @@ def test_laplace_sigma_law_matches_gamma_difference_sampler():
     # KS at n = 64 and n = 256.
     grid = GridSpec(d=1, J=14)
     h = grid.cell_volume
-    params = BesovParams(tau=0.0, p=2.0, d=1)
+    params = BesovParams(tau=0.0, p=2.0)
     spec, symbol = WaveletSpec(k=4), FractionalLaplacian(1.0)
     n_values = np.array([64, 256])
 

@@ -205,15 +205,15 @@ def test_flat_buffer_layout(k, d, extra, tau, p, seed):
     assert all(np.shares_memory(arr, data) for _, _, arr in bands)
     np.testing.assert_array_equal(np.concatenate([arr.ravel() for _, _, arr in bands]), data)
 
-    params = BesovParams(tau=tau, p=p, d=d)
+    params = BesovParams(tau=tau, p=p)
     mags = weighted_magnitudes(coeffs, params)
-    per_band = [params.weight(j) * np.abs(arr).ravel() for j, _, arr in bands]
+    per_band = [params.weight(j, d) * np.abs(arr).ravel() for j, _, arr in bands]
     np.testing.assert_array_equal(mags, np.concatenate(per_band))
 
     n = seed % (data.size + 1)
     kept, _ = best_n_term(coeffs, params, n)
     assert len(set(kept)) == len(kept) == n
-    chosen = [params.weight(j) * abs(coeffs.levels[j][g][m]) for j, g, m in kept]
+    chosen = [params.weight(j, d) * abs(coeffs.levels[j][g][m]) for j, g, m in kept]
     np.testing.assert_array_equal(np.sort(chosen), np.sort(mags)[data.size - n:])
 
     scaling_only = np.zeros(coeffs.levels[0][0].size)

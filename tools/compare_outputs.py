@@ -8,7 +8,10 @@ configs:
   - the six sample configs/*.cfg;
   - the fine_1d and wide_2d workloads of perfbench/worker.py, whose WORKLOADS
     table is parsed from the file, not imported;
-  - the six sample configs again with d = 2, J = 9 and gamma = 1.5.
+  - the six sample configs again with d = 2, J = 9 and gamma = 1.5;
+  - the six sample configs again with tau0 = 0.25, all still admissible;
+  - configs/gaussian.cfg at gamma = 0.4 with allow_inadmissible = true, whose
+    verdict is "unchecked".
 The config texts come from CHANGE, so both sides run the same configs.  For
 each run it compares the sha256 of curves.csv, summary.json and plot.tsv and
 prints one line.  It exits 1 if any file differs or any run fails, and 0
@@ -29,6 +32,8 @@ OUTPUTS = ("curves.csv", "summary.json", "plot.tsv")
 THREADS = (1, 2)
 WORKLOADS = ("fine_1d", "wide_2d")
 D2_KEYS = {"d": "2", "J": "9", "gamma": "1.5"}
+TAU0_KEYS = {"tau0": "0.25"}
+INADMISSIBLE_KEYS = {"gamma": "0.4", "allow_inadmissible": "true"}
 
 
 def _workloads(worker: Path) -> dict:
@@ -58,6 +63,9 @@ def config_set(root: Path) -> list:
         + [(f"perfbench:{name}", workloads[name]) for name in WORKLOADS]
         + [(f"{label} at d=2 J=9 gamma=1.5", _with_keys(text, D2_KEYS))
            for label, text in samples]
+        + [(f"{label} at tau0=0.25", _with_keys(text, TAU0_KEYS)) for label, text in samples]
+        + [("configs/gaussian.cfg at gamma=0.4, inadmissible",
+            _with_keys(dict(samples)["configs/gaussian.cfg"], INADMISSIBLE_KEYS))]
     )
 
 
