@@ -40,10 +40,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to a key = value config file")
     p_run.add_argument("--output", help="output directory (overrides config)")
     p_run.add_argument("--threads", type=int, help="worker threads for trials")
+    p_run.set_defaults(handler=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run several configs and check the ordering")
     p_cmp.add_argument("configs", nargs="+", help="config file paths")
     p_cmp.add_argument("--threads", type=int)
+    p_cmp.set_defaults(handler=_cmd_compare)
 
     p_pre = sub.add_parser("predict", help="print the theoretical decay exponent")
     p_pre.add_argument("family", choices=list(FAMILIES))
@@ -54,6 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # the prediction depends on the family's indices only, which no other
     # family parameter changes
     p_pre.add_argument("--alpha", type=float, help="stability index for sas")
+    p_pre.set_defaults(handler=_cmd_predict)
     return parser
 
 
@@ -91,16 +94,10 @@ def _cmd_predict(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "predict":
-            return _cmd_predict(args)
+        return args.handler(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

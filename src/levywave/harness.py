@@ -14,7 +14,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import combinations
 from typing import Optional, get_type_hints
@@ -46,24 +46,20 @@ class ConfigError(ValueError):
     """Malformed or inadmissible experiment configuration."""
 
 
-def _reject_key(family: str, key: str):
-    if any(key in cls.config_keys() for cls in FAMILIES.values()):
-        raise ConfigError(f"key {key!r} not applicable to family {family!r}")
-    raise ConfigError(f"unknown key {key!r}")
+def exponent_from_params(family: str, params: dict) -> LevyExponent:
+    """Build a noise family from its config-file name and parameters.
 
-
-def _family_keys(family: str) -> dict:
+    The one judge of family keys: it names the first key, in the order of
+    params, that the family does not take."""
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}")
-    return FAMILIES[family].config_keys()
-
-
-def exponent_from_params(family: str, params: dict) -> LevyExponent:
-    """Build a noise family from its config-file name and parameters."""
-    keys = _family_keys(family)
+    keys = FAMILIES[family].config_keys()
     for key in params:
-        if key not in keys:
-            _reject_key(family, key)
+        if key in keys:
+            continue
+        if any(key in cls.config_keys() for cls in FAMILIES.values()):
+            raise ConfigError(f"key {key!r} not applicable to family {family!r}")
+        raise ConfigError(f"unknown key {key!r}")
     return FAMILIES[family].from_params(params)
 
 
@@ -114,7 +110,7 @@ class ExperimentConfig:
         return theoretical_kappa(self.exponent(), self.gamma, self.d, self.p0, self.tau0)
 
     def validate(self) -> None:
-        self.exponent()
+        exponent = self.exponent()
         self.grid()
         # the torus has volume 1, so a trial draws about `rate` jumps
         if self.params.get("rate", 0.0) > _MAX_CELLS:
@@ -133,7 +129,7 @@ class ExperimentConfig:
         inside = int(np.count_nonzero((n_values >= lo) & (n_values <= hi)))
         if inside < 5:
             raise ConfigError(f"fit window [{lo}, {hi}] must hold at least 5 points, got {inside}")
-        formula, bound = admissibility(self.exponent(), self.d, self.p0, self.tau0)
+        formula, bound = admissibility(exponent, self.d, self.p0, self.tau0)
         if not self.gamma > bound and not self.allow_inadmissible:
             raise ConfigError(
                 f"config violates the admissibility inequality "
@@ -141,36 +137,33 @@ class ExperimentConfig:
                 f"to run anyway"
             )
 
+    def record(self) -> dict:
+        """The settings that fix a run's outputs, in field order: every field
+        but allow_inadmissible and output, params copied, the fit window
+        resolved.  The config hash and summary.json both come from it."""
+        record = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name not in ("allow_inadmissible", "output")}
+        record["params"] = dict(self.params)
+        record["fit_lo"], record["fit_hi"] = self.fit_range()
+        return record
+
     def canonical_text(self) -> str:
-        items = {
-            "family": self.family,
-            **{k: _fmt_value(v) for k, v in sorted(self.params.items())},
-            "operator": self.operator,
-            "gamma": _fmt_value(self.gamma),
-            "d": self.d,
-            "J": self.J,
-            "k": self.k,
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "p0": _fmt_value(self.p0),
-            "tau0": _fmt_value(self.tau0),
-            # the n grid is always dyadic; the line stays so that the hashes
-            # of existing outputs remain valid
-            "n_grid": "dyadic",
-            "fit_lo": self.fit_range()[0],
-            "fit_hi": self.fit_range()[1],
-            "tolerance": _fmt_value(self.tolerance),
-        }
-        return "".join(f"{k} = {v}\n" for k, v in items.items())
+        items = {}
+        for key, value in self.record().items():
+            if key == "fit_lo":
+                # the n grid is always dyadic; the line stays so that the
+                # hashes of existing outputs remain valid
+                items["n_grid"] = "dyadic"
+            items.update(sorted(value.items()) if key == "params" else [(key, value)])
+        return "".join(f"{k} = {_fmt_value(v)}\n" for k, v in items.items())
 
     def sha256(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
 def _fmt_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    # float() first: a numpy float's repr names its type
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 _BOOL_TOKENS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -215,17 +208,16 @@ def parse_config(text: str) -> ExperimentConfig:
     if "family" not in raw:
         raise ConfigError("missing required key 'family'")
     family = raw.pop("family")[1]
-    family_keys = _family_keys(family)
+    # only typed here: validate() names an unknown family or a key it does not take
+    family_keys = FAMILIES[family].config_keys() if family in FAMILIES else {}
 
     params = {}
     kwargs = {}
     for key, (lineno, value) in raw.items():
         if key in _GENERAL_KEYS:
             kwargs[key] = _parse_value(key, value, _GENERAL_KEYS[key], lineno)
-        elif key in family_keys:
-            params[key] = _parse_value(key, value, family_keys[key], lineno)
         else:
-            _reject_key(family, key)
+            params[key] = _parse_value(key, value, family_keys.get(key, str), lineno)
 
     config = ExperimentConfig(family=family, params=params, **kwargs)
     config.validate()
@@ -389,20 +381,10 @@ def _json_safe(value):
 
 def summary_record(report: ExperimentReport) -> dict:
     config = report.config
+    settings = config.record()
+    del settings["tolerance"]  # summary.json has never carried it
     return {
-        "family": config.family,
-        "params": dict(config.params),
-        "operator": config.operator,
-        "gamma": config.gamma,
-        "d": config.d,
-        "J": config.J,
-        "k": config.k,
-        "trials": config.trials,
-        "base_seed": config.base_seed,
-        "p0": config.p0,
-        "tau0": config.tau0,
-        "fit_lo": config.fit_range()[0],
-        "fit_hi": config.fit_range()[1],
+        **settings,
         "kappa_values": [_json_safe(v) for v in report.kappa_values],
         "kappa_median": _json_safe(report.kappa_median),
         "kappa_iqr": [_json_safe(report.kappa_q1), _json_safe(report.kappa_q3)],

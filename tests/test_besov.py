@@ -108,6 +108,13 @@ def test_sigma_curve_monotone_and_exhausts():
     assert sigma[-1] == 0.0
 
 
+@pytest.mark.parametrize("n_grid", [[], [4, 4], [8, 4]], ids=["empty", "repeated", "descending"])
+def test_sigma_curve_rejects_a_grid_that_does_not_ascend(n_grid):
+    coeffs = zero_pyramid(d=1, zeta=0, j_max=3)
+    with pytest.raises(ValueError, match="^n grid must be non-empty and strictly ascending$"):
+        sigma_curve(coeffs, BesovParams(tau=0.5, p=2.0), n_grid)
+
+
 def test_sigma_curve_five_nonzeros():
     coeffs = zero_pyramid(d=1, zeta=0, j_max=3)
     coeffs.levels[3][1][:5] = [5.0, 4.0, 3.0, 2.0, 1.0]

@@ -244,3 +244,23 @@ TOL = 0.125  # dyadic, so each edge is met exactly
 )
 def test_verdict_rule_at_its_edges(prediction, median, verdict):
     assert prediction.verdict(median, TOL) == verdict
+
+
+@pytest.mark.parametrize(
+    "prediction, describe, sort_key, record",
+    [
+        (EXACT, "exact 0.5", 0.5, {"kind": "exact", "condition_satisfied": True, "value": 0.5}),
+        (BOUNDS, "bounds [1, 1.5]", 1.0,
+         {"kind": "bounds", "condition_satisfied": True, "lower": 1.0, "upper": 1.5}),
+        (SPARSE_FLOOR, "infinite (faster than any polynomial)", math.inf,
+         {"kind": "infinite", "condition_satisfied": True}),
+        (theoretical_kappa(Gaussian(1.0), gamma=0.4, d=1),
+         "no prediction (admissibility condition not met)", math.nan,
+         {"kind": None, "condition_satisfied": False}),
+    ],
+    ids=["exact", "bounds", "infinite", "none"],
+)
+def test_prediction_describe_sort_key_and_record(prediction, describe, sort_key, record):
+    assert prediction.describe() == describe
+    np.testing.assert_equal(prediction.sort_key(), sort_key)
+    assert prediction.record() == record

@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ import pytest
 from levywave import (
     FAMILIES,
     ConfigError,
+    KappaPrediction,
     WaveletSpec,
     compare_families,
     dwt_periodic,
@@ -226,6 +228,15 @@ def test_emit_outputs_counts_and_determinism(tmp_path):
     assert blobs1 == blobs2
 
 
+def test_emit_outputs_needs_a_directory(tmp_path):
+    report = run_experiment(_small_config(trials=1, output=None), threads=1)
+    message = "^no output directory: set config 'output' or pass out_dir$"
+    with pytest.raises(ValueError, match=message):
+        emit_outputs(report)
+    report.config.output = str(tmp_path / "from_config")
+    assert emit_outputs(report)[0] == str(tmp_path / "from_config" / "curves.csv")
+
+
 def test_summary_handles_infinite_kappa(tmp_path):
     # a trial with no jumps yields a zero field and an infinite fitted rate
     config = _small_config(family="compound_poisson", params={"rate": 1.0}, trials=3, base_seed=11)
@@ -240,6 +251,8 @@ def test_compare_families_requires_shared_scale():
     b = _small_config(gamma=1.5)
     with pytest.raises(ConfigError, match="share"):
         compare_families([a, b])
+    with pytest.raises(ConfigError, match="^compare_families needs at least one config$"):
+        compare_families([])
 
 
 def test_compare_families_single_config_trivial():
@@ -258,6 +271,32 @@ def test_compare_families_two_stable_indices():
     labels = [e.label for e in report.entries]
     assert labels == ["sas(alpha=1.5)", "sas(alpha=0.8)"]
     assert report.entries[0].kappa_median < report.entries[1].kappa_median
+
+
+def test_comparison_table_rows_and_inversions():
+    # one row per prediction kind; equal medians count as an inversion
+    rows = [
+        ("gaussian", KappaPrediction("exact", value=0.5), 1.25),
+        ("sas(alpha=1.5)", KappaPrediction("bounds", lower=0.5, upper=2 / 3), 1.25),
+        ("laplace", KappaPrediction("infinite", lower=1.0), 2.0),
+        ("inadmissible", KappaPrediction(None), 0.5),
+    ]
+    entries = [harness.ComparisonEntry(*row) for row in rows]
+    inversions = [("gaussian", "sas(alpha=1.5)"), ("sas(alpha=1.5)", "laplace")]
+    report = harness.ComparisonReport(entries, inversions)
+    assert not report.ok
+    assert report.table().splitlines() == [
+        "family                       theory                           median kappa",
+        "gaussian                     exact 0.5                              1.2500",
+        "sas(alpha=1.5)               bounds [0.5, 0.666667]                 1.2500",
+        "laplace                      infinite (faster than any polynomial)       2.0000",
+        "inadmissible                 no prediction (admissibility condition not met)       0.5000",
+        "INVERSION: gaussian measured above sas(alpha=1.5)",
+        "INVERSION: sas(alpha=1.5) measured above laplace",
+    ]
+    assert harness.ComparisonReport(entries, []).table().splitlines()[-1] == (
+        "ordering matches theory (no inversions)"
+    )
 
 
 def test_trial_failure_is_diagnosed():
@@ -438,6 +477,20 @@ def test_sample_config_hashes_are_pinned():
     assert hashes == SAMPLE_CONFIG_SHA256
 
 
+def test_config_record_and_hash_ignore_numpy_scalar_types():
+    # a setting given as a numpy scalar records and hashes as its Python value
+    config = load_config(pathlib.Path(__file__).resolve().parents[1] / "configs" / "gaussian.cfg")
+    numpy_config = dataclasses.replace(
+        config, gamma=np.float64(config.gamma), trials=np.int64(config.trials)
+    )
+    assert numpy_config.canonical_text() == config.canonical_text()
+    assert numpy_config.record() == config.record()
+    record = config.record()
+    assert "output" not in record and "allow_inadmissible" not in record
+    assert (record["fit_lo"], record["fit_hi"]) == config.fit_range()
+    assert record["params"] == config.params and record["params"] is not config.params
+
+
 def test_cli_run_small(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
@@ -451,10 +504,25 @@ def test_cli_run_small(tmp_path, capsys):
     assert (tmp_path / "out" / "summary.json").exists()
 
 
-def test_cli_run_bad_config(tmp_path, capsys):
-    cfg = _write_config(tmp_path, "family = gaussian\nnonsense = 1\n")
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("family = gaussian\nnonsense = 1\n", "unknown key 'nonsense'"),
+        ("family = bogus\n", "unknown family 'bogus'"),
+        ("family = gaussian\noperator = wave\n", "unknown operator 'wave'"),
+        ("family = gaussian\ntrials = 0\n", "trials must be >= 1, got 0"),
+        ("family = gaussian\njust words\n", "line 2: expected 'key = value', got 'just words'"),
+        # the first wrong key in file order is named, not the first in sorted order
+        ("family = gaussian\nrate = 2\nalpha = 1\n",
+         "key 'rate' not applicable to family 'gaussian'"),
+    ],
+    ids=["unknown_key", "unknown_family", "unknown_operator", "zero_trials", "no_equals",
+         "two_wrong_family_keys"],
+)
+def test_cli_run_bad_config(tmp_path, capsys, text, message):
+    cfg = _write_config(tmp_path, text)
     assert cli_main(["run", str(cfg)]) == 2
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -482,6 +550,21 @@ def test_cli_compare(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "family" in out and "median" in out
     assert code in (0, 1)
+
+
+def test_cli_compare_exits_1_on_an_inversion(monkeypatch, tmp_path, capsys):
+    # every trial fits kappa = 1, so laplace (infinite) does not measure above gaussian
+    def flat_trial(config, index):
+        return np.ones(len(config.n_values())), 1.0, 0.0
+
+    monkeypatch.setattr(harness, "_run_trial", flat_trial)
+    base = "J = 10\nk = 2\ntrials = 3\nfit_lo = 4\nfit_hi = 256\n"
+    a = _write_config(tmp_path, "family = laplace\n" + base, "a.cfg")
+    b = _write_config(tmp_path, "family = gaussian\n" + base, "b.cfg")
+    assert cli_main(["compare", str(a), str(b), "--threads", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out[1:3]] == ["gaussian", "laplace"]
+    assert out[3:] == ["INVERSION: gaussian measured above laplace"]
 
 
 def test_load_config_from_file(tmp_path):

@@ -13,9 +13,11 @@ configs:
   - configs/gaussian.cfg at gamma = 0.4 with allow_inadmissible = true, whose
     verdict is "unchecked".
 The config texts come from CHANGE, so both sides run the same configs.  For
-each run it compares the sha256 of curves.csv, summary.json and plot.tsv and
-prints one line.  It exits 1 if any file differs or any run fails, and 0
-otherwise.  A failed verdict (exit code 1) is a completed run.
+each run it compares the sha256 of curves.csv, summary.json and plot.tsv,
+what `levywave run` printed (with the side's output directory in the
+`wrote ...` lines replaced by OUT) and its exit code, and prints one line.
+It exits 1 if anything differs or any run fails, and 0 otherwise.  A failed
+verdict (exit code 1) is a completed run.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 OUTPUTS = ("curves.csv", "summary.json", "plot.tsv")
+CHECKS = OUTPUTS + ("stdout", "exit code")
 THREADS = (1, 2)
 WORKLOADS = ("fine_1d", "wide_2d")
 D2_KEYS = {"d": "2", "J": "9", "gamma": "1.5"}
@@ -70,7 +73,7 @@ def config_set(root: Path) -> list:
 
 
 def _run(checkout: Path, cfg: Path, out: Path, threads: int):
-    """sha256 per output file of one run, or an error message."""
+    """sha256 per output file, stdout and exit code of one run, or an error message."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "levywave.cli", "run", str(cfg), "--output", str(out),
@@ -83,7 +86,11 @@ def _run(checkout: Path, cfg: Path, out: Path, threads: int):
     missing = [name for name in OUTPUTS if not (out / name).is_file()]
     if missing:
         return f"wrote no {', '.join(missing)}"
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS}
+    return {
+        **{name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS},
+        "stdout": proc.stdout.replace(str(out), "OUT"),
+        "exit code": proc.returncode,
+    }
 
 
 def main(argv) -> int:
@@ -106,7 +113,7 @@ def main(argv) -> int:
                 if errors:
                     verdict = "FAILED     " + "; ".join(errors)
                 else:
-                    differ = [name for name in OUTPUTS if results[0][name] != results[1][name]]
+                    differ = [name for name in CHECKS if results[0][name] != results[1][name]]
                     verdict = f"DIFFERS    {', '.join(differ)}" if differ else "identical"
                 failed += verdict != "identical"
                 print(f"threads={threads}  {label}: {verdict}", flush=True)
