@@ -27,6 +27,7 @@ from .sampling import (
 from .spectral import (
     FractionalLaplacian,
     Matern,
+    OPERATORS,
     apply_inverse_operator,
     forward_fft,
     inverse_fft,

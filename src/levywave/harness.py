@@ -25,7 +25,7 @@ from . import __version__
 from .besov import BesovParams, estimate_kappa, sigma_curve
 from .exponents import FAMILIES, KappaPrediction, LevyExponent, admissibility, theoretical_kappa
 from .sampling import _MAX_CELLS, GridSpec, trial_seed
-from .spectral import FractionalLaplacian, Matern, synthesize_process
+from .spectral import OPERATORS, synthesize_process
 from .wavelets import WaveletSpec, dwt_periodic
 
 __all__ = [
@@ -89,11 +89,9 @@ class ExperimentConfig:
         return GridSpec(d=self.d, J=self.J)
 
     def symbol(self):
-        if self.operator == "fractional_laplacian":
-            return FractionalLaplacian(gamma=self.gamma)
-        if self.operator == "matern":
-            return Matern(gamma=self.gamma)
-        raise ConfigError(f"unknown operator {self.operator!r}")
+        if self.operator not in OPERATORS:
+            raise ConfigError(f"unknown operator {self.operator!r}")
+        return OPERATORS[self.operator](gamma=self.gamma)
 
     def wavelet_spec(self) -> WaveletSpec:
         return WaveletSpec(k=self.k)
@@ -328,9 +326,10 @@ class ComparisonReport:
         return not self.inversions
 
     def table(self) -> str:
-        lines = [f"{'family':<28} {'theory':<32} {'median kappa':>12}"]
-        for e in self.entries:
-            lines.append(f"{e.label:<28} {e.theory.describe():<32} {e.kappa_median:>12.4f}")
+        rows = [("family", "theory", "median kappa")]
+        rows += [(e.label, e.theory.describe(), f"{e.kappa_median:.4f}") for e in self.entries]
+        label_w, theory_w = (max(len(row[i]) for row in rows) for i in (0, 1))
+        lines = [f"{a:<{label_w}} {b:<{theory_w}} {c:>12}" for a, b, c in rows]
         if self.inversions:
             for a, b in self.inversions:
                 lines.append(f"INVERSION: {a} measured above {b}")

@@ -12,6 +12,7 @@ immaterial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .sampling import GridSpec, generate_noise
 __all__ = [
     "FractionalLaplacian",
     "Matern",
-    "OperatorSymbol",
+    "OPERATORS",
     "frequency_lattice",
     "forward_fft",
     "inverse_fft",
@@ -37,16 +38,10 @@ def frequency_lattice(grid: GridSpec):
     return (full,) * (grid.d - 1) + (half,)
 
 
-def _squared_norms(grid: GridSpec) -> np.ndarray:
-    axes = frequency_lattice(grid)
-    if grid.d == 1:
-        return axes[0] ** 2
-    return axes[0][:, None] ** 2 + axes[1][None, :] ** 2
-
-
 @dataclass(frozen=True)
-class FractionalLaplacian:
-    """Symbol |m|^gamma; order gamma > 0."""
+class _RadialSymbol:
+    """Symbol (shift + |m|^2)^(gamma/2); order gamma > 0.  A subclass sets its
+    config name operator_name and its shift, 0 or 1."""
 
     gamma: float
 
@@ -55,30 +50,32 @@ class FractionalLaplacian:
             raise ParameterError(f"order gamma must be positive, got {self.gamma}")
 
     def evaluate(self, grid: GridSpec) -> np.ndarray:
-        m2 = _squared_norms(grid)
-        with np.errstate(divide="ignore"):
-            m2 **= self.gamma / 2.0
-        return m2
-
-
-@dataclass(frozen=True)
-class Matern:
-    """Symbol (1 + |m|^2)^(gamma/2); order gamma > 0."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ParameterError(f"order gamma must be positive, got {self.gamma}")
-
-    def evaluate(self, grid: GridSpec) -> np.ndarray:
-        m2 = _squared_norms(grid)
-        m2 += 1.0
+        # the shift joins the 1-D last-axis table before the broadcast: every
+        # term is an integer below 2^53, so each sum is exact in any order
+        axes = frequency_lattice(grid)
+        m2 = axes[-1] ** 2
+        m2 += self.shift
+        if grid.d == 2:
+            m2 = axes[0][:, None] ** 2 + m2[None, :]
         m2 **= self.gamma / 2.0
         return m2
 
 
-OperatorSymbol = FractionalLaplacian | Matern
+class FractionalLaplacian(_RadialSymbol):
+    """Symbol |m|^gamma; order gamma > 0."""
+
+    operator_name: ClassVar[str] = "fractional_laplacian"
+    shift: ClassVar[float] = 0.0
+
+
+class Matern(_RadialSymbol):
+    """Symbol (1 + |m|^2)^(gamma/2); order gamma > 0."""
+
+    operator_name: ClassVar[str] = "matern"
+    shift: ClassVar[float] = 1.0
+
+
+OPERATORS = {cls.operator_name: cls for cls in (FractionalLaplacian, Matern)}
 
 
 def forward_fft(values: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -110,7 +107,7 @@ def inverse_fft(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def apply_inverse_operator(
-    coeffs: np.ndarray, symbol: OperatorSymbol, grid: GridSpec
+    coeffs: np.ndarray, symbol: _RadialSymbol, grid: GridSpec
 ) -> np.ndarray:
     """Divide a half spectrum by the symbol off the zero frequency:
     s_hat(m) = w_hat(m)/L_hat(m), in place; returns coeffs."""
@@ -125,7 +122,7 @@ def apply_inverse_operator(
 def synthesize_process(
     exponent: LevyExponent,
     grid: GridSpec,
-    symbol: OperatorSymbol,
+    symbol: _RadialSymbol,
     seed: int,
 ) -> np.ndarray:
     """One realization of the process solving (operator) s = noise, zero mean."""

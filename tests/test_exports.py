@@ -75,15 +75,16 @@ def test_perfbench_patch_points_are_looked_up(monkeypatch, tmp_path):
 
 def test_compare_outputs_runs_parseable_configs():
     # tools/compare_outputs.py parses perfbench's workload table without
-    # importing it and rewrites the sample configs to d=2, to tau0 = 0.25 and
-    # gaussian to an inadmissible gamma; every text it runs must parse, or a
-    # byte-identity check would report failed runs only
+    # importing it and rewrites the sample configs to d=2, to tau0 = 0.25, to
+    # the matern operator at d=1 and d=2, and gaussian to an inadmissible
+    # gamma; every text it runs must parse, or a byte-identity check would
+    # report failed runs only
     spec = importlib.util.spec_from_file_location("compare", ROOT / "tools" / "compare_outputs.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     configs = [harness.parse_config(text) for _, text in tool.config_set(ROOT)]
     n = len(list((ROOT / "configs").glob("*.cfg")))
-    assert len(configs) == 3 * n + 3
+    assert len(configs) == 5 * n + 3
     samples = configs[:n]
     workloads = configs[n:n + 2]
     assert [(c.family, c.d, c.J) for c in workloads] == [("sas", 1, 20), ("laplace", 2, 12)]
@@ -93,6 +94,12 @@ def test_compare_outputs_runs_parseable_configs():
     shifted = configs[2 * n + 2:3 * n + 2]
     assert [(c.family, c.tau0) for c in shifted] == [(c.family, 0.25) for c in samples]
     assert all(c.prediction().condition_satisfied for c in shifted)
-    (inadmissible,) = configs[3 * n + 2:]
+    (inadmissible,) = configs[3 * n + 2:3 * n + 3]
     assert (inadmissible.family, inadmissible.gamma) == ("gaussian", 0.4)
     assert inadmissible.prediction().verdict(0.5, inadmissible.tolerance) == "unchecked"
+    assert all(c.operator == "fractional_laplacian" for c in configs[:3 * n + 3])
+    matern, matern_d2 = configs[3 * n + 3:4 * n + 3], configs[4 * n + 3:]
+    assert [(c.family, c.operator, c.d, c.J, c.gamma) for c in matern] == [
+        (c.family, "matern", 1, c.J, c.gamma) for c in samples]
+    assert [(c.family, c.operator, c.d, c.J, c.gamma) for c in matern_d2] == [
+        (c.family, "matern", 2, 9, 1.5) for c in samples]

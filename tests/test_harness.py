@@ -9,6 +9,7 @@ import pytest
 
 from levywave import (
     FAMILIES,
+    OPERATORS,
     ConfigError,
     KappaPrediction,
     WaveletSpec,
@@ -39,7 +40,6 @@ trials = 4
 base_seed = 4242
 fit_lo = 4
 fit_hi = 128
-output = none   # placeholder, overridden in tests
 """
 
 
@@ -229,7 +229,7 @@ def test_emit_outputs_counts_and_determinism(tmp_path):
 
 
 def test_emit_outputs_needs_a_directory(tmp_path):
-    report = run_experiment(_small_config(trials=1, output=None), threads=1)
+    report = run_experiment(_small_config(trials=1), threads=1)
     message = "^no output directory: set config 'output' or pass out_dir$"
     with pytest.raises(ValueError, match=message):
         emit_outputs(report)
@@ -286,11 +286,11 @@ def test_comparison_table_rows_and_inversions():
     report = harness.ComparisonReport(entries, inversions)
     assert not report.ok
     assert report.table().splitlines() == [
-        "family                       theory                           median kappa",
-        "gaussian                     exact 0.5                              1.2500",
-        "sas(alpha=1.5)               bounds [0.5, 0.666667]                 1.2500",
-        "laplace                      infinite (faster than any polynomial)       2.0000",
-        "inadmissible                 no prediction (admissibility condition not met)       0.5000",
+        "family         theory                                          median kappa",
+        "gaussian       exact 0.5                                             1.2500",
+        "sas(alpha=1.5) bounds [0.5, 0.666667]                                1.2500",
+        "laplace        infinite (faster than any polynomial)                 2.0000",
+        "inadmissible   no prediction (admissibility condition not met)       0.5000",
         "INVERSION: gaussian measured above sas(alpha=1.5)",
         "INVERSION: sas(alpha=1.5) measured above laplace",
     ]
@@ -315,7 +315,7 @@ def test_trial_exception_is_the_same_at_any_thread_count(monkeypatch, tmp_path, 
     with pytest.raises(ValueError, match="trial 0 cannot fit") as info:
         run_experiment(_small_config(trials=3), threads=threads)
     assert type(info.value) is ValueError
-    cfg = _write_config(tmp_path, SMALL.replace("output = none", ""))
+    cfg = _write_config(tmp_path, SMALL)
     assert cli_main(["run", str(cfg), "--threads", str(threads)]) == 2
     assert "error: trial 0 cannot fit" in capsys.readouterr().err
 
@@ -504,6 +504,17 @@ def test_cli_run_small(tmp_path, capsys):
     assert (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("name", list(OPERATORS))
+def test_operator_key_selects_its_symbol_and_runs(name):
+    config = parse_config(SMALL.replace("trials = 4", "trials = 2") + f"operator = {name}\n")
+    config.validate()
+    symbol = config.symbol()
+    assert type(symbol) is OPERATORS[name] and symbol.gamma == config.gamma
+    report = run_experiment(config, threads=1)
+    assert report.sigma.shape == (2, 6) and np.all(np.isfinite(report.kappa_values))
+    assert summary_record(report)["operator"] == name
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -590,7 +601,7 @@ def test_threads_below_one_rejected(monkeypatch, tmp_path, capsys, threads):
     monkeypatch.setattr(harness, "_run_trial", no_trial)
     with pytest.raises(ConfigError, match=f"threads must be >= 1, got {threads}"):
         run_experiment(_small_config(), threads=threads)
-    cfg = _write_config(tmp_path, SMALL.replace("output = none", ""))
+    cfg = _write_config(tmp_path, SMALL)
     for command in ("run", "compare"):
         assert cli_main([command, str(cfg), "--threads", str(threads)]) == 2
         assert f"error: threads must be >= 1, got {threads}" in capsys.readouterr().err

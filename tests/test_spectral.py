@@ -9,6 +9,7 @@ from levywave import (
     GridSpec,
     Laplace,
     Matern,
+    OPERATORS,
     ParameterError,
     apply_inverse_operator,
     forward_fft,
@@ -133,7 +134,7 @@ def test_forward_operator_examples():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from([FractionalLaplacian, Matern]),
+    kind=st.sampled_from(list(OPERATORS.values())),
     gamma=st.floats(min_value=0.0, max_value=8.0, exclude_min=True),
     d=st.sampled_from([1, 2]),
     J=st.integers(min_value=1, max_value=6),

@@ -11,7 +11,9 @@ configs:
   - the six sample configs again with d = 2, J = 9 and gamma = 1.5;
   - the six sample configs again with tau0 = 0.25, all still admissible;
   - configs/gaussian.cfg at gamma = 0.4 with allow_inadmissible = true, whose
-    verdict is "unchecked".
+    verdict is "unchecked";
+  - the six sample configs again with operator = matern, and once more with
+    operator = matern at d = 2, J = 9 and gamma = 1.5.
 The config texts come from CHANGE, so both sides run the same configs.  For
 each run it compares the sha256 of curves.csv, summary.json and plot.tsv,
 what `levywave run` printed (with the side's output directory in the
@@ -37,6 +39,7 @@ WORKLOADS = ("fine_1d", "wide_2d")
 D2_KEYS = {"d": "2", "J": "9", "gamma": "1.5"}
 TAU0_KEYS = {"tau0": "0.25"}
 INADMISSIBLE_KEYS = {"gamma": "0.4", "allow_inadmissible": "true"}
+MATERN_KEYS = {"operator": "matern"}
 
 
 def _workloads(worker: Path) -> dict:
@@ -69,6 +72,9 @@ def config_set(root: Path) -> list:
         + [(f"{label} at tau0=0.25", _with_keys(text, TAU0_KEYS)) for label, text in samples]
         + [("configs/gaussian.cfg at gamma=0.4, inadmissible",
             _with_keys(dict(samples)["configs/gaussian.cfg"], INADMISSIBLE_KEYS))]
+        + [(f"{label} under matern", _with_keys(text, MATERN_KEYS)) for label, text in samples]
+        + [(f"{label} under matern at d=2 J=9 gamma=1.5",
+            _with_keys(text, {**MATERN_KEYS, **D2_KEYS})) for label, text in samples]
     )
 
 
