@@ -7,25 +7,9 @@ Exit codes: 0 when the requested check passes, 1 on a verdict failure,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
-from .exponents import FAMILIES, theoretical_kappa
-from .harness import (
-    ConfigError,
-    compare_families,
-    emit_outputs,
-    exponent_from_params,
-    load_config,
-    run_experiment,
-)
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+from .harness import compare_families, emit_outputs, load_config, parse_settings, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,14 +32,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(handler=_cmd_compare)
 
     p_pre = sub.add_parser("predict", help="print the theoretical decay exponent")
-    p_pre.add_argument("family", choices=list(FAMILIES))
-    p_pre.add_argument("gamma", type=_finite_float)
-    p_pre.add_argument("d", type=int)
-    p_pre.add_argument("p0", type=_finite_float, nargs="?", default=2.0)
-    p_pre.add_argument("tau0", type=_finite_float, nargs="?", default=0.0)
-    # the prediction depends on the family's indices only, which no other
-    # family parameter changes
-    p_pre.add_argument("--alpha", type=float, help="stability index for sas")
+    # each token is one config line; settings the prediction does not read
+    # (J, k, operator, ...) are typed and ignored
+    p_pre.add_argument("settings", nargs="+", metavar="key=value",
+                       help="config settings, each one config line")
     p_pre.set_defaults(handler=_cmd_predict)
     return parser
 
@@ -84,10 +64,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    params = {} if args.alpha is None else {"alpha": args.alpha}
-    exponent = exponent_from_params(args.family, params)
-    prediction = theoretical_kappa(exponent, args.gamma, args.d, args.p0, args.tau0)
-    print(prediction.describe())
+    # not validated: any d >= 1 gets a prediction, inadmissible settings "no prediction"
+    print(parse_settings("\n".join(args.settings)).prediction().describe())
     return 0
 
 
@@ -95,7 +73,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -151,6 +151,11 @@ class _Family:
 # jumps below _LAPLACE_EPS.
 
 
+# memory guard on a trial's jumps, about `rate` of them on the torus of volume 1:
+# a jump costs 16 bytes while drawn, so the bound is sampling's cell bound
+_MAX_JUMPS = 1 << 26
+
+
 def _bin_jumps(cell_rate: float, draw_sizes, rng, shape):
     """Poisson(cell_rate * cells) jumps in uniform cells, sizes from draw_sizes(rng,
     count), summed per cell: in law, independent compound Poisson draws per cell."""
@@ -183,7 +188,6 @@ class Gaussian(_Family):
 
     sigma2: float = 1.0
     family_name: ClassVar[str] = "gaussian"
-    is_gaussian: ClassVar[bool] = True
 
     def __post_init__(self):
         if not self.sigma2 > 0:
@@ -206,7 +210,6 @@ class SAlphaS(_Family):
 
     alpha: float
     family_name: ClassVar[str] = "sas"
-    is_gaussian: ClassVar[bool] = False
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
@@ -256,11 +259,14 @@ class CompoundPoisson(_Family):
     rate: float = 1.0
     jumps: JumpDistribution = GaussianJump()
     family_name: ClassVar[str] = "compound_poisson"
-    is_gaussian: ClassVar[bool] = False
 
     def __post_init__(self):
         if not self.rate > 0:
             raise ParameterError(f"rate must be positive, got {self.rate}")
+        if self.rate > _MAX_JUMPS:
+            raise ParameterError(
+                f"memory guard: key 'rate' = {self.rate:g} jumps per trial exceeds {_MAX_JUMPS}"
+            )
 
     @classmethod
     def config_keys(cls) -> dict:
@@ -295,7 +301,6 @@ class Laplace(_Family):
     """Laplace noise, psi(xi) = -log(1 + xi^2)."""
 
     family_name: ClassVar[str] = "laplace"
-    is_gaussian: ClassVar[bool] = False
 
     def psi(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -321,7 +326,6 @@ class InverseGaussian(_Family):
     delta: float = 1.0
     ig_gamma: float = 1.0
     family_name: ClassVar[str] = "inverse_gaussian"
-    is_gaussian: ClassVar[bool] = False
 
     def __post_init__(self):
         if not (self.delta > 0 and self.ig_gamma > 0):
@@ -462,7 +466,7 @@ def admissibility(exponent: LevyExponent, d: int, p0: float = 2.0, tau0: float =
         raise ParameterError(f"dimension must be >= 1, got {d}")
     if not p0 > 0:
         raise ParameterError(f"p0 must be positive, got {p0}")
-    if exponent.is_gaussian:
+    if isinstance(exponent, Gaussian):
         return "gamma > tau0 + d/2", tau0 + d / 2.0
     return "gamma > tau0 + d - d/p0", tau0 + d - d / p0
 
@@ -487,7 +491,7 @@ def theoretical_kappa(
     if not gamma > admissibility(exponent, d, p0, tau0)[1]:
         return KappaPrediction(kind=None)
     gaussian_rate = (gamma - tau0) / d - 0.5
-    if exponent.is_gaussian:
+    if isinstance(exponent, Gaussian):
         return KappaPrediction("exact", value=gaussian_rate)
     idx = exponent.indices()
     if idx.beta == 0.0:

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .besov import BesovParams, estimate_kappa, sigma_curve
 from .exponents import FAMILIES, KappaPrediction, LevyExponent, admissibility, theoretical_kappa
-from .sampling import _MAX_CELLS, GridSpec, trial_seed
+from .sampling import GridSpec, trial_seed
 from .spectral import OPERATORS, synthesize_process
 from .wavelets import WaveletSpec, dwt_periodic
 
@@ -34,6 +34,7 @@ __all__ = [
     "ExperimentReport",
     "ComparisonEntry",
     "ComparisonReport",
+    "parse_settings",
     "parse_config",
     "load_config",
     "exponent_from_params",
@@ -110,12 +111,6 @@ class ExperimentConfig:
     def validate(self) -> None:
         exponent = self.exponent()
         self.grid()
-        # the torus has volume 1, so a trial draws about `rate` jumps
-        if self.params.get("rate", 0.0) > _MAX_CELLS:
-            raise ConfigError(
-                f"memory guard: key 'rate' = {self.params['rate']:g} jumps per trial "
-                f"exceeds {_MAX_CELLS}"
-            )
         self.symbol()
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
@@ -189,8 +184,9 @@ def _parse_value(key: str, text: str, kind, lineno: int):
     return value
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Strict key = value parser; '#' starts a comment, unknown keys are errors."""
+def parse_settings(text: str) -> ExperimentConfig:
+    """Strict key = value reader: '#' starts a comment, values are typed and
+    finite, and the config is not validated."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -217,7 +213,12 @@ def parse_config(text: str) -> ExperimentConfig:
         else:
             params[key] = _parse_value(key, value, family_keys.get(key, str), lineno)
 
-    config = ExperimentConfig(family=family, params=params, **kwargs)
+    return ExperimentConfig(family=family, params=params, **kwargs)
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """parse_settings, then validate(): unknown keys and inadmissible settings are errors."""
+    config = parse_settings(text)
     config.validate()
     return config
 

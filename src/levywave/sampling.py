@@ -28,7 +28,7 @@ _MASK64 = (1 << 64) - 1
 # the interpreter's) is 16 bytes per cell in d=2 (laplace J=12, two fields, set
 # equally by the two FFT stages, the DWT's finest level and sigma_curve) to 36 in
 # d=1 (J=20, any family), so 2^26 cells need up to 2.4 GB; the jump families
-# draw 16 bytes per jump, so the config guards compound_poisson's rate by the same bound
+# draw 16 bytes per jump, so exponents._MAX_JUMPS bounds a trial's jumps the same
 _MAX_CELLS = 1 << 26
 
 

@@ -33,9 +33,10 @@ __all__ = [
 
 def frequency_lattice(grid: GridSpec):
     """Integer frequencies per axis, in rfftn layout (half spectrum on the last axis)."""
-    full = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
     half = np.fft.rfftfreq(grid.n, d=1.0 / grid.n)
-    return (full,) * (grid.d - 1) + (half,)
+    if grid.d == 1:
+        return (half,)
+    return (np.fft.fftfreq(grid.n, d=1.0 / grid.n), half)
 
 
 @dataclass(frozen=True)

@@ -85,21 +85,25 @@ def test_compare_outputs_runs_parseable_configs():
     configs = [harness.parse_config(text) for _, text in tool.config_set(ROOT)]
     n = len(list((ROOT / "configs").glob("*.cfg")))
     assert len(configs) == 5 * n + 3
-    samples = configs[:n]
-    workloads = configs[n:n + 2]
+    samples, d2, shifted, matern, matern_d2 = (configs[i * n:(i + 1) * n] for i in range(5))
+    workloads = configs[5 * n:5 * n + 2]
     assert [(c.family, c.d, c.J) for c in workloads] == [("sas", 1, 20), ("laplace", 2, 12)]
-    d2 = configs[n + 2:2 * n + 2]
     assert [(c.d, c.J, c.gamma) for c in d2] == [(2, 9, 1.5)] * n
     assert [c.family for c in d2] == [c.family for c in samples]
-    shifted = configs[2 * n + 2:3 * n + 2]
     assert [(c.family, c.tau0) for c in shifted] == [(c.family, 0.25) for c in samples]
     assert all(c.prediction().condition_satisfied for c in shifted)
-    (inadmissible,) = configs[3 * n + 2:3 * n + 3]
+    (inadmissible,) = configs[5 * n + 2:]
     assert (inadmissible.family, inadmissible.gamma) == ("gaussian", 0.4)
     assert inadmissible.prediction().verdict(0.5, inadmissible.tolerance) == "unchecked"
-    assert all(c.operator == "fractional_laplacian" for c in configs[:3 * n + 3])
-    matern, matern_d2 = configs[3 * n + 3:4 * n + 3], configs[4 * n + 3:]
+    assert all(c.operator == "fractional_laplacian"
+               for c in samples + d2 + shifted + workloads + [inadmissible])
     assert [(c.family, c.operator, c.d, c.J, c.gamma) for c in matern] == [
         (c.family, "matern", 1, c.J, c.gamma) for c in samples]
     assert [(c.family, c.operator, c.d, c.J, c.gamma) for c in matern_d2] == [
         (c.family, "matern", 2, 9, 1.5) for c in samples]
+    # `levywave compare` runs each variant as one block, which must share its scale
+    blocks = tool.compare_blocks(ROOT)
+    assert [entry for _, block in blocks for entry in block] == tool.config_set(ROOT)[:5 * n]
+    for _, block in blocks:
+        parsed = [harness.parse_config(text) for _, text in block]
+        assert len({(c.gamma, c.d, c.J, c.p0, c.tau0) for c in parsed}) == 1

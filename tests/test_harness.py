@@ -12,6 +12,7 @@ from levywave import (
     OPERATORS,
     ConfigError,
     KappaPrediction,
+    ParameterError,
     WaveletSpec,
     compare_families,
     dwt_periodic,
@@ -28,6 +29,8 @@ from levywave.harness import (
     parse_config,
     summary_record,
 )
+
+SAMPLE_CONFIGS = sorted((pathlib.Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
 SMALL = """
 family = gaussian
@@ -352,22 +355,45 @@ def _write_config(tmp_path, text, name="exp.cfg"):
 
 
 def test_cli_predict(capsys):
-    assert cli_main(["predict", "gaussian", "1.0", "1"]) == 0
+    assert cli_main(["predict", "family=gaussian", "gamma=1.0", "d=1"]) == 0
     assert "exact 0.5" in capsys.readouterr().out
-    assert cli_main(["predict", "sas", "1.0", "1", "--alpha", "1.0"]) == 0
+    assert cli_main(["predict", "family=sas", "gamma=1.0", "d=1", "alpha=1.0"]) == 0
     assert "bounds [1, 1]" in capsys.readouterr().out
-    assert cli_main(["predict", "compound_poisson", "1.0", "1"]) == 0
+    assert cli_main(["predict", "family=compound_poisson", "gamma=1.0", "d=1"]) == 0
     assert "infinite" in capsys.readouterr().out
 
 
 def test_cli_predict_missing_alpha(capsys):
-    assert cli_main(["predict", "sas", "1.0", "1"]) == 2
+    assert cli_main(["predict", "family=sas", "gamma=1.0", "d=1"]) == 2
     assert "alpha" in capsys.readouterr().err
 
 
 def test_cli_predict_alpha_not_applicable(capsys):
-    assert cli_main(["predict", "gaussian", "1.0", "1", "--alpha", "1.0"]) == 2
+    assert cli_main(["predict", "family=gaussian", "gamma=1.0", "d=1", "alpha=1.0"]) == 2
     assert "not applicable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", SAMPLE_CONFIGS, ids=lambda path: path.stem)
+def test_cli_predict_reads_config_lines(capsys, path):
+    assert cli_main(["predict", *path.read_text().splitlines()]) == 0
+    assert capsys.readouterr().out == load_config(path).prediction().describe() + "\n"
+
+
+@pytest.mark.parametrize(
+    "settings,status,expected",
+    [
+        # the indices do not depend on delta, but any family key is read
+        (["family=inverse_gaussian", "delta=2"], 0, "bounds [2, 2]"),
+        (["family=compound_poisson", "rate=-1"], 2, "rate must be positive"),
+        # settings are not validated: d = 3 and an inadmissible gamma still predict
+        (["family=gaussian", "gamma=2.5", "d=3"], 0, "exact 0.333333"),
+        (["family=gaussian", "gamma=0.4"], 0, "no prediction"),
+    ],
+    ids=["family_key", "bad_family_key", "d3", "inadmissible"],
+)
+def test_cli_predict_settings(capsys, settings, status, expected):
+    assert cli_main(["predict", *settings]) == status
+    assert expected in "".join(capsys.readouterr())
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -385,27 +411,19 @@ def test_cli_run_narrow_fit_window_exits_before_trials(monkeypatch, tmp_path, ca
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("index", [2, 4, 5])  # gamma, p0, tau0
+@pytest.mark.parametrize("index", [2, 4, 5])  # the gamma, p0 and tau0 tokens
 def test_cli_predict_rejects_non_finite(capsys, value, index):
-    argv = ["predict", "gaussian", "1.0", "1", "2.0", "0.0"]
-    argv[index] = value
-    # after "--" every token is positional, so "-inf" reaches the finiteness check
-    with pytest.raises(SystemExit) as info:
-        cli_main(argv[:2] + ["--"] + argv[2:])
-    assert info.value.code == 2
-    assert "finite" in capsys.readouterr().err
-    # bare, argparse takes "-inf" for an unknown option; either way the exit code is 2
-    with pytest.raises(SystemExit) as info:
-        cli_main(argv)
-    assert info.value.code == 2
-    if value != "-inf":
-        assert "finite" in capsys.readouterr().err
+    argv = ["predict", "family=gaussian", "gamma=1.0", "d=1", "p0=2.0", "tau0=0.0"]
+    key = argv[index].split("=")[0]
+    argv[index] = f"{key}={value}"
+    assert cli_main(argv) == 2
+    assert f"line {index}: key '{key}' must be finite" in capsys.readouterr().err
 
 
 def test_jump_count_memory_guard(tmp_path, capsys):
     # about `rate` jumps per trial; the guard fires before any field is drawn
     text = "family = compound_poisson\nrate = 1e13\nJ = 14\n"
-    with pytest.raises(ConfigError, match="key 'rate'"):
+    with pytest.raises(ParameterError, match="key 'rate'"):
         parse_config(text)
     cfg = tmp_path / "huge_rate.cfg"
     cfg.write_text(text)

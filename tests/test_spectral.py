@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,32 @@ def test_nyquist_frequency_uses_signed_representative():
     # row N/2 is the frequency -N/2 = -4
     assert lhat[4, 0] == pytest.approx(16.0)
     assert lhat[4, 4] == pytest.approx(32.0)
+
+
+@pytest.mark.parametrize("kind", list(OPERATORS.values()), ids=lambda kind: kind.__name__)
+@pytest.mark.parametrize("d,J", [(1, 1), (1, 12), (2, 1), (2, 9)])
+@pytest.mark.parametrize("gamma", [0.3, 1.5, 3.7])
+def test_symbol_equals_its_integer_lattice_formula(kind, d, J, gamma):
+    # the squared norms are integers, so any order of summation gives the same
+    # floats and the symbol is exactly the power of their table
+    n = 1 << J
+    m2 = np.arange(n // 2 + 1) ** 2 + int(kind.shift)
+    if d == 2:
+        signed = np.concatenate([np.arange(n // 2), np.arange(-n // 2, 0)])
+        m2 = signed[:, None] ** 2 + m2[None, :]
+    expected = m2.astype(float) ** (gamma / 2.0)
+    assert np.array_equal(kind(gamma).evaluate(GridSpec(d=d, J=J)), expected)
+
+
+def test_symbol_allocates_little_beside_its_result():
+    # at d = 1 no table of the absent leading axis is built
+    tracemalloc.start()
+    try:
+        lhat = FractionalLaplacian(1.5).evaluate(GridSpec(d=1, J=20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * lhat.nbytes
 
 
 def test_operator_orders_must_be_positive():

@@ -5,21 +5,22 @@
 Runs `levywave run` from each checkout's src/ (PYTHONPATH=<checkout>/src)
 into temporary output directories, at --threads 1 and 2, on this set of
 configs:
-  - the six sample configs/*.cfg;
+  - the six sample configs/*.cfg, as they are and in four variants: with
+    d = 2, J = 9 and gamma = 1.5; with tau0 = 0.25, all still admissible;
+    with operator = matern; and with operator = matern at d = 2, J = 9 and
+    gamma = 1.5;
   - the fine_1d and wide_2d workloads of perfbench/worker.py, whose WORKLOADS
     table is parsed from the file, not imported;
-  - the six sample configs again with d = 2, J = 9 and gamma = 1.5;
-  - the six sample configs again with tau0 = 0.25, all still admissible;
   - configs/gaussian.cfg at gamma = 0.4 with allow_inadmissible = true, whose
-    verdict is "unchecked";
-  - the six sample configs again with operator = matern, and once more with
-    operator = matern at d = 2, J = 9 and gamma = 1.5.
-The config texts come from CHANGE, so both sides run the same configs.  For
-each run it compares the sha256 of curves.csv, summary.json and plot.tsv,
-what `levywave run` printed (with the side's output directory in the
-`wrote ...` lines replaced by OUT) and its exit code, and prints one line.
-It exits 1 if anything differs or any run fails, and 0 otherwise.  A failed
-verdict (exit code 1) is a completed run.
+    verdict is "unchecked".
+It also runs `levywave compare` on each variant's six configs as one block,
+at --threads 1 and 2.  The config texts come from CHANGE, so both sides run
+the same configs.  For each run it compares the sha256 of curves.csv,
+summary.json and plot.tsv (`levywave run` only), what the command printed
+(with the side's output directory in the `wrote ...` lines replaced by OUT)
+and its exit code, and prints one line.  It exits 1 if anything differs or
+any run fails, and 0 otherwise.  A failed verdict or an inversion (exit
+code 1) is a completed run.
 """
 
 from __future__ import annotations
@@ -33,13 +34,20 @@ import tempfile
 from pathlib import Path
 
 OUTPUTS = ("curves.csv", "summary.json", "plot.tsv")
-CHECKS = OUTPUTS + ("stdout", "exit code")
 THREADS = (1, 2)
 WORKLOADS = ("fine_1d", "wide_2d")
 D2_KEYS = {"d": "2", "J": "9", "gamma": "1.5"}
 TAU0_KEYS = {"tau0": "0.25"}
 INADMISSIBLE_KEYS = {"gamma": "0.4", "allow_inadmissible": "true"}
 MATERN_KEYS = {"operator": "matern"}
+# (label suffix, rewritten keys) of each variant of the sample configs
+VARIANTS = (
+    ("", {}),
+    (" at d=2 J=9 gamma=1.5", D2_KEYS),
+    (" at tau0=0.25", TAU0_KEYS),
+    (" under matern", MATERN_KEYS),
+    (" under matern at d=2 J=9 gamma=1.5", {**MATERN_KEYS, **D2_KEYS}),
+)
 
 
 def _workloads(worker: Path) -> dict:
@@ -59,36 +67,49 @@ def _with_keys(text: str, keys: dict) -> str:
     return "\n".join(kept + [f"{key} = {value}" for key, value in keys.items()]) + "\n"
 
 
-def config_set(root: Path) -> list:
-    """(label, config text) for every config compared, from the checkout at root."""
+def compare_blocks(root: Path) -> list:
+    """(block label, [(label, config text)]) for each variant of the sample
+    configs in the checkout at root, the configs as they are first."""
     samples = [(f"configs/{p.name}", p.read_text())
                for p in sorted((root / "configs").glob("*.cfg"))]
+    return [
+        (f"configs/*.cfg{suffix}",
+         [(f"{label}{suffix}", _with_keys(text, keys) if keys else text)
+          for label, text in samples])
+        for suffix, keys in VARIANTS
+    ]
+
+
+def config_set(root: Path) -> list:
+    """(label, config text) for every config `levywave run` runs, from the checkout at root."""
+    blocks = compare_blocks(root)
+    samples = dict(blocks[0][1])
     workloads = _workloads(root / "perfbench" / "worker.py")
     return (
-        samples
+        [entry for _, block in blocks for entry in block]
         + [(f"perfbench:{name}", workloads[name]) for name in WORKLOADS]
-        + [(f"{label} at d=2 J=9 gamma=1.5", _with_keys(text, D2_KEYS))
-           for label, text in samples]
-        + [(f"{label} at tau0=0.25", _with_keys(text, TAU0_KEYS)) for label, text in samples]
         + [("configs/gaussian.cfg at gamma=0.4, inadmissible",
-            _with_keys(dict(samples)["configs/gaussian.cfg"], INADMISSIBLE_KEYS))]
-        + [(f"{label} under matern", _with_keys(text, MATERN_KEYS)) for label, text in samples]
-        + [(f"{label} under matern at d=2 J=9 gamma=1.5",
-            _with_keys(text, {**MATERN_KEYS, **D2_KEYS})) for label, text in samples]
+            _with_keys(samples["configs/gaussian.cfg"], INADMISSIBLE_KEYS))]
     )
+
+
+def _levywave(checkout: Path, args: list, cwd: Path):
+    """The finished process of one levywave command, or an error message."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, "-m", "levywave.cli", *args],
+                          env=env, cwd=cwd, capture_output=True, text=True)
+    if proc.returncode not in (0, 1):
+        last = (proc.stderr.strip().splitlines() or ["no message"])[-1]
+        return f"exit {proc.returncode}: {last}"
+    return proc
 
 
 def _run(checkout: Path, cfg: Path, out: Path, threads: int):
     """sha256 per output file, stdout and exit code of one run, or an error message."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "levywave.cli", "run", str(cfg), "--output", str(out),
-         "--threads", str(threads)],
-        env=env, cwd=out.parent, capture_output=True, text=True,
-    )
-    if proc.returncode not in (0, 1):
-        last = (proc.stderr.strip().splitlines() or ["no message"])[-1]
-        return f"exit {proc.returncode}: {last}"
+    proc = _levywave(checkout, ["run", str(cfg), "--output", str(out),
+                                "--threads", str(threads)], out.parent)
+    if isinstance(proc, str):
+        return proc
     missing = [name for name in OUTPUTS if not (out / name).is_file()]
     if missing:
         return f"wrote no {', '.join(missing)}"
@@ -99,32 +120,50 @@ def _run(checkout: Path, cfg: Path, out: Path, threads: int):
     }
 
 
+def _compare(checkout: Path, cfgs: list, threads: int):
+    """stdout and exit code of `levywave compare` on cfgs, or an error message."""
+    proc = _levywave(checkout, ["compare", *map(str, cfgs), "--threads", str(threads)],
+                     cfgs[0].parent)
+    if isinstance(proc, str):
+        return proc
+    return {"stdout": proc.stdout, "exit code": proc.returncode}
+
+
+def _verdict(results: list) -> str:
+    errors = [f"{tag} {r}" for tag, r in zip(("parent", "change"), results)
+              if isinstance(r, str)]
+    if errors:
+        return "FAILED     " + "; ".join(errors)
+    differ = [name for name, value in results[0].items() if results[1][name] != value]
+    return f"DIFFERS    {', '.join(differ)}" if differ else "identical"
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print("usage: " + __doc__.splitlines()[2].strip(), file=sys.stderr)
         return 2
     parent, change = (Path(a).resolve() for a in argv)
-    failed = runs = 0
+    sides = (("parent", parent), ("change", change))
+    verdicts = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for i, (label, text) in enumerate(config_set(change)):
             cfg = tmp / f"{i}.cfg"
             cfg.write_text(text)
             for threads in THREADS:
-                runs += 1
-                results = [_run(side, cfg, tmp / f"{i}-{threads}-{tag}", threads)
-                           for tag, side in (("parent", parent), ("change", change))]
-                errors = [f"{tag} {r}" for tag, r in zip(("parent", "change"), results)
-                          if isinstance(r, str)]
-                if errors:
-                    verdict = "FAILED     " + "; ".join(errors)
-                else:
-                    differ = [name for name in CHECKS if results[0][name] != results[1][name]]
-                    verdict = f"DIFFERS    {', '.join(differ)}" if differ else "identical"
-                failed += verdict != "identical"
-                print(f"threads={threads}  {label}: {verdict}", flush=True)
-    print(f"{runs - failed} of {runs} runs identical")
-    return 1 if failed else 0
+                verdicts.append(_verdict([_run(side, cfg, tmp / f"{i}-{threads}-{tag}", threads)
+                                          for tag, side in sides]))
+                print(f"threads={threads}  {label}: {verdicts[-1]}", flush=True)
+        for i, (label, block) in enumerate(compare_blocks(change)):
+            cfgs = [tmp / f"block{i}-{j}.cfg" for j in range(len(block))]
+            for cfg, (_, text) in zip(cfgs, block):
+                cfg.write_text(text)
+            for threads in THREADS:
+                verdicts.append(_verdict([_compare(side, cfgs, threads) for _, side in sides]))
+                print(f"threads={threads}  compare {label}: {verdicts[-1]}", flush=True)
+    same = verdicts.count("identical")
+    print(f"{same} of {len(verdicts)} runs identical")
+    return 0 if same == len(verdicts) else 1
 
 
 if __name__ == "__main__":
