@@ -2,9 +2,9 @@
 
 A config fixes (noise family, operator order gamma, grid, wavelet order,
 trial count, base seed).  Each trial synthesizes one process realization,
-decomposes it, measures the n-term error curve in the (p0, tau0) norm, and
-fits the decay exponent.  Trials aggregate by median and interquartile
-range because per-trial norms are heavy-tailed for several families.
+decomposes it and measures its n-term error curve in the (p0, tau0) norm.
+The report fits each curve's decay exponent and aggregates them by median
+and IQR, because per-trial norms are heavy-tailed for several families.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .besov import BesovParams, estimate_kappa, sigma_curve
 from .exponents import FAMILIES, KappaPrediction, LevyExponent, admissibility, theoretical_kappa
-from .sampling import GridSpec, trial_seed
+from .sampling import _MAX_CELLS, GridSpec, trial_seed
 from .spectral import OPERATORS, synthesize_process
 from .wavelets import WaveletSpec, dwt_periodic
 
@@ -244,14 +244,14 @@ def _quantile(values, q: float) -> float:
 
 @dataclass
 class ExperimentReport:
-    """Per-trial results as arrays: row t of sigma is trial t's n-term
-    errors, its columns are config.n_values().  The quartiles of the fitted
-    exponents, the prediction and its verdict on the median follow from them."""
+    """Row t of sigma is trial t's n-term errors over config.n_values().  The
+    fits, their quartiles, the prediction and the verdict are derived, so a
+    refit is ExperimentReport(dataclasses.replace(config, fit_lo=...), sigma)."""
 
     config: ExperimentConfig
     sigma: np.ndarray
-    kappa_values: list
-    kappa_stderr: list
+    kappa_values: list = field(init=False)
+    kappa_stderr: list = field(init=False)
     kappa_q1: float = field(init=False)
     kappa_median: float = field(init=False)
     kappa_q3: float = field(init=False)
@@ -259,6 +259,16 @@ class ExperimentReport:
     verdict: str = field(init=False)
 
     def __post_init__(self):
+        n_values, window = self.config.n_values(), self.config.fit_range()
+        for index, row in enumerate(self.sigma):
+            # the FFT spreads a nan or inf of the noise over the whole field, so
+            # the few n-term errors stand in for a sweep of it
+            if not np.isfinite(row).all():
+                raise ValueError(f"trial {index}: the realization is not finite "
+                                 "(its n-term errors are nan or inf)")
+        fits = [estimate_kappa(n_values, row, window) for row in self.sigma]
+        self.kappa_values = [kappa for kappa, _ in fits]
+        self.kappa_stderr = [stderr for _, stderr in fits]
         self.kappa_q1, self.kappa_median, self.kappa_q3 = (
             _quantile(self.kappa_values, q) for q in (25.0, 50.0, 75.0)
         )
@@ -274,8 +284,8 @@ def _thread_count(threads: Optional[int]) -> int:
     return int(threads)
 
 
-def _run_trial(config: ExperimentConfig, index: int) -> tuple:
-    """(sigma, kappa, stderr) of trial `index`."""
+def _run_trial(config: ExperimentConfig, index: int) -> np.ndarray:
+    """The n-term errors of trial `index` over config.n_values()."""
     exponent = config.exponent()
     seed = trial_seed(config.base_seed, index)
     # passed on with no name kept, so the DWT frees the field after its finest level
@@ -283,27 +293,20 @@ def _run_trial(config: ExperimentConfig, index: int) -> tuple:
         synthesize_process(exponent, config.grid(), config.symbol(), seed), config.wavelet_spec()
     )
     params = BesovParams(tau=config.tau0, p=config.p0)
-    n_values = config.n_values()
-    sigma = sigma_curve(coeffs, params, n_values)
-    # the FFT spreads a nan or inf of the noise over the whole field, so the
-    # few n-term errors stand in for a sweep of it
-    if not np.isfinite(sigma).all():
-        raise ValueError(
-            f"trial {index}: the realization is not finite (its n-term errors are nan or inf)"
-        )
-    return (sigma, *estimate_kappa(n_values, sigma, config.fit_range()))
+    return sigma_curve(coeffs, params, config.n_values())
 
 
 def run_experiment(config: ExperimentConfig, threads: Optional[int] = None) -> ExperimentReport:
-    """Run all trials, aggregate the fitted exponents, and attach the verdict."""
+    """Run all trials and report their n-term errors, fits and verdict."""
     config.validate()
-    n_workers = min(_thread_count(threads), config.trials)
+    # the memory guard's cell cap bounds all the trials in flight (one trial is within it)
+    n_workers = min(_thread_count(threads), config.trials, _MAX_CELLS // config.grid().size)
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         # one worker runs the trials on the calling thread; a failing
         # trial's own exception reaches the caller either way
         run = map if n_workers == 1 else pool.map
-        sigmas, kappas, stderrs = zip(*run(partial(_run_trial, config), range(config.trials)))
-    return ExperimentReport(config, np.array(sigmas), list(kappas), list(stderrs))
+        sigma = np.array(list(run(partial(_run_trial, config), range(config.trials))))
+    return ExperimentReport(config, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +322,18 @@ class ComparisonEntry:
 
 @dataclass
 class ComparisonReport:
+    """Entries in theory order, and the pairs whose medians do not follow it."""
+
     entries: list
-    inversions: list
+    inversions: list = field(init=False)
+
+    def __post_init__(self):
+        self.entries = sorted(self.entries, key=lambda e: e.theory.sort_key())
+        self.inversions = [
+            (a.label, b.label)
+            for a, b in combinations(self.entries, 2)
+            if a.theory.sort_key() < b.theory.sort_key() and not a.kappa_median < b.kappa_median
+        ]
 
     @property
     def ok(self) -> bool:
@@ -331,12 +344,8 @@ class ComparisonReport:
         rows += [(e.label, e.theory.describe(), f"{e.kappa_median:.4f}") for e in self.entries]
         label_w, theory_w = (max(len(row[i]) for row in rows) for i in (0, 1))
         lines = [f"{a:<{label_w}} {b:<{theory_w}} {c:>12}" for a, b, c in rows]
-        if self.inversions:
-            for a, b in self.inversions:
-                lines.append(f"INVERSION: {a} measured above {b}")
-        else:
-            lines.append("ordering matches theory (no inversions)")
-        return "\n".join(lines)
+        inversions = [f"INVERSION: {a} measured above {b}" for a, b in self.inversions]
+        return "\n".join(lines + (inversions or ["ordering matches theory (no inversions)"]))
 
 
 def _family_label(config: ExperimentConfig) -> str:
@@ -354,16 +363,9 @@ def compare_families(configs, threads: Optional[int] = None) -> ComparisonReport
             f"configs must share (gamma, d, J, p0, tau0), got {sorted(set(shared))}"
         )
     reports = [run_experiment(c, threads=threads) for c in configs]
-    entries = [
-        ComparisonEntry(_family_label(r.config), r.prediction, r.kappa_median) for r in reports
-    ]
-    entries.sort(key=lambda e: e.theory.sort_key())
-    inversions = [
-        (a.label, b.label)
-        for a, b in combinations(entries, 2)
-        if a.theory.sort_key() < b.theory.sort_key() and not a.kappa_median < b.kappa_median
-    ]
-    return ComparisonReport(entries, inversions)
+    return ComparisonReport(
+        [ComparisonEntry(_family_label(r.config), r.prediction, r.kappa_median) for r in reports]
+    )
 
 
 # ---------------------------------------------------------------------------

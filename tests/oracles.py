@@ -11,7 +11,6 @@ from dataclasses import replace
 import numpy as np
 
 from levywave import BesovParams, WaveletCoeffs, WaveletSpec, weighted_magnitudes
-from levywave.besov import _fit_line
 
 
 def zero_pyramid(d: int, zeta: int, j_max: int) -> WaveletCoeffs:
@@ -156,8 +155,7 @@ def empirical_regularity_scan(coeffs: WaveletCoeffs, p_grid, tau_grid) -> np.nda
             if ok.sum() < 2:
                 scores[i, t] = -math.inf
                 continue
-            slope, _, _ = _fit_line(js[ok], np.log2(b[ok]))
-            scores[i, t] = slope
+            scores[i, t] = np.polyfit(js[ok], np.log2(b[ok]), 1)[0]
     return scores
 
 

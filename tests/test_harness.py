@@ -1,5 +1,7 @@
 import dataclasses
 import pathlib
+import threading
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -276,37 +278,110 @@ def test_compare_families_two_stable_indices():
     assert report.entries[0].kappa_median < report.entries[1].kappa_median
 
 
-def test_comparison_table_rows_and_inversions():
-    # one row per prediction kind; equal medians count as an inversion
+def _entries(laplace_median):
+    # one entry per prediction kind, in theory order
     rows = [
         ("gaussian", KappaPrediction("exact", value=0.5), 1.25),
         ("sas(alpha=1.5)", KappaPrediction("bounds", lower=0.5, upper=2 / 3), 1.25),
-        ("laplace", KappaPrediction("infinite", lower=1.0), 2.0),
+        ("laplace", KappaPrediction("infinite", lower=1.0), laplace_median),
         ("inadmissible", KappaPrediction(None), 0.5),
     ]
-    entries = [harness.ComparisonEntry(*row) for row in rows]
-    inversions = [("gaussian", "sas(alpha=1.5)"), ("sas(alpha=1.5)", "laplace")]
-    report = harness.ComparisonReport(entries, inversions)
+    return [harness.ComparisonEntry(*row) for row in rows]
+
+
+def test_comparison_table_rows_and_inversions():
+    # gaussian and sas are predicted below laplace but measured above it;
+    # they share a sort key, so their equal medians are no inversion
+    report = harness.ComparisonReport(_entries(1.0))
     assert not report.ok
+    assert report.inversions == [("gaussian", "laplace"), ("sas(alpha=1.5)", "laplace")]
     assert report.table().splitlines() == [
         "family         theory                                          median kappa",
         "gaussian       exact 0.5                                             1.2500",
         "sas(alpha=1.5) bounds [0.5, 0.666667]                                1.2500",
-        "laplace        infinite (faster than any polynomial)                 2.0000",
+        "laplace        infinite (faster than any polynomial)                 1.0000",
         "inadmissible   no prediction (admissibility condition not met)       0.5000",
-        "INVERSION: gaussian measured above sas(alpha=1.5)",
+        "INVERSION: gaussian measured above laplace",
         "INVERSION: sas(alpha=1.5) measured above laplace",
     ]
-    assert harness.ComparisonReport(entries, []).table().splitlines()[-1] == (
+    # a median equal to one predicted above it counts as an inversion
+    assert harness.ComparisonReport(_entries(1.25)).inversions == report.inversions
+    assert harness.ComparisonReport(_entries(2.0)).table().splitlines()[-1] == (
         "ordering matches theory (no inversions)"
     )
+
+
+def test_comparison_report_sorts_entries_and_derives_inversions():
+    entries = [
+        harness.ComparisonEntry("laplace", KappaPrediction("infinite", lower=1.0), 3.0),
+        harness.ComparisonEntry("b", KappaPrediction("exact", value=2.0), 0.4),
+        harness.ComparisonEntry("a", KappaPrediction("exact", value=0.5), 0.6),
+    ]
+    report = harness.ComparisonReport(entries)
+    assert [e.label for e in report.entries] == ["a", "b", "laplace"]
+    assert [e.label for e in entries] == ["laplace", "b", "a"]  # the caller's list is kept
+    assert report.inversions == [("a", "b")] and not report.ok
+    assert [f.name for f in dataclasses.fields(report) if f.init] == ["entries"]
 
 
 def test_trial_failure_is_diagnosed():
     config = _small_config(trials=3)
     config.fit_lo, config.fit_hi = 3, 5  # window with too few points
-    with pytest.raises((RuntimeError, ValueError), match="at least 5|trial"):
+    with pytest.raises(ConfigError, match=r"fit window \[3, 5\]"):
         run_experiment(config, threads=2)
+    # a trial whose curve has only 3 positive points in its window cannot be fitted
+    config = _small_config(trials=1)
+    sigma = np.array([[1.0, 0.5, 0.25, 0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="need at least 5 positive-sigma points in \\[4, 128\\]"):
+        harness.ExperimentReport(config, sigma)
+
+
+def test_report_is_built_from_config_and_sigma():
+    config = _small_config()
+    report = run_experiment(config, threads=1)
+    assert [f.name for f in dataclasses.fields(report) if f.init] == ["config", "sigma"]
+    # a refit of the measured curves under a new window equals a rerun with it
+    narrow = dataclasses.replace(config, fit_lo=8)
+    refit = harness.ExperimentReport(narrow, report.sigma)
+    rerun = run_experiment(narrow, threads=2)
+    assert refit.kappa_values == rerun.kappa_values != report.kappa_values
+    assert refit.kappa_stderr == rerun.kappa_stderr
+    assert summary_record(refit) == summary_record(rerun)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_report_names_a_non_finite_row(bad):
+    config = _small_config(trials=3)
+    sigma = np.tile(config.n_values() ** -1.0, (3, 1))
+    assert harness.ExperimentReport(config, sigma).kappa_values == pytest.approx([1.0] * 3)
+    sigma[1, 2] = bad
+    with pytest.raises(ValueError, match="^trial 1: the realization is not finite"):
+        harness.ExperimentReport(config, sigma)
+
+
+@pytest.mark.parametrize("J, max_threads", [(26, 1), (25, 2)])
+def test_trials_in_flight_stay_within_the_memory_guard(monkeypatch, J, max_threads):
+    # a d=1 J=26 trial alone fills the cell cap, so its trials run one at a
+    # time on the calling thread; the fake trial allocates nothing large and
+    # waits a little, so that trials given threads overlap
+    threads, in_flight, peak, lock = [], [0], [0], threading.Lock()
+
+    def small_trial(config, index):
+        with lock:
+            threads.append(threading.get_ident())
+            in_flight[0] += 1
+            peak[0] = max(peak[0], in_flight[0])
+        time.sleep(0.05)
+        with lock:
+            in_flight[0] -= 1
+        return config.n_values() ** -1.0
+
+    monkeypatch.setattr(harness, "_run_trial", small_trial)
+    report = run_experiment(_small_config(J=J, k=4, fit_lo=None, fit_hi=None), threads=4)
+    assert report.kappa_median == pytest.approx(1.0)
+    assert len(threads) == 4 and 1 <= peak[0] <= max_threads
+    if max_threads == 1:
+        assert set(threads) == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -582,9 +657,10 @@ def test_cli_compare(tmp_path, capsys):
 
 
 def test_cli_compare_exits_1_on_an_inversion(monkeypatch, tmp_path, capsys):
-    # every trial fits kappa = 1, so laplace (infinite) does not measure above gaussian
+    # every trial's curve is n^-1 and fits kappa = 1, so laplace (infinite)
+    # does not measure above gaussian
     def flat_trial(config, index):
-        return np.ones(len(config.n_values())), 1.0, 0.0
+        return config.n_values() ** -1.0
 
     monkeypatch.setattr(harness, "_run_trial", flat_trial)
     base = "J = 10\nk = 2\ntrials = 3\nfit_lo = 4\nfit_hi = 256\n"
