@@ -57,6 +57,8 @@ def sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid) -> np.ndarra
     n_grid = np.asarray(n_grid, dtype=int)
     if n_grid.size == 0 or np.any(np.diff(n_grid) <= 0):
         raise ValueError("n grid must be non-empty and strictly ascending")
+    if n_grid[0] < 0:
+        raise ValueError(f"n grid must be non-negative, got {n_grid.tolist()}")
     p = params.p
     acc = weighted_magnitudes(coeffs, params)
     acc.sort()

@@ -4,8 +4,9 @@ Each supported white-noise family is described by its log-characteristic
 function psi (the Levy exponent of the underlying infinitely divisible
 marginal law) together with its growth indices (beta, beta'), which govern
 how fast the n-term wavelet approximation error of a driven process decays.
-A family class also carries its increment sampler and its config-file keys;
-FAMILIES, the registry of config names, is the one place a family is added.
+A family subclasses LevyExponent and carries its sampler and config keys.  A
+family is added as its class, its FAMILIES entry (the registry of config
+names) and its __all__ name; a jump law likewise, with _JUMP_LAWS.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ class DiracJump:
         return np.full(n, float(self.c))
 
 
-JumpDistribution = Union[GaussianJump, UniformJump, DiracJump]
 _JUMP_LAWS = {law.law_name: law for law in (GaussianJump, UniformJump, DiracJump)}
+JumpDistribution = Union[tuple(_JUMP_LAWS.values())]
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +125,15 @@ class BGIndices:
             )
 
 
-class _Family:
-    """Config-file schema shared by the noise families.
+class LevyExponent:
+    """Base class of the noise families: frozen dataclasses with a family_name,
+    psi(xi), indices() and sample(volume, rng, shape), which draws increments
+    whose characteristic function is exp(volume * psi(xi)) (for laplace, up to
+    the jumps below _LAPLACE_EPS).
 
-    Each dataclass field is one float config key, required when the field
-    has no default.  CompoundPoisson overrides both methods to flatten
-    its jump law into the keys jump and jump_<field>.
+    Each dataclass field is one float config key, required when the field has
+    no default.  CompoundPoisson overrides both methods to flatten its jump
+    law into the keys jump and jump_<field>.
     """
 
     @classmethod
@@ -144,11 +148,6 @@ class _Family:
             if f.default is MISSING and f.name not in params:
                 raise ParameterError(f"family {cls.family_name!r} requires key {f.name!r}")
         return cls(**params)
-
-
-# Each family's sample(volume, rng, shape) draws increments whose
-# characteristic function is exp(volume * psi(xi)); for laplace, up to the
-# jumps below _LAPLACE_EPS.
 
 
 # memory guard on a trial's jumps, about `rate` of them on the torus of volume 1:
@@ -183,7 +182,7 @@ def _laplace_jumps(rng, count):
 
 
 @dataclass(frozen=True)
-class Gaussian(_Family):
+class Gaussian(LevyExponent):
     """Gaussian white noise, psi(xi) = -sigma2 * xi^2 / 2."""
 
     sigma2: float = 1.0
@@ -205,7 +204,7 @@ class Gaussian(_Family):
 
 
 @dataclass(frozen=True)
-class SAlphaS(_Family):
+class SAlphaS(LevyExponent):
     """Symmetric alpha-stable noise, psi(xi) = -|xi|^alpha, 0 < alpha < 2."""
 
     alpha: float
@@ -250,7 +249,7 @@ class SAlphaS(_Family):
 
 
 @dataclass(frozen=True)
-class CompoundPoisson(_Family):
+class CompoundPoisson(LevyExponent):
     """Compound Poisson noise with jump rate per unit volume and a jump law.
 
     psi(xi) = rate * (jump characteristic function(xi) - 1).
@@ -297,7 +296,7 @@ class CompoundPoisson(_Family):
 
 
 @dataclass(frozen=True)
-class Laplace(_Family):
+class Laplace(LevyExponent):
     """Laplace noise, psi(xi) = -log(1 + xi^2)."""
 
     family_name: ClassVar[str] = "laplace"
@@ -316,7 +315,7 @@ class Laplace(_Family):
 
 
 @dataclass(frozen=True)
-class InverseGaussian(_Family):
+class InverseGaussian(LevyExponent):
     """Inverse Gaussian subordinator noise.
 
     psi(xi) = delta * (ig_gamma - sqrt(ig_gamma^2 - 2i*xi)) with the
@@ -377,7 +376,6 @@ class InverseGaussian(_Family):
 FAMILIES = {
     cls.family_name: cls for cls in (Gaussian, SAlphaS, CompoundPoisson, Laplace, InverseGaussian)
 }
-LevyExponent = Union[tuple(FAMILIES.values())]
 
 
 # ---------------------------------------------------------------------------

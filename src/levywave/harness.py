@@ -16,7 +16,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import combinations
+from itertools import permutations
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -328,10 +328,13 @@ class ComparisonReport:
     inversions: list = field(init=False)
 
     def __post_init__(self):
-        self.entries = sorted(self.entries, key=lambda e: e.theory.sort_key())
+        # no prediction (a nan key) sorts last and joins no inversion; pairs go both ways
+        self.entries = sorted(
+            self.entries, key=lambda e: (e.theory.kind is None, e.theory.sort_key())
+        )
         self.inversions = [
             (a.label, b.label)
-            for a, b in combinations(self.entries, 2)
+            for a, b in permutations(self.entries, 2)
             if a.theory.sort_key() < b.theory.sort_key() and not a.kappa_median < b.kappa_median
         ]
 

@@ -115,6 +115,12 @@ def test_sigma_curve_rejects_a_grid_that_does_not_ascend(n_grid):
         sigma_curve(coeffs, BesovParams(tau=0.5, p=2.0), n_grid)
 
 
+def test_sigma_curve_rejects_a_negative_n():
+    coeffs = zero_pyramid(d=1, zeta=0, j_max=3)
+    with pytest.raises(ValueError, match=r"^n grid must be non-negative, got \[-1, 4\]$"):
+        sigma_curve(coeffs, BesovParams(tau=0.5, p=2.0), [-1, 4])
+
+
 def test_sigma_curve_five_nonzeros():
     coeffs = zero_pyramid(d=1, zeta=0, j_max=3)
     coeffs.levels[3][1][:5] = [5.0, 4.0, 3.0, 2.0, 1.0]

@@ -1,4 +1,3 @@
-import ast
 import importlib
 import importlib.util
 import os
@@ -9,25 +8,29 @@ import subprocess
 import sys
 
 import levywave
-from levywave import harness
+from levywave import exponents, harness
 
 MODULES = [info.name for info in pkgutil.iter_modules(levywave.__path__)]
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_exports_resolve_and_package_imports_are_exported():
+    # each module's __all__ is the one list of its public names, and the
+    # package republishes every one of them as the module's own object
+    owner = {}
     for name in MODULES:
         module = importlib.import_module(f"levywave.{name}")
         for symbol in getattr(module, "__all__", []):
-            assert hasattr(module, symbol), f"levywave.{name}.__all__ lists missing {symbol!r}"
-
-    tree = ast.parse(pathlib.Path(levywave.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
-    assert {node.module for node in imports} <= set(MODULES)
-    for node in imports:
-        exported = importlib.import_module(f"levywave.{node.module}").__all__
-        for alias in node.names:
-            assert alias.name in exported, f"{alias.name!r} is not in levywave.{node.module}.__all__"
+            assert symbol not in owner, f"{symbol!r} is in the __all__ of {owner[symbol]} and {name}"
+            owner[symbol] = name
+            assert getattr(levywave, symbol) is getattr(module, symbol), symbol
+    # the package itself defines no public name but __version__
+    public = {n for n in vars(levywave) if not n.startswith("_") and n not in MODULES}
+    assert public == set(owner)
+    # every registered family, operator and jump law is a public name
+    registries = [levywave.FAMILIES, levywave.OPERATORS, exponents._JUMP_LAWS]
+    for cls in (cls for registry in registries for cls in registry.values()):
+        assert owner.get(cls.__name__) == cls.__module__.rsplit(".", 1)[1], cls
 
 
 def test_readme_library_example_runs():

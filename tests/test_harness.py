@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import pathlib
 import threading
 import time
@@ -322,6 +323,22 @@ def test_comparison_report_sorts_entries_and_derives_inversions():
     assert [e.label for e in entries] == ["laplace", "b", "a"]  # the caller's list is kept
     assert report.inversions == [("a", "b")] and not report.ok
     assert [f.name for f in dataclasses.fields(report) if f.init] == ["entries"]
+
+
+def test_comparison_without_a_prediction_hides_no_inversion():
+    # b is predicted below laplace but measured above it; an inadmissible
+    # entry, whose sort key is nan, must neither move the others nor hide
+    # that inversion, whatever order the entries arrive in
+    entries = [
+        harness.ComparisonEntry("gaussian", KappaPrediction("exact", value=0.5), 0.5),
+        harness.ComparisonEntry("laplace", KappaPrediction("infinite", lower=1.0), 2.0),
+        harness.ComparisonEntry("b", KappaPrediction("exact", value=2.0), 2.5),
+        harness.ComparisonEntry("inadmissible", KappaPrediction(None), 1.0),
+    ]
+    for order in itertools.permutations(entries):
+        report = harness.ComparisonReport(list(order))
+        assert [e.label for e in report.entries] == ["gaussian", "b", "laplace", "inadmissible"]
+        assert report.inversions == [("b", "laplace")] and not report.ok
 
 
 def test_trial_failure_is_diagnosed():
