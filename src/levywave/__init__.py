@@ -5,7 +5,6 @@ The package republishes each module's __all__, the one list of its public names.
 __version__ = "0.1.0"
 
 from .exponents import *
-from .sampling import *
 from .spectral import *
 from .wavelets import *
 from .besov import *

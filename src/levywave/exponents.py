@@ -1,4 +1,5 @@
-"""Levy exponent families and their compressibility predictions.
+"""Periodic Levy white noises: their families, their sampling on a dyadic
+grid and their compressibility predictions.
 
 Each supported white-noise family is described by its log-characteristic
 function psi (the Levy exponent of the underlying infinitely divisible
@@ -6,7 +7,15 @@ marginal law) together with its growth indices (beta, beta'), which govern
 how fast the n-term wavelet approximation error of a driven process decays.
 A family subclasses LevyExponent and carries its sampler and config keys.  A
 family is added as its class, its FAMILIES entry (the registry of config
-names) and its __all__ name; a jump law likewise, with _JUMP_LAWS.
+names) and its __all__ name; a jump law likewise, with _JUMP_LAWS.  Every
+noise setting is judged here, and a rejected one raises ConfigError.
+
+The torus [-1/2, 1/2)^d is split into 2^J cells per axis.  One draw per cell
+with characteristic function exp(volume * psi(xi)) gives the law of the noise
+paired with the cell indicator: exactly for every family but laplace, whose
+jumps below 1e-15 are dropped (their l2 mass is below the FFT's round-off).
+Dividing by the cell volume and removing the mean produces the zero-mean
+resolution-J noise field of cell averages <w, 1_cell>/vol.
 """
 
 from __future__ import annotations
@@ -18,7 +27,11 @@ from typing import ClassVar, Union
 import numpy as np
 
 __all__ = [
-    "ParameterError",
+    "ConfigError",
+    "GridSpec",
+    "make_rng",
+    "trial_seed",
+    "generate_noise",
     "GaussianJump",
     "UniformJump",
     "DiracJump",
@@ -30,6 +43,7 @@ __all__ = [
     "InverseGaussian",
     "LevyExponent",
     "FAMILIES",
+    "exponent_from_params",
     "BGIndices",
     "KappaPrediction",
     "admissibility",
@@ -37,8 +51,81 @@ __all__ = [
 ]
 
 
-class ParameterError(ValueError):
-    """A distribution or model parameter is outside its admissible domain."""
+class ConfigError(ValueError):
+    """A malformed or inadmissible setting, or a parameter outside its domain."""
+
+
+# ---------------------------------------------------------------------------
+# the dyadic grid, seeds and noise fields
+
+_MASK64 = (1 << 64) - 1
+# memory guard on the total cell count: a trial's resident peak (VmHWM above
+# the interpreter's) is 16 bytes per cell in d=2 (laplace J=12, two fields, set
+# equally by the two FFT stages, the DWT's finest level and sigma_curve) to 36 in
+# d=1 (J=20, any family), so 2^26 cells need up to 2.4 GB; the jump families
+# draw 16 bytes per jump, so the same bound caps a trial's jumps
+_MAX_CELLS = 1 << 26
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Dyadic grid on the d-torus with 2^J cells per axis."""
+
+    d: int
+    J: int
+
+    def __post_init__(self):
+        if self.d not in (1, 2):
+            raise ConfigError(f"dimension must be 1 or 2, got {self.d}")
+        if self.J < 1:
+            raise ConfigError(f"grid level J must be >= 1, got {self.J}")
+        if self.size > _MAX_CELLS:
+            raise ConfigError(
+                f"memory guard: 2^({self.J}*{self.d}) cells exceeds {_MAX_CELLS}"
+            )
+
+    @property
+    def n(self) -> int:
+        """Cells per axis."""
+        return 1 << self.J
+
+    @property
+    def shape(self) -> tuple:
+        return (self.n,) * self.d
+
+    @property
+    def size(self) -> int:
+        return 1 << (self.J * self.d)
+
+    @property
+    def cell_volume(self) -> float:
+        return 2.0 ** (-self.J * self.d)
+
+
+def make_rng(seed: int) -> np.random.Generator:
+    """Counter-based generator so draws are reproducible across thread counts."""
+    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+
+
+def _splitmix64(x: int) -> int:
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def trial_seed(base_seed: int, trial_index: int) -> int:
+    """Derived per-trial seed: base_seed XOR a 64-bit mix of the trial index."""
+    return (base_seed ^ _splitmix64(trial_index)) & _MASK64
+
+
+def generate_noise(exponent: LevyExponent, grid: GridSpec, seed: int) -> np.ndarray:
+    """Zero-mean noise field at resolution J, deterministic in (exponent, grid, seed)."""
+    rng = make_rng(seed)
+    values = exponent.sample(grid.cell_volume, rng, grid.shape)
+    values /= grid.cell_volume
+    values -= values.mean()
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +141,7 @@ class GaussianJump:
 
     def __post_init__(self):
         if not self.sigma > 0:
-            raise ParameterError(f"jump sigma must be positive, got {self.sigma}")
+            raise ConfigError(f"jump sigma must be positive, got {self.sigma}")
 
     def char_fn(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -74,7 +161,7 @@ class UniformJump:
 
     def __post_init__(self):
         if not self.a < self.b:
-            raise ParameterError(f"uniform jump needs a < b, got [{self.a}, {self.b}]")
+            raise ConfigError(f"uniform jump needs a < b, got [{self.a}, {self.b}]")
 
     def char_fn(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -93,6 +180,11 @@ class DiracJump:
 
     c: float = 1.0
     law_name: ClassVar[str] = "dirac"
+
+    def __post_init__(self):
+        # a Levy measure puts no mass at 0: zero-size jumps would leave the noise 0
+        if self.c == 0:
+            raise ConfigError(f"dirac jump size c must be nonzero, got {self.c}")
 
     def char_fn(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -119,7 +211,7 @@ class BGIndices:
 
     def __post_init__(self):
         if not (0.0 <= self.beta_prime <= self.beta <= 2.0):
-            raise ParameterError(
+            raise ConfigError(
                 f"indices must satisfy 0 <= beta' <= beta <= 2, got "
                 f"beta={self.beta}, beta'={self.beta_prime}"
             )
@@ -127,9 +219,8 @@ class BGIndices:
 
 class LevyExponent:
     """Base class of the noise families: frozen dataclasses with a family_name,
-    psi(xi), indices() and sample(volume, rng, shape), which draws increments
-    whose characteristic function is exp(volume * psi(xi)) (for laplace, up to
-    the jumps below _LAPLACE_EPS).
+    psi(xi), indices() and sample(volume, rng, shape), which draws one value per
+    cell of the given volume, with the law the module docstring states.
 
     Each dataclass field is one float config key, required when the field has
     no default.  CompoundPoisson overrides both methods to flatten its jump
@@ -146,13 +237,8 @@ class LevyExponent:
         """Build from config parameters; absent keys take the field defaults."""
         for f in fields(cls):
             if f.default is MISSING and f.name not in params:
-                raise ParameterError(f"family {cls.family_name!r} requires key {f.name!r}")
+                raise ConfigError(f"family {cls.family_name!r} requires key {f.name!r}")
         return cls(**params)
-
-
-# memory guard on a trial's jumps, about `rate` of them on the torus of volume 1:
-# a jump costs 16 bytes while drawn, so the bound is sampling's cell bound
-_MAX_JUMPS = 1 << 26
 
 
 def _bin_jumps(cell_rate: float, draw_sizes, rng, shape):
@@ -190,7 +276,7 @@ class Gaussian(LevyExponent):
 
     def __post_init__(self):
         if not self.sigma2 > 0:
-            raise ParameterError(f"sigma2 must be positive, got {self.sigma2}")
+            raise ConfigError(f"sigma2 must be positive, got {self.sigma2}")
 
     def psi(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -212,7 +298,7 @@ class SAlphaS(LevyExponent):
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
-            raise ParameterError(f"alpha must lie in (0, 2), got {self.alpha}")
+            raise ConfigError(f"alpha must lie in (0, 2), got {self.alpha}")
 
     def psi(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -261,10 +347,11 @@ class CompoundPoisson(LevyExponent):
 
     def __post_init__(self):
         if not self.rate > 0:
-            raise ParameterError(f"rate must be positive, got {self.rate}")
-        if self.rate > _MAX_JUMPS:
-            raise ParameterError(
-                f"memory guard: key 'rate' = {self.rate:g} jumps per trial exceeds {_MAX_JUMPS}"
+            raise ConfigError(f"rate must be positive, got {self.rate}")
+        # about `rate` jumps per trial, on the torus of volume 1
+        if self.rate > _MAX_CELLS:
+            raise ConfigError(
+                f"memory guard: key 'rate' = {self.rate:g} jumps per trial exceeds {_MAX_CELLS}"
             )
 
     @classmethod
@@ -278,11 +365,11 @@ class CompoundPoisson(LevyExponent):
     def from_params(cls, params: dict) -> CompoundPoisson:
         kind = params.get("jump", cls.jumps.law_name)
         if kind not in _JUMP_LAWS:
-            raise ParameterError(f"unknown jump law {kind!r}")
+            raise ConfigError(f"unknown jump law {kind!r}")
         law = _JUMP_LAWS[kind]
         given = {key[len("jump_"):]: v for key, v in params.items() if key.startswith("jump_")}
         for name in sorted(set(given) - {f.name for f in fields(law)}):
-            raise ParameterError(f"key 'jump_{name}' not applicable to jump law {kind!r}")
+            raise ConfigError(f"key 'jump_{name}' not applicable to jump law {kind!r}")
         return cls(rate=params.get("rate", cls.rate), jumps=law(**given))
 
     def psi(self, xi):
@@ -328,7 +415,7 @@ class InverseGaussian(LevyExponent):
 
     def __post_init__(self):
         if not (self.delta > 0 and self.ig_gamma > 0):
-            raise ParameterError(
+            raise ConfigError(
                 f"delta and ig_gamma must be positive, got "
                 f"delta={self.delta}, ig_gamma={self.ig_gamma}"
             )
@@ -378,6 +465,23 @@ FAMILIES = {
 }
 
 
+def exponent_from_params(family: str, params: dict) -> LevyExponent:
+    """Build a noise family from its config-file name and parameters.
+
+    The one judge of family keys: it names the first key, in the order of
+    params, that the family does not take."""
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown family {family!r}")
+    keys = FAMILIES[family].config_keys()
+    for key in params:
+        if key in keys:
+            continue
+        if any(key in cls.config_keys() for cls in FAMILIES.values()):
+            raise ConfigError(f"key {key!r} not applicable to family {family!r}")
+        raise ConfigError(f"unknown key {key!r}")
+    return FAMILIES[family].from_params(params)
+
+
 # ---------------------------------------------------------------------------
 # compressibility predictions
 
@@ -400,9 +504,9 @@ class KappaPrediction:
 
     def __post_init__(self):
         if self.kind not in ("exact", "bounds", "infinite", None):
-            raise ParameterError(f"unknown prediction kind {self.kind!r}")
+            raise ConfigError(f"unknown prediction kind {self.kind!r}")
         if self.kind == "bounds" and not self.lower <= self.upper:
-            raise ParameterError(
+            raise ConfigError(
                 f"bounds must be ordered, got [{self.lower}, {self.upper}]"
             )
 
@@ -461,9 +565,9 @@ def admissibility(exponent: LevyExponent, d: int, p0: float = 2.0, tau0: float =
     gamma > tau0 + d - d/p0.
     """
     if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
+        raise ConfigError(f"dimension must be >= 1, got {d}")
     if not p0 > 0:
-        raise ParameterError(f"p0 must be positive, got {p0}")
+        raise ConfigError(f"p0 must be positive, got {p0}")
     if isinstance(exponent, Gaussian):
         return "gamma > tau0 + d/2", tau0 + d / 2.0
     return "gamma > tau0 + d - d/p0", tau0 + d - d / p0
@@ -485,7 +589,7 @@ def theoretical_kappa(
     p0 may be math.inf, meaning 1/p0 = 0 in the condition.
     """
     if not gamma > 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
+        raise ConfigError(f"gamma must be positive, got {gamma}")
     if not gamma > admissibility(exponent, d, p0, tau0)[1]:
         return KappaPrediction(kind=None)
     gaussian_rate = (gamma - tau0) / d - 0.5

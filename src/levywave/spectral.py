@@ -16,8 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .exponents import LevyExponent, ParameterError
-from .sampling import GridSpec, generate_noise
+from .exponents import ConfigError, GridSpec, LevyExponent, generate_noise
 
 __all__ = [
     "FractionalLaplacian",
@@ -48,7 +47,7 @@ class _RadialSymbol:
 
     def __post_init__(self):
         if not self.gamma > 0:
-            raise ParameterError(f"order gamma must be positive, got {self.gamma}")
+            raise ConfigError(f"order gamma must be positive, got {self.gamma}")
 
     def evaluate(self, grid: GridSpec) -> np.ndarray:
         # the shift joins the 1-D last-axis table before the broadcast: every

@@ -5,13 +5,13 @@ import pytest
 
 from levywave import (
     CompoundPoisson,
+    ConfigError,
     DiracJump,
     Gaussian,
     GaussianJump,
     InverseGaussian,
     KappaPrediction,
     Laplace,
-    ParameterError,
     SAlphaS,
     UniformJump,
     make_rng,
@@ -123,10 +123,11 @@ def test_sas_growth_index_limits():
         lambda: GaussianJump(0.0),
         lambda: UniformJump(1.0, 1.0),
         lambda: UniformJump(2.0, -1.0),
+        lambda: DiracJump(0.0),
     ],
 )
 def test_invalid_parameters_rejected(make):
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         make()
 
 
@@ -188,9 +189,9 @@ def test_kappa_p0_infinite_convention():
 
 
 def test_kappa_invalid_arguments():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         theoretical_kappa(Gaussian(1.0), gamma=-1.0, d=1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         theoretical_kappa(Gaussian(1.0), gamma=1.0, d=1, p0=0.0)
 
 

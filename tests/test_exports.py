@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import levywave
 from levywave import exponents, harness
 
@@ -81,7 +83,7 @@ def test_compare_outputs_runs_parseable_configs():
     # importing it and rewrites the sample configs to d=2, to tau0 = 0.25, to
     # the matern operator at d=1 and d=2, and gaussian to an inadmissible
     # gamma; every text it runs must parse, or a byte-identity check would
-    # report failed runs only
+    # report failed runs only, and every rejected text it runs must be refused
     spec = importlib.util.spec_from_file_location("compare", ROOT / "tools" / "compare_outputs.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
@@ -109,4 +111,8 @@ def test_compare_outputs_runs_parseable_configs():
     assert [entry for _, block in blocks for entry in block] == tool.config_set(ROOT)[:5 * n]
     for _, block in blocks:
         parsed = [harness.parse_config(text) for _, text in block]
-        assert len({(c.gamma, c.d, c.J, c.p0, c.tau0) for c in parsed}) == 1
+        assert len({(c.gamma, c.d, c.J, c.k, c.p0, c.tau0) for c in parsed}) == 1
+    # each rejected config is refused with a ConfigError, whose run exits 2
+    for _, text in tool.rejected_configs(ROOT):
+        with pytest.raises(levywave.ConfigError):
+            harness.parse_config(text)

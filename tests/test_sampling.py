@@ -10,13 +10,13 @@ from scipy.special import exp1
 from levywave import (
     BesovParams,
     CompoundPoisson,
+    ConfigError,
     DiracJump,
     Gaussian,
     GaussianJump,
     GridSpec,
     InverseGaussian,
     Laplace,
-    ParameterError,
     SAlphaS,
     UniformJump,
     WaveletSpec,
@@ -57,9 +57,9 @@ def test_grid_memory_guard():
 
 
 def test_grid_invalid_parameters():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         GridSpec(d=3, J=4)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         GridSpec(d=1, J=0)
 
 

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levywave import (
+    ConfigError,
     FractionalLaplacian,
     Gaussian,
     GridSpec,
     Laplace,
     Matern,
     OPERATORS,
-    ParameterError,
     apply_inverse_operator,
     forward_fft,
     inverse_fft,
@@ -197,9 +197,9 @@ def test_symbol_allocates_little_beside_its_result():
 
 
 def test_operator_orders_must_be_positive():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         FractionalLaplacian(0.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         Matern(-1.0)
 
 

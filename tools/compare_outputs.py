@@ -14,13 +14,16 @@ configs:
   - configs/gaussian.cfg at gamma = 0.4 with allow_inadmissible = true, whose
     verdict is "unchecked".
 It also runs `levywave compare` on each variant's six configs as one block,
-at --threads 1 and 2.  The config texts come from CHANGE, so both sides run
-the same configs.  For each run it compares the sha256 of curves.csv,
-summary.json and plot.tsv (`levywave run` only), what the command printed
-(with the side's output directory in the `wrote ...` lines replaced by OUT)
-and its exit code, and prints one line.  It exits 1 if anything differs or
-any run fails, and 0 otherwise.  A failed verdict or an inversion (exit
-code 1) is a completed run.
+at --threads 1 and 2, and `levywave run` once on each config of REJECTED, a
+sample config with one key rewritten to a value it must refuse.  The config
+texts come from CHANGE, so both sides run the same configs.  For each run it
+compares the sha256 of curves.csv, summary.json and plot.tsv (`levywave run`
+only), what the command printed (with the side's output directory in the
+`wrote ...` lines replaced by OUT; stderr for a rejected config) and its exit
+code, and prints one line: 76 runs and 7 rejected configs in all.  It exits 1
+if anything differs or any run fails, and 0 otherwise.  A failed verdict or
+an inversion (exit code 1) is a completed run; a rejected config's run is
+completed only with exit code 2.
 """
 
 from __future__ import annotations
@@ -47,6 +50,16 @@ VARIANTS = (
     (" at tau0=0.25", TAU0_KEYS),
     (" under matern", MATERN_KEYS),
     (" under matern at d=2 J=9 gamma=1.5", {**MATERN_KEYS, **D2_KEYS}),
+)
+# (sample config, key, value) of each rejected config, each refused by a different check
+REJECTED = (
+    ("gaussian", "d", "3"),
+    ("gaussian", "J", "30"),
+    ("gaussian", "k", "30"),
+    ("gaussian", "gamma", "-1"),
+    ("sas15", "alpha", "3"),
+    ("compound_poisson", "jump", "foo"),
+    ("compound_poisson", "rate", "1e9"),
 )
 
 
@@ -93,12 +106,21 @@ def config_set(root: Path) -> list:
     )
 
 
-def _levywave(checkout: Path, args: list, cwd: Path):
-    """The finished process of one levywave command, or an error message."""
+def rejected_configs(root: Path) -> list:
+    """(label, config text) for every config of REJECTED, from the checkout at root."""
+    samples = dict(compare_blocks(root)[0][1])
+    return [(f"configs/{name}.cfg at {key}={value}",
+             _with_keys(samples[f"configs/{name}.cfg"], {key: value}))
+            for name, key, value in REJECTED]
+
+
+def _levywave(checkout: Path, args: list, cwd: Path, codes=(0, 1)):
+    """The finished process of one levywave command, or an error message if
+    its exit code is not one of codes."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run([sys.executable, "-m", "levywave.cli", *args],
                           env=env, cwd=cwd, capture_output=True, text=True)
-    if proc.returncode not in (0, 1):
+    if proc.returncode not in codes:
         last = (proc.stderr.strip().splitlines() or ["no message"])[-1]
         return f"exit {proc.returncode}: {last}"
     return proc
@@ -129,6 +151,14 @@ def _compare(checkout: Path, cfgs: list, threads: int):
     return {"stdout": proc.stdout, "exit code": proc.returncode}
 
 
+def _reject(checkout: Path, cfg: Path):
+    """stderr and exit code of `levywave run` refusing cfg, or an error message."""
+    proc = _levywave(checkout, ["run", str(cfg)], cfg.parent, codes=(2,))
+    if isinstance(proc, str):
+        return proc
+    return {"stderr": proc.stderr, "exit code": proc.returncode}
+
+
 def _verdict(results: list) -> str:
     errors = [f"{tag} {r}" for tag, r in zip(("parent", "change"), results)
               if isinstance(r, str)]
@@ -154,6 +184,11 @@ def main(argv) -> int:
                 verdicts.append(_verdict([_run(side, cfg, tmp / f"{i}-{threads}-{tag}", threads)
                                           for tag, side in sides]))
                 print(f"threads={threads}  {label}: {verdicts[-1]}", flush=True)
+        for i, (label, text) in enumerate(rejected_configs(change)):
+            cfg = tmp / f"rejected{i}.cfg"
+            cfg.write_text(text)
+            verdicts.append(_verdict([_reject(side, cfg) for _, side in sides]))
+            print(f"rejected   {label}: {verdicts[-1]}", flush=True)
         for i, (label, block) in enumerate(compare_blocks(change)):
             cfgs = [tmp / f"block{i}-{j}.cfg" for j in range(len(block))]
             for cfg, (_, text) in zip(cfgs, block):
