@@ -11,6 +11,9 @@ import sys
 
 from .harness import compare_families, emit_outputs, load_config, parse_settings, run_experiment
 
+_THREADS_HELP = ("worker processes for the trials, started with fork (default: the usable "
+                "CPUs, at most 4)")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -23,12 +26,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("config", help="path to a key = value config file")
     p_run.add_argument("--output", help="output directory (overrides config)")
-    p_run.add_argument("--threads", type=int, help="worker threads for trials")
+    p_run.add_argument("--threads", type=int, help=_THREADS_HELP)
     p_run.set_defaults(handler=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run several configs and check the ordering")
     p_cmp.add_argument("configs", nargs="+", help="config file paths")
-    p_cmp.add_argument("--threads", type=int)
+    p_cmp.add_argument("--threads", type=int, help=_THREADS_HELP)
     p_cmp.set_defaults(handler=_cmd_compare)
 
     p_pre = sub.add_parser("predict", help="print the theoretical decay exponent")

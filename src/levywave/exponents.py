@@ -103,7 +103,7 @@ class GridSpec:
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator so draws are reproducible across thread counts."""
+    """Counter-based generator so draws are reproducible across worker counts."""
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 

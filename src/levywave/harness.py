@@ -12,10 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import partial
 from itertools import permutations
 from typing import Optional, get_type_hints
 
@@ -256,12 +255,15 @@ class ExperimentReport:
         self.verdict = self.prediction.verdict(self.kappa_median, self.config.tolerance)
 
 
-def _thread_count(threads: Optional[int]) -> int:
-    if threads is None:
-        return min(4, os.cpu_count() or 1)
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-    return int(threads)
+def _worker_count(workers: Optional[int]) -> int:
+    if workers is None:
+        # the CPUs this process may run on: a pinned process has fewer than cpu_count()
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
+        return min(4, usable)
+    if workers < 1:
+        raise ConfigError(f"threads must be >= 1, got {workers}")
+    return int(workers)
 
 
 def _run_trial(config: ExperimentConfig, index: int) -> np.ndarray:
@@ -276,17 +278,43 @@ def _run_trial(config: ExperimentConfig, index: int) -> np.ndarray:
     return sigma_curve(coeffs, params, config.n_values())
 
 
-def run_experiment(config: ExperimentConfig, threads: Optional[int] = None) -> ExperimentReport:
-    """Run all trials and report their n-term errors, fits and verdict."""
-    config.validate()
+def _run_job(job) -> np.ndarray:
+    # _run_trial is looked up when the job runs, so a job pickles as (config, index) alone
+    return _run_trial(*job)
+
+
+def _run_trials(configs, workers: Optional[int]) -> list:
+    """Each validated config's sigma, row t from its trial t.  The configs share
+    one grid.  All their trials go through one map, in order, so the
+    lowest-index failing trial's own exception reaches the caller.
+
+    The workers are processes started with fork: a trial at desk scale is
+    2-5 ms of small numpy calls with the GIL held between them, so threads
+    gain little.  fork starts a pool and runs its first task in about 0.01 s,
+    forkserver in 0.21 s and spawn in 0.25 s, which would eat the gain.
+    Python 3.12+ warns when a process with threads forks, and after
+    `import numpy` this process has OpenBLAS's.  Where fork does not exist
+    the trials run on the calling process.
+    """
+    jobs = [(config, index) for config in configs for index in range(config.trials)]
     # the memory guard's cell cap bounds all the trials in flight (one trial is within it)
-    n_workers = min(_thread_count(threads), config.trials, _MAX_CELLS // config.grid().size)
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        # one worker runs the trials on the calling thread; a failing
-        # trial's own exception reaches the caller either way
-        run = map if n_workers == 1 else pool.map
-        sigma = np.array(list(run(partial(_run_trial, config), range(config.trials))))
-    return ExperimentReport(config, sigma)
+    n_workers = min(_worker_count(workers), len(jobs), _MAX_CELLS // configs[0].grid().size)
+    if n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        rows = list(map(_run_job, jobs))
+    else:
+        # leaving the block terminates the workers, also when a trial raised
+        with multiprocessing.get_context("fork").Pool(n_workers) as pool:
+            chunksize = math.ceil(len(jobs) / (4 * n_workers))
+            rows = list(pool.imap(_run_job, jobs, chunksize=chunksize))
+    ends = np.cumsum([config.trials for config in configs])
+    return [np.array(rows[end - config.trials:end]) for config, end in zip(configs, ends)]
+
+
+def run_experiment(config: ExperimentConfig, threads: Optional[int] = None) -> ExperimentReport:
+    """Run all trials, on `threads` worker processes, and report their n-term
+    errors, fits and verdict."""
+    config.validate()
+    return ExperimentReport(config, _run_trials([config], threads)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +365,8 @@ def _family_label(config: ExperimentConfig) -> str:
 
 
 def compare_families(configs, threads: Optional[int] = None) -> ComparisonReport:
-    """Run each config and check the measured medians against the theory order."""
+    """Run each config's trials, on `threads` worker processes, and check the
+    measured medians against the theory order."""
     if not configs:
         raise ConfigError("compare_families needs at least one config")
     # k caps the measured rate, so medians at different k do not compare
@@ -346,7 +375,11 @@ def compare_families(configs, threads: Optional[int] = None) -> ComparisonReport
         raise ConfigError(
             f"configs must share (gamma, d, J, k, p0, tau0), got {sorted(set(shared))}"
         )
-    reports = [run_experiment(c, threads=threads) for c in configs]
+    for config in configs:
+        config.validate()
+    # one map over every trial; the fits and reports stay in this process
+    sigmas = _run_trials(configs, threads)
+    reports = [ExperimentReport(config, sigma) for config, sigma in zip(configs, sigmas)]
     return ComparisonReport(
         [ComparisonEntry(_family_label(r.config), r.prediction, r.kappa_median) for r in reports]
     )

@@ -1,7 +1,8 @@
 import dataclasses
 import itertools
+import multiprocessing
+import os
 import pathlib
-import threading
 import time
 import tracemalloc
 import warnings
@@ -281,6 +282,29 @@ def test_compare_families_two_stable_indices():
     assert report.entries[0].kappa_median < report.entries[1].kappa_median
 
 
+def test_compare_families_splits_one_map_back_into_configs(monkeypatch):
+    # the trials of both configs go through one map at 2 workers; each
+    # report, built in this process, gets its own config's rows
+    a = _small_config(trials=3)
+    b = _small_config(family="sas", params={"alpha": 1.5}, trials=5, base_seed=7)
+    built = []
+
+    class RecordedReport(harness.ExperimentReport):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(harness, "ExperimentReport", RecordedReport)
+    report = compare_families([a, b], threads=2)
+    assert [r.config for r in built] == [a, b]
+    medians = {e.label: e.kappa_median for e in report.entries}
+    for config, got in zip((a, b), list(built)):
+        alone = run_experiment(config, threads=1)
+        assert got.sigma.shape == (config.trials, len(config.n_values()))
+        np.testing.assert_array_equal(got.sigma, alone.sigma)
+        assert medians[harness._family_label(config)] == alone.kappa_median
+
+
 def _entries(laplace_median):
     # one entry per prediction kind, in theory order
     rows = [
@@ -378,29 +402,29 @@ def test_report_names_a_non_finite_row(bad):
         harness.ExperimentReport(config, sigma)
 
 
-@pytest.mark.parametrize("J, max_threads", [(26, 1), (25, 2)])
-def test_trials_in_flight_stay_within_the_memory_guard(monkeypatch, J, max_threads):
+@pytest.mark.parametrize("J, max_workers", [(26, 1), (25, 2)])
+def test_trials_in_flight_stay_within_the_memory_guard(monkeypatch, tmp_path, J, max_workers):
     # a d=1 J=26 trial alone fills the cell cap, so its trials run one at a
-    # time on the calling thread; the fake trial allocates nothing large and
-    # waits a little, so that trials given threads overlap
-    threads, in_flight, peak, lock = [], [0], [0], threading.Lock()
-
+    # time on the calling process; the fake trial allocates nothing large,
+    # waits a little so that trials given workers overlap, and leaves its pid
+    # and its enter and exit times in a file, which a worker process can
     def small_trial(config, index):
-        with lock:
-            threads.append(threading.get_ident())
-            in_flight[0] += 1
-            peak[0] = max(peak[0], in_flight[0])
+        enter = time.monotonic()
         time.sleep(0.05)
-        with lock:
-            in_flight[0] -= 1
+        (tmp_path / f"trial{index}").write_text(f"{os.getpid()} {enter!r} {time.monotonic()!r}")
         return config.n_values() ** -1.0
 
     monkeypatch.setattr(harness, "_run_trial", small_trial)
     report = run_experiment(_small_config(J=J, k=4, fit_lo=None, fit_hi=None), threads=4)
     assert report.kappa_median == pytest.approx(1.0)
-    assert len(threads) == 4 and 1 <= peak[0] <= max_threads
-    if max_threads == 1:
-        assert set(threads) == {threading.get_ident()}
+    records = [path.read_text().split() for path in tmp_path.iterdir()]
+    # +1 at each enter and -1 at each exit, an exit first at a tie
+    events = sorted([(float(t0), 1) for _, t0, _ in records]
+                    + [(float(t1), -1) for _, _, t1 in records])
+    peak = max(itertools.accumulate(step for _, step in events))
+    assert len(records) == 4 and 1 <= peak <= max_workers
+    if max_workers == 1:
+        assert {int(pid) for pid, _, _ in records} == {os.getpid()}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -415,6 +439,46 @@ def test_trial_exception_is_the_same_at_any_thread_count(monkeypatch, tmp_path, 
     cfg = _write_config(tmp_path, SMALL)
     assert cli_main(["run", str(cfg), "--threads", str(threads)]) == 2
     assert "error: trial 0 cannot fit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_lowest_index_failure_wins_at_any_worker_count(monkeypatch, tmp_path, capsys, threads):
+    # trial 2 fails while trial 1 still sleeps, so at 2 workers its error
+    # arrives first; the caller still gets trial 1's
+    def failing_trial(config, index):
+        if index == 1:
+            time.sleep(0.2)
+            raise ValueError("trial 1 failed late")
+        if index == 2:
+            raise ValueError("trial 2 failed early")
+        return config.n_values() ** -1.0
+
+    monkeypatch.setattr(harness, "_run_trial", failing_trial)
+    with pytest.raises(ValueError, match="^trial 1 failed late$"):
+        run_experiment(_small_config(trials=3), threads=threads)
+    cfg = _write_config(tmp_path, SMALL)
+    assert cli_main(["run", str(cfg), "--threads", str(threads)]) == 2
+    assert "error: trial 1 failed late" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_no_worker_process_outlives_a_call(monkeypatch, fail):
+    def trial(config, index):
+        if fail and index == 1:
+            raise ValueError("trial 1 failed")
+        return config.n_values() ** -1.0
+
+    monkeypatch.setattr(harness, "_run_trial", trial)
+    calls = [lambda: run_experiment(_small_config(), threads=2),
+             lambda: compare_families([_small_config(), _small_config(base_seed=1)], threads=2)]
+    assert multiprocessing.active_children() == []
+    for call in calls:
+        if fail:
+            with pytest.raises(ValueError, match="^trial 1 failed$"):
+                call()
+        else:
+            call()
+        assert multiprocessing.active_children() == []
 
 
 def test_non_finite_trial_is_named(tmp_path, capsys):
@@ -731,12 +795,17 @@ def test_load_config_from_file(tmp_path):
     assert config.J == 10
 
 
-def test_thread_count_explicit_and_default():
-    from levywave.harness import _thread_count
+def test_thread_count_explicit_and_default(monkeypatch):
+    from levywave.harness import _worker_count
 
-    assert _thread_count(5) == 5
-    assert _thread_count(1) == 1
-    assert 1 <= _thread_count(None) <= 4
+    assert _worker_count(5) == 5
+    assert _worker_count(1) == 1
+    assert 1 <= _worker_count(None) <= 4
+    # the default counts the CPUs this process may run on, at most 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert _worker_count(None) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    assert _worker_count(None) == 4
 
 
 @pytest.mark.parametrize("threads", [0, -5])
