@@ -278,9 +278,9 @@ def _run_trial(config: ExperimentConfig, index: int) -> np.ndarray:
     return sigma_curve(coeffs, params, config.n_values())
 
 
-def _run_job(job) -> np.ndarray:
-    # _run_trial is looked up when the job runs, so a job pickles as (config, index) alone
-    return _run_trial(*job)
+def _run_chunk(jobs) -> list:
+    # _run_trial is looked up when the chunk runs, so a job pickles as (config, index) alone
+    return [_run_trial(config, index) for config, index in jobs]
 
 
 def _run_trials(configs, workers: Optional[int]) -> list:
@@ -300,12 +300,26 @@ def _run_trials(configs, workers: Optional[int]) -> list:
     # the memory guard's cell cap bounds all the trials in flight (one trial is within it)
     n_workers = min(_worker_count(workers), len(jobs), _MAX_CELLS // configs[0].grid().size)
     if n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        rows = list(map(_run_job, jobs))
+        rows = _run_chunk(jobs)
     else:
+        # about four chunks per worker: a round trip per trial costs most of the gain
+        size = math.ceil(len(jobs) / (4 * n_workers))
+        chunks = [jobs[start:start + size] for start in range(0, len(jobs), size)]
+        others = set(multiprocessing.active_children())
         # leaving the block terminates the workers, also when a trial raised
         with multiprocessing.get_context("fork").Pool(n_workers) as pool:
-            chunksize = math.ceil(len(jobs) / (4 * n_workers))
-            rows = list(pool.imap(_run_job, jobs, chunksize=chunksize))
+            pool_workers = set(multiprocessing.active_children()) - others
+            results = pool.imap(_run_chunk, chunks)
+            rows = []
+            while len(rows) < len(jobs):
+                try:
+                    rows += results.next(timeout=1.0)
+                except multiprocessing.TimeoutError:
+                    # the pool replaces a worker that was killed but drops its chunk
+                    lost = [w.exitcode for w in pool_workers if not w.is_alive()]
+                    if lost:
+                        raise ChildProcessError(
+                            f"a trial's worker process died (exit code {lost[0]})") from None
     ends = np.cumsum([config.trials for config in configs])
     return [np.array(rows[end - config.trials:end]) for config, end in zip(configs, ends)]
 

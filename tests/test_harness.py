@@ -3,6 +3,7 @@ import itertools
 import multiprocessing
 import os
 import pathlib
+import re
 import time
 import tracemalloc
 import warnings
@@ -461,23 +462,41 @@ def test_lowest_index_failure_wins_at_any_worker_count(monkeypatch, tmp_path, ca
     assert "error: trial 1 failed late" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fail", [False, True])
-def test_no_worker_process_outlives_a_call(monkeypatch, fail):
+@pytest.mark.parametrize(
+    "failure, message",
+    [
+        (None, None),
+        (ValueError, "trial 1 failed"),
+        # a worker killed mid-trial sends nothing back, and the call must not wait for it
+        (ChildProcessError, "a trial's worker process died (exit code 3)"),
+    ],
+    ids=["succeeds", "raises", "worker-dies"],
+)
+def test_no_worker_process_outlives_a_call(monkeypatch, tmp_path, capsys, failure, message):
+    parent = os.getpid()
+
     def trial(config, index):
-        if fail and index == 1:
-            raise ValueError("trial 1 failed")
+        if index == 1 and failure is ValueError:
+            raise ValueError(message)
+        if index == 1 and failure is ChildProcessError and os.getpid() != parent:
+            os._exit(3)
         return config.n_values() ** -1.0
 
     monkeypatch.setattr(harness, "_run_trial", trial)
+    cfg = _write_config(tmp_path, SMALL)
     calls = [lambda: run_experiment(_small_config(), threads=2),
-             lambda: compare_families([_small_config(), _small_config(base_seed=1)], threads=2)]
+             lambda: compare_families([_small_config(), _small_config(base_seed=1)], threads=2),
+             lambda: cli_main(["run", str(cfg), "--threads", "2"])]
     assert multiprocessing.active_children() == []
     for call in calls:
-        if fail:
-            with pytest.raises(ValueError, match="^trial 1 failed$"):
-                call()
-        else:
+        if failure is None:
             call()
+        elif call is calls[-1]:
+            assert call() == 2
+            assert f"error: {message}" in capsys.readouterr().err
+        else:
+            with pytest.raises(failure, match=f"^{re.escape(message)}$"):
+                call()
         assert multiprocessing.active_children() == []
 
 
