@@ -12,7 +12,8 @@ import sys
 from .harness import compare_families, emit_outputs, load_config, parse_settings, run_experiment
 
 _THREADS_HELP = ("worker processes for the trials, started with fork (default: the usable "
-                "CPUs, at most 4)")
+                "CPUs, at most 4); a trial that runs alone uses them as threads for its "
+                "large d=2 passes, whose numpy calls release the GIL")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -21,6 +21,7 @@ resolution-J noise field of cell averages <w, 1_cell>/vol.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar, Union
 
@@ -62,8 +63,10 @@ _MASK64 = (1 << 64) - 1
 # memory guard on the total cell count: a trial's resident peak (VmHWM above
 # the interpreter's) is 16 bytes per cell in d=2 (laplace J=12, two fields, set
 # equally by the two FFT stages, the DWT's finest level and sigma_curve) to 36 in
-# d=1 (J=20, any family), so 2^26 cells need up to 2.4 GB; the jump families
-# draw 16 bytes per jump, so the same bound caps a trial's jumps
+# d=1 (J=20, any family), so 2^26 cells need up to 2.4 GB; each thread of a
+# lone d=2 trial adds its DWT block scratch, 2 MiB (all of them together at
+# most 1/8 of a small grid); the jump families draw 16 bytes per jump, so the
+# same bound caps a trial's jumps
 _MAX_CELLS = 1 << 26
 
 
@@ -100,6 +103,39 @@ class GridSpec:
     @property
     def cell_volume(self) -> float:
         return 2.0 ** (-self.J * self.d)
+
+
+def _in_parts(work, n: int, threads: int) -> None:
+    """Call work(lo, hi) on min(threads, n) consecutive ranges that cover
+    range(n), each range on its own thread and the first on the calling one.
+
+    Threads pay only where work is large numpy calls, which release the GIL.
+    Every thread is joined before this returns, also when a part raises, and
+    the exception of the lowest part that raised reaches the caller.
+    """
+    parts = max(1, min(threads, n))
+    edges = [n * i // parts for i in range(parts + 1)]
+    errors = [None] * parts
+
+    def run(i):
+        try:
+            work(edges[i], edges[i + 1])
+        except BaseException as exc:  # raised on the calling thread below
+            errors[i] = exc
+
+    started = []
+    try:
+        for i in range(1, parts):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            started.append(thread)
+        work(edges[0], edges[1])
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -255,32 +255,38 @@ class ExperimentReport:
         self.verdict = self.prediction.verdict(self.kappa_median, self.config.tolerance)
 
 
+def _usable_cpus() -> int:
+    # the CPUs this process may run on: a pinned process has fewer than cpu_count()
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _worker_count(workers: Optional[int]) -> int:
     if workers is None:
-        # the CPUs this process may run on: a pinned process has fewer than cpu_count()
-        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                  else os.cpu_count() or 1)
-        return min(4, usable)
+        return min(4, _usable_cpus())
     if workers < 1:
         raise ConfigError(f"threads must be >= 1, got {workers}")
     return int(workers)
 
 
-def _run_trial(config: ExperimentConfig, index: int) -> np.ndarray:
-    """The n-term errors of trial `index` over config.n_values()."""
+def _run_trial(config: ExperimentConfig, index: int, threads: int) -> np.ndarray:
+    """The n-term errors of trial `index` over config.n_values(); its large d=2
+    passes split across `threads` threads."""
     exponent = config.exponent()
     seed = trial_seed(config.base_seed, index)
     # passed on with no name kept, so the DWT frees the field after its finest level
     coeffs = dwt_periodic(
-        synthesize_process(exponent, config.grid(), config.symbol(), seed), config.wavelet_spec()
+        synthesize_process(exponent, config.grid(), config.symbol(), seed, threads=threads),
+        config.wavelet_spec(), threads=threads,
     )
     params = BesovParams(tau=config.tau0, p=config.p0)
     return sigma_curve(coeffs, params, config.n_values())
 
 
-def _run_chunk(jobs) -> list:
+def _run_chunk(jobs, threads: int = 1) -> list:
     # _run_trial is looked up when the chunk runs, so a job pickles as (config, index) alone
-    return [_run_trial(config, index) for config, index in jobs]
+    return [_run_trial(config, index, threads=threads) for config, index in jobs]
 
 
 def _run_trials(configs, workers: Optional[int]) -> list:
@@ -293,14 +299,22 @@ def _run_trials(configs, workers: Optional[int]) -> list:
     gain little.  fork starts a pool and runs its first task in about 0.01 s,
     forkserver in 0.21 s and spawn in 0.25 s, which would eat the gain.
     Python 3.12+ warns when a process with threads forks, and after
-    `import numpy` this process has OpenBLAS's.  Where fork does not exist
-    the trials run on the calling process.
+    `import numpy` this process has OpenBLAS's.
+
+    The trials run one at a time on the calling process when one worker is
+    asked for, when there is one trial or room for one under the cell cap,
+    and where fork does not exist.  Each then gets the workers asked for as
+    threads, at most the usable CPUs, and splits its d=2 FFT passes,
+    operator division and DWT blocks across them: those are large numpy
+    calls, which release the GIL.  A d=1 trial stays on one thread, and so
+    does a trial in a worker process.
     """
     jobs = [(config, index) for config in configs for index in range(config.trials)]
+    requested = _worker_count(workers)
     # the memory guard's cell cap bounds all the trials in flight (one trial is within it)
-    n_workers = min(_worker_count(workers), len(jobs), _MAX_CELLS // configs[0].grid().size)
+    n_workers = min(requested, len(jobs), _MAX_CELLS // configs[0].grid().size)
     if n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        rows = _run_chunk(jobs)
+        rows = _run_chunk(jobs, threads=min(requested, _usable_cpus()))
     else:
         # about four chunks per worker: a round trip per trial costs most of the gain
         size = math.ceil(len(jobs) / (4 * n_workers))

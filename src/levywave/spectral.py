@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .exponents import ConfigError, GridSpec, LevyExponent, generate_noise
+from .exponents import ConfigError, GridSpec, LevyExponent, _in_parts, generate_noise
 
 __all__ = [
     "FractionalLaplacian",
@@ -49,14 +49,15 @@ class _RadialSymbol:
         if not self.gamma > 0:
             raise ConfigError(f"order gamma must be positive, got {self.gamma}")
 
-    def evaluate(self, grid: GridSpec) -> np.ndarray:
+    def evaluate(self, grid: GridSpec, rows: slice = slice(None)) -> np.ndarray:
+        """The symbol on the half spectrum; in d=2 on its leading-axis `rows` only."""
         # the shift joins the 1-D last-axis table before the broadcast: every
         # term is an integer below 2^53, so each sum is exact in any order
         axes = frequency_lattice(grid)
         m2 = axes[-1] ** 2
         m2 += self.shift
         if grid.d == 2:
-            m2 = axes[0][:, None] ** 2 + m2[None, :]
+            m2 = axes[0][rows, None] ** 2 + m2[None, :]
         m2 **= self.gamma / 2.0
         return m2
 
@@ -78,44 +79,74 @@ class Matern(_RadialSymbol):
 OPERATORS = {cls.operator_name: cls for cls in (FractionalLaplacian, Matern)}
 
 
-def forward_fft(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+_BLOCK = 1 << 16  # symbol values per block of apply_inverse_operator (512 KiB)
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    # a d=1 array is one row, so both dimensions run the same row passes
+    return a.reshape(-1, a.shape[-1])
+
+
+def forward_fft(values: np.ndarray, grid: GridSpec, threads: int = 1) -> np.ndarray:
     """Half spectrum (rfftn layout) of a real field, normalized so coefficients
     approximate continuous Fourier coefficients.
 
-    The zero-frequency coefficient is forced to zero.  Given out=, rfftn
-    transforms the leading axes in place rather than into a second array.
+    The zero-frequency coefficient is forced to zero.  The passes of rfftn,
+    rows then (in d=2) columns, each split across `threads` threads; the
+    column pass transforms in place rather than into a second array.
     """
     if values.shape != grid.shape:
         raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
     half = np.empty(grid.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
-    coeffs = np.fft.rfftn(values, axes=tuple(range(grid.d)), norm="forward", out=half)
-    coeffs[(0,) * grid.d] = 0.0
-    return coeffs
+    rows, out = _rows(values), _rows(half)
+    _in_parts(lambda lo, hi: np.fft.rfft(rows[lo:hi], norm="forward", out=out[lo:hi]),
+              len(rows), threads)
+    if grid.d == 2:
+        _in_parts(lambda lo, hi: np.fft.fft(half[:, lo:hi], axis=0, norm="forward",
+                                            out=half[:, lo:hi]), half.shape[1], threads)
+    half[(0,) * grid.d] = 0.0
+    return half
 
 
-def inverse_fft(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+def inverse_fft(coeffs: np.ndarray, grid: GridSpec, threads: int = 1) -> np.ndarray:
     """Back from a half spectrum to the real grid field; consumes coeffs.
 
-    Same passes as irfftn, but the leading axes are transformed in place.
-    The symbols are real, so dividing by one keeps the Hermitian symmetry
-    of a real field's spectrum; irfft drops only the round-off imaginary
-    parts of the self-conjugate bins (2m = 0 mod N).
+    Same passes as irfftn, each split across `threads` threads, but the
+    leading axis is transformed in place.  The symbols are real, so dividing
+    by one keeps the Hermitian symmetry of a real field's spectrum; irfft
+    drops only the round-off imaginary parts of the self-conjugate bins
+    (2m = 0 mod N).
     """
-    for axis in range(grid.d - 1):
-        np.fft.ifft(coeffs, axis=axis, norm="forward", out=coeffs)
-    return np.fft.irfft(coeffs, n=grid.n, axis=-1, norm="forward")
+    if grid.d == 2:
+        _in_parts(lambda lo, hi: np.fft.ifft(coeffs[:, lo:hi], axis=0, norm="forward",
+                                             out=coeffs[:, lo:hi]), coeffs.shape[1], threads)
+    field = np.empty(grid.shape)
+    rows, out = _rows(coeffs), _rows(field)
+    _in_parts(lambda lo, hi: np.fft.irfft(rows[lo:hi], n=grid.n, norm="forward", out=out[lo:hi]),
+              len(rows), threads)
+    return field
 
 
 def apply_inverse_operator(
-    coeffs: np.ndarray, symbol: _RadialSymbol, grid: GridSpec
+    coeffs: np.ndarray, symbol: _RadialSymbol, grid: GridSpec, threads: int = 1
 ) -> np.ndarray:
     """Divide a half spectrum by the symbol off the zero frequency:
-    s_hat(m) = w_hat(m)/L_hat(m), in place; returns coeffs."""
-    lhat = symbol.evaluate(grid)
-    dc = (0,) * grid.d
-    lhat[dc] = 1.0
-    coeffs /= lhat
-    coeffs[dc] = 0.0
+    s_hat(m) = w_hat(m)/L_hat(m), in place; returns coeffs.  The symbol is
+    evaluated and divided by a block of rows at a time, blocks split across
+    `threads` threads."""
+    rows = _rows(coeffs)
+    block = max(1, _BLOCK // rows.shape[1])
+    starts = range(0, len(rows), block)
+
+    def divide(lo, hi):
+        for r0 in starts[lo:hi]:
+            lhat = symbol.evaluate(grid, slice(r0, r0 + block))
+            if r0 == 0:
+                lhat.flat[0] = 1.0  # the zero frequency, set to 0 below
+            rows[r0:r0 + block] /= lhat
+
+    _in_parts(divide, len(starts), threads)
+    coeffs[(0,) * grid.d] = 0.0
     return coeffs
 
 
@@ -124,10 +155,12 @@ def synthesize_process(
     grid: GridSpec,
     symbol: _RadialSymbol,
     seed: int,
+    threads: int = 1,
 ) -> np.ndarray:
-    """One realization of the process solving (operator) s = noise, zero mean."""
+    """One realization of the process solving (operator) s = noise, zero mean;
+    the spectral stages split across `threads` threads."""
     # one name for every stage frees each full-size array once the next returns
     field = generate_noise(exponent, grid, seed)
-    field = forward_fft(field, grid)
-    field = apply_inverse_operator(field, symbol, grid)
-    return inverse_fft(field, grid)
+    field = forward_fft(field, grid, threads=threads)
+    field = apply_inverse_operator(field, symbol, grid, threads=threads)
+    return inverse_fft(field, grid, threads=threads)

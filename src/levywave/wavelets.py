@@ -24,6 +24,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .exponents import _in_parts
+
 __all__ = [
     "daubechies_lowpass",
     "quadrature_mirror_highpass",
@@ -145,7 +147,7 @@ class WaveletCoeffs:
 # single-axis periodic filter-bank steps
 
 
-_BLOCK = 1 << 14  # output samples per analysis block (128 KiB per buffer)
+_BLOCK = 1 << 14  # output samples per d=1 analysis block (128 KiB per buffer)
 
 
 def _along(axis: int, sl: slice) -> tuple:
@@ -165,37 +167,46 @@ def _analyze_axis(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int, lo, hi
             acc += np.multiply(phase, f[t], out=tmp)
 
 
-def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping) -> np.ndarray:
+def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping,
+                  block: int, threads: int) -> np.ndarray:
     """Split c once and return its low-pass part (the scaling band itself at the coarsest level).
 
-    One loop runs over blocks of leading-axis output rows, small enough to
-    stay in cache.  A block reads its input rows of c in place, and only a
-    block that runs past the end gets a copy padded with the first taps - 2
-    rows.  In d=1 the block filters straight into the bands.  In d=2 its
-    axis-0 pass fills two strips, and each strip's axis-1 pass, through a
-    buffer with taps - 2 wrapped columns, writes straight into the bands or
-    the coarse part: no whole-size intermediate is made, and every
-    coefficient gets the products, in the order, of two whole-level passes.
+    One loop runs over blocks of leading-axis output rows, about `block`
+    output samples each, small enough to stay in cache.  A block reads its
+    input rows of c in place, and only a block that runs past the end gets a
+    copy padded with the first taps - 2 rows.  In d=1 the block filters
+    straight into the bands.  In d=2 its axis-0 pass fills two strips, and
+    each strip's axis-1 pass, through a buffer with taps - 2 wrapped
+    columns, writes straight into the bands or the coarse part: no
+    whole-size intermediate is made, and every coefficient gets the
+    products, in the order, of two whole-level passes.  The blocks split
+    across `threads` threads, each with its own block-sized scratch, and
+    blocks write disjoint rows.
     """
     n, d, wrap = c.shape[0], c.ndim, h.size - 2
     out = {m: bands[m] if m in bands else np.zeros((n // 2,) * d) for m in range(1 << d)}
-    rows = min(n // 2, max(1, _BLOCK // math.prod(c.shape[1:])))
-    tmp = np.empty(rows * math.prod(c.shape[1:]))
-    if d == 2:
-        strips, buf = np.empty((2, rows, n)), np.empty((rows, n + wrap))
-    for r0 in range(0, n // 2, rows):
-        r1 = min(r0 + rows, n // 2)
-        # output rows r0 .. r1-1 read input rows 2 r0 .. 2 r1 + taps - 3
-        end, b = 2 * r1 + wrap, r1 - r0
-        src = c[2 * r0:end] if end <= n else np.concatenate([c[2 * r0:], c[:end - n]])
-        if d == 1:
-            _analyze_axis(src, h, g, 0, out[0][r0:r1], out[1][r0:r1], tmp)
-            continue
-        strips[:, :b] = 0.0
-        _analyze_axis(src, h, g, 0, strips[0, :b], strips[1, :b], tmp)
-        for mask in (0, 1):
-            buf[:b, :n], buf[:b, n:] = strips[mask, :b], strips[mask, :b, :wrap]
-            _analyze_axis(buf[:b], h, g, 1, out[mask][r0:r1], out[mask | 2][r0:r1], tmp)
+    rows = min(n // 2, max(1, block // math.prod(c.shape[1:])))
+    starts = range(0, n // 2, rows)
+
+    def analyze(lo, hi):
+        tmp = np.empty(rows * math.prod(c.shape[1:]))
+        if d == 2:
+            strips, buf = np.empty((2, rows, n)), np.empty((rows, n + wrap))
+        for r0 in starts[lo:hi]:
+            r1 = min(r0 + rows, n // 2)
+            # output rows r0 .. r1-1 read input rows 2 r0 .. 2 r1 + taps - 3
+            end, b = 2 * r1 + wrap, r1 - r0
+            src = c[2 * r0:end] if end <= n else np.concatenate([c[2 * r0:], c[:end - n]])
+            if d == 1:
+                _analyze_axis(src, h, g, 0, out[0][r0:r1], out[1][r0:r1], tmp)
+                continue
+            strips[:, :b] = 0.0
+            _analyze_axis(src, h, g, 0, strips[0, :b], strips[1, :b], tmp)
+            for mask in (0, 1):
+                buf[:b, :n], buf[:b, n:] = strips[mask, :b], strips[mask, :b, :wrap]
+                _analyze_axis(buf[:b], h, g, 1, out[mask][r0:r1], out[mask | 2][r0:r1], tmp)
+
+    _in_parts(analyze, len(starts), threads)
     return out[0]
 
 
@@ -203,14 +214,15 @@ def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping) -
 # multilevel transforms
 
 
-def dwt_periodic(values, spec: WaveletSpec) -> WaveletCoeffs:
+def dwt_periodic(values, spec: WaveletSpec, threads: int = 1) -> WaveletCoeffs:
     """Orthonormal periodic analysis of a square dyadic grid, shape (2^J,) or
-    (2^J, 2^J), in J - zeta splitting steps down to level 0.
+    (2^J, 2^J), in J - zeta splitting steps down to level 0; a d=2 step
+    splits its blocks across `threads` threads.
 
     Only the finest step reads values: a float array that the caller holds
     no other reference to is freed once that step is done.  A d=2 analysis
     then holds at most the grid, the coefficient buffer, a quarter-size
-    coarse part and a few cache-sized strips."""
+    coarse part and, per thread, a few cache-sized strips."""
     x = np.asarray(values, dtype=float)
     d = x.ndim
     if d not in (1, 2):
@@ -231,8 +243,14 @@ def dwt_periodic(values, spec: WaveletSpec) -> WaveletCoeffs:
     h = spec.lowpass / math.sqrt(2.0)
     g = spec.highpass / math.sqrt(2.0)
     coeffs = WaveletCoeffs(d=d, zeta=zeta, data=np.zeros(x.size))
+    # threads pay only in d=2: a d=1 block's numpy calls are too small.  A
+    # split block needs 2^16 samples to pay for the GIL's hand-offs, fewer on
+    # a small grid so that the threads' scratch (4 blocks each) stays within
+    # 1/8 of it; one thread is as fast with the smaller _BLOCK
+    threads = threads if d == 2 else 1
+    block = _BLOCK if threads == 1 else min(_BLOCK << 2, x.size // (32 * threads))
     c = x  # this function's only name for its input from here on
     del values, x
     for bands in reversed(coeffs.levels.values()):
-        c = _analyze_step(c, h, g, bands)
+        c = _analyze_step(c, h, g, bands, block, threads)
     return coeffs

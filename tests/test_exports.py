@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -56,7 +57,8 @@ def test_readme_library_example_runs():
 def test_perfbench_patch_points_are_looked_up(monkeypatch, tmp_path):
     # perfbench/spans.py times a layer by replacing the module attribute its
     # caller looks up; a name no caller looks up any more would read as a
-    # zero per-layer metric instead of failing
+    # zero per-layer metric instead of failing.  A lone d=2 trial that splits
+    # its passes across threads still calls each stage once, from its own thread
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -77,19 +79,26 @@ def test_perfbench_patch_points_are_looked_up(monkeypatch, tmp_path):
     harness.emit_outputs(harness.run_experiment(config, threads=1), tmp_path)
     assert all(calls.values()), calls
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    lone = harness.parse_config("family = laplace\ngamma = 1.5\nd = 2\nJ = 9\ntrials = 1\n")
+    calls.update(dict.fromkeys(calls, 0))
+    harness.run_experiment(lone, threads=2)
+    assert [calls[name] for name in spans.STAGES] == [1] * len(spans.STAGES), calls
+
 
 def test_compare_outputs_runs_parseable_configs():
     # tools/compare_outputs.py parses perfbench's workload table without
     # importing it and rewrites the sample configs to d=2, to tau0 = 0.25, to
-    # the matern operator at d=1 and d=2, and gaussian to an inadmissible
-    # gamma; every text it runs must parse, or a byte-identity check would
-    # report failed runs only, and every rejected text it runs must be refused
+    # the matern operator at d=1 and d=2, gaussian to an inadmissible gamma,
+    # and the two d=2 variants to one trial; every text it runs must parse, or
+    # a byte-identity check would report failed runs only, and every rejected
+    # text it runs must be refused
     spec = importlib.util.spec_from_file_location("compare", ROOT / "tools" / "compare_outputs.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     configs = [harness.parse_config(text) for _, text in tool.config_set(ROOT)]
     n = len(list((ROOT / "configs").glob("*.cfg")))
-    assert len(configs) == 5 * n + 3
+    assert len(configs) == 7 * n + 3
     samples, d2, shifted, matern, matern_d2 = (configs[i * n:(i + 1) * n] for i in range(5))
     workloads = configs[5 * n:5 * n + 2]
     assert [(c.family, c.d, c.J) for c in workloads] == [("sas", 1, 20), ("laplace", 2, 12)]
@@ -97,7 +106,7 @@ def test_compare_outputs_runs_parseable_configs():
     assert [c.family for c in d2] == [c.family for c in samples]
     assert [(c.family, c.tau0) for c in shifted] == [(c.family, 0.25) for c in samples]
     assert all(c.prediction().condition_satisfied for c in shifted)
-    (inadmissible,) = configs[5 * n + 2:]
+    (inadmissible,) = configs[5 * n + 2:5 * n + 3]
     assert (inadmissible.family, inadmissible.gamma) == ("gaussian", 0.4)
     assert inadmissible.prediction().verdict(0.5, inadmissible.tolerance) == "unchecked"
     assert all(c.operator == "fractional_laplacian"
@@ -106,6 +115,9 @@ def test_compare_outputs_runs_parseable_configs():
         (c.family, "matern", 1, c.J, c.gamma) for c in samples]
     assert [(c.family, c.operator, c.d, c.J, c.gamma) for c in matern_d2] == [
         (c.family, "matern", 2, 9, 1.5) for c in samples]
+    # the lone trials: the d=2 variants, under each operator, at one trial
+    lone = configs[5 * n + 3:]
+    assert [dataclasses.replace(c, trials=1) for c in d2 + matern_d2] == lone
     # `levywave compare` runs each variant as one block, which must share its scale
     blocks = tool.compare_blocks(ROOT)
     assert [entry for _, block in blocks for entry in block] == tool.config_set(ROOT)[:5 * n]

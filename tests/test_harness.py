@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import pathlib
 import re
+import threading
 import time
 import tracemalloc
 import warnings
@@ -56,6 +57,13 @@ def _small_config(**overrides):
         setattr(config, key, value)
     config.validate()
     return config
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    # a lone trial's threads are capped at the usable CPUs; with four, threads=2
+    # and 3 split its passes on any host, also on one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
 
 
 def test_parse_config_round_trip_fields():
@@ -145,6 +153,78 @@ def test_jump_families_deterministic_across_threads(family, params, d, J):
     assert r1.sigma.tobytes() == r3.sigma.tobytes()
 
 
+# d=2 J=9 is the smallest grid on which every split pass of a lone trial has
+# at least 2 parts (the operator's row blocks set it)
+LONE = {"d": 2, "J": 9, "gamma": 1.5, "trials": 1}
+
+
+@pytest.mark.parametrize("operator", sorted(OPERATORS))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_lone_trial_is_bit_identical_at_any_thread_count(four_cpus, family, operator):
+    # a part whose range is cut wrong, or a pass that splits its work differently,
+    # moves bits of some family's sigma
+    params = {"alpha": 1.5} if family == "sas" else {}
+    config = _small_config(family=family, params=params, operator=operator, **LONE)
+    serial = run_experiment(config, threads=1).sigma.tobytes()
+    for threads in (2, 3):
+        assert run_experiment(config, threads=threads).sigma.tobytes() == serial, threads
+
+
+def test_trials_split_when_the_cell_cap_allows_one_in_flight(monkeypatch, four_cpus):
+    config = _small_config(family="laplace", params={}, **{**LONE, "trials": 3})
+    serial = run_experiment(config, threads=1).sigma.tobytes()
+    monkeypatch.setattr(harness, "_MAX_CELLS", config.grid().size)
+    assert run_experiment(config, threads=2).sigma.tobytes() == serial
+    assert multiprocessing.active_children() == []
+
+
+def test_lone_trial_threads_end_with_the_call(monkeypatch, four_cpus):
+    # the split passes' threads are joined before the call returns, also when
+    # a part raises, so a later forked pool starts with no thread alive
+    config = _small_config(family="laplace", params={}, **LONE)
+    before = threading.enumerate()
+    run_experiment(config, threads=2)
+    assert threading.enumerate() == before
+
+    # the last rows of the inverse FFT fail: with one part on the calling
+    # thread, with two in the second part, on its own thread
+    irfft, failed_on = np.fft.irfft, []
+
+    def failing_irfft(a, *args, out=None, **kwargs):
+        if np.shares_memory(out, out.base[-1]):
+            failed_on.append(threading.current_thread())
+            raise FloatingPointError("the last row failed")
+        return irfft(a, *args, out=out, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", failing_irfft)
+    for threads in (1, 2):
+        with pytest.raises(FloatingPointError, match="^the last row failed$") as info:
+            run_experiment(config, threads=threads)
+        assert type(info.value) is FloatingPointError
+        assert threading.enumerate() == before
+    assert failed_on[0] is threading.main_thread() is not failed_on[1]
+
+
+def test_lone_trial_threads_are_capped_at_the_usable_cpus(monkeypatch):
+    # threads=64 on two usable CPUs runs at most two threads at once, the
+    # calling one included
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    running, peak = [threading.current_thread()], []
+
+    class SpyThread(threading.Thread):
+        def start(self):
+            running.append(self)
+            peak.append(sum(t.is_alive() for t in running) + 1)
+            super().start()
+
+    config = _small_config(family="laplace", params={}, **LONE)
+    serial = run_experiment(config, threads=1).sigma.tobytes()
+    monkeypatch.setattr(threading, "Thread", SpyThread)
+    assert run_experiment(config, threads=64).sigma.tobytes() == serial
+    assert peak and max(peak) <= 2
+
+
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize(
     "family, params, gamma, d, J, bound",
     [
@@ -156,21 +236,24 @@ def test_jump_families_deterministic_across_threads(family, params, d, J):
         ("sas", {"alpha": 0.5}, 1.0, 1, 16, 4.2),
     ],
 )
-def test_trial_peak_memory_in_field_sizes(family, params, gamma, d, J, bound):
+def test_trial_peak_memory_in_field_sizes(four_cpus, family, params, gamma, d, J, bound, threads):
+    # at threads=2 each thread holds its own block scratch, and no part may
+    # allocate a whole-size array
     config = harness.ExperimentConfig(family=family, params=params, gamma=gamma, d=d, J=J, trials=1)
     run_experiment(config, threads=1)  # first-call allocations (lazy imports) are not the trial's
     tracemalloc.start()
     try:
-        run_experiment(config, threads=1)
+        run_experiment(config, threads=threads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= bound * 8 * config.grid().size
 
 
-def test_trial_field_is_freed_after_the_finest_level(monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_trial_field_is_freed_after_the_finest_level(monkeypatch, four_cpus, threads):
     # the DWT holds the only reference to a trial's field, so every step
-    # after the finest level runs without it
+    # after the finest level runs without it; no part's closure keeps it
     fields, alive = [], []
     synthesize, step = harness.synthesize_process, wavelets._analyze_step
 
@@ -185,9 +268,9 @@ def test_trial_field_is_freed_after_the_finest_level(monkeypatch):
 
     monkeypatch.setattr(harness, "synthesize_process", recording_synthesize)
     monkeypatch.setattr(wavelets, "_analyze_step", spy_step)
-    config = _small_config(d=2, J=6, gamma=1.5, trials=1)
+    config = _small_config(**LONE)
     steps = config.J - config.wavelet_spec().zeta
-    run_experiment(config, threads=1)
+    run_experiment(config, threads=threads)
     assert alive == [True] + [False] * (steps - 1)
 
     def make_field():
@@ -196,7 +279,7 @@ def test_trial_field_is_freed_after_the_finest_level(monkeypatch):
         return field
 
     alive.clear()
-    dwt_periodic(make_field(), WaveletSpec(k=config.k))
+    dwt_periodic(make_field(), WaveletSpec(k=config.k), threads=threads)
     assert alive == [True] + [False] * (steps - 1)
 
 
@@ -409,7 +492,7 @@ def test_trials_in_flight_stay_within_the_memory_guard(monkeypatch, tmp_path, J,
     # time on the calling process; the fake trial allocates nothing large,
     # waits a little so that trials given workers overlap, and leaves its pid
     # and its enter and exit times in a file, which a worker process can
-    def small_trial(config, index):
+    def small_trial(config, index, threads=1):
         enter = time.monotonic()
         time.sleep(0.05)
         (tmp_path / f"trial{index}").write_text(f"{os.getpid()} {enter!r} {time.monotonic()!r}")
@@ -430,7 +513,7 @@ def test_trials_in_flight_stay_within_the_memory_guard(monkeypatch, tmp_path, J,
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_trial_exception_is_the_same_at_any_thread_count(monkeypatch, tmp_path, capsys, threads):
-    def failing_trial(config, index):
+    def failing_trial(config, index, threads=1):
         raise ValueError(f"trial {index} cannot fit")
 
     monkeypatch.setattr(harness, "_run_trial", failing_trial)
@@ -446,7 +529,7 @@ def test_trial_exception_is_the_same_at_any_thread_count(monkeypatch, tmp_path, 
 def test_lowest_index_failure_wins_at_any_worker_count(monkeypatch, tmp_path, capsys, threads):
     # trial 2 fails while trial 1 still sleeps, so at 2 workers its error
     # arrives first; the caller still gets trial 1's
-    def failing_trial(config, index):
+    def failing_trial(config, index, threads=1):
         if index == 1:
             time.sleep(0.2)
             raise ValueError("trial 1 failed late")
@@ -475,7 +558,7 @@ def test_lowest_index_failure_wins_at_any_worker_count(monkeypatch, tmp_path, ca
 def test_no_worker_process_outlives_a_call(monkeypatch, tmp_path, capsys, failure, message):
     parent = os.getpid()
 
-    def trial(config, index):
+    def trial(config, index, threads=1):
         if index == 1 and failure is ValueError:
             raise ValueError(message)
         if index == 1 and failure is ChildProcessError and os.getpid() != parent:
@@ -794,7 +877,7 @@ def test_cli_compare(tmp_path, capsys):
 def test_cli_compare_exits_1_on_an_inversion(monkeypatch, tmp_path, capsys):
     # every trial's curve is n^-1 and fits kappa = 1, so laplace (infinite)
     # does not measure above gaussian
-    def flat_trial(config, index):
+    def flat_trial(config, index, threads=1):
         return config.n_values() ** -1.0
 
     monkeypatch.setattr(harness, "_run_trial", flat_trial)

@@ -77,29 +77,34 @@ def test_fft_round_trip():
 
 
 @settings(max_examples=40, deadline=None)
-@given(d=st.sampled_from([1, 2]), J=st.integers(3, 9), seed=st.integers(0, 2**32 - 1))
-def test_in_place_passes_equal_numpy_nd_transforms(d, J, seed):
-    # the leading-axis passes run in place, yet every value is bit-for-bit rfftn's / irfftn's
+@given(d=st.sampled_from([1, 2]), J=st.integers(3, 9), threads=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_in_place_passes_equal_numpy_nd_transforms(d, J, threads, seed):
+    # the leading-axis passes run in place, and every pass splits its rows or
+    # columns across threads, yet every value is bit-for-bit rfftn's / irfftn's
     grid = GridSpec(d=d, J=J)
     axes = tuple(range(d))
     x = make_rng(seed).standard_cauchy(size=grid.shape)
     expected = np.fft.rfftn(x, axes=axes, norm="forward")
     expected[(0,) * d] = 0.0
-    sf = forward_fft(x, grid)
+    sf = forward_fft(x, grid, threads=threads)
     assert np.array_equal(sf, expected)
     back = np.fft.irfftn(sf.copy(), s=grid.shape, axes=axes, norm="forward")
-    assert np.array_equal(inverse_fft(sf, grid), back)
+    assert np.array_equal(inverse_fft(sf, grid, threads=threads), back)
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_apply_inverse_operator_divides_in_place(d):
-    grid = GridSpec(d=d, J=5)
-    sf = forward_fft(make_rng(5).normal(size=grid.shape), grid)
-    lhat = Matern(1.5).evaluate(grid)
-    expected = sf / lhat
-    out = apply_inverse_operator(sf, Matern(1.5), grid)
-    assert out is sf
-    assert np.array_equal(out, expected)
+    # at d=2 J=9 the symbol is evaluated and divided in 3 row blocks, which
+    # split across threads
+    for J, threads in ((5, 1), (9, 1), (9, 3)):
+        grid = GridSpec(d=d, J=J)
+        sf = forward_fft(make_rng(5).normal(size=grid.shape), grid)
+        lhat = Matern(1.5).evaluate(grid)
+        expected = sf / lhat
+        out = apply_inverse_operator(sf, Matern(1.5), grid, threads=threads)
+        assert out is sf
+        assert np.array_equal(out, expected)
 
 
 def test_inverse_operator_single_mode_1d():

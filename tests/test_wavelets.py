@@ -302,17 +302,19 @@ def _reference_dwt(x, spec):
     d=st.sampled_from([1, 2]),
     extra=st.integers(0, 4),
     block=st.sampled_from([1, 3, 64, wavelets._BLOCK]),
+    threads=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_polyphase_dwt_matches_gather_window_reference(k, d, extra, block, seed):
+def test_polyphase_dwt_matches_gather_window_reference(k, d, extra, block, threads, seed):
     # grids from n = 2^(zeta+1), the coarsest a full decomposition reaches, upward;
     # small analysis blocks make these grids span several blocks, as large ones do
     spec = WaveletSpec(k=k)
     J = spec.zeta + 1 + (extra if d == 1 else min(extra, 3))
     x = make_rng(seed).standard_cauchy(size=(2**J,) * d)
     with mock.patch.object(wavelets, "_BLOCK", block):
-        coeffs = dwt_periodic(x, spec)
-    # blocks, and the wrap padding of the blocks that run past the end, move no bit
+        coeffs = dwt_periodic(x, spec, threads=threads)
+    # blocks, their split across threads, and the wrap padding of the blocks
+    # that run past the end, move no bit
     assert np.array_equal(coeffs.data, dwt_periodic(x, spec).data)
     # nor do the one-row strips and the fused d=2 step: every coefficient gets
     # the tap-by-tap products and sums of whole-level passes

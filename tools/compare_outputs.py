@@ -12,7 +12,10 @@ configs:
   - the fine_1d and wide_2d workloads of perfbench/worker.py, whose WORKLOADS
     table is parsed from the file, not imported;
   - configs/gaussian.cfg at gamma = 0.4 with allow_inadmissible = true, whose
-    verdict is "unchecked".
+    verdict is "unchecked";
+  - the six sample configs at d = 2, J = 9, gamma = 1.5 and trials = 1, under
+    each operator: a lone trial, which at --threads 2 splits its FFT passes,
+    operator and DWT blocks across threads (on a host with 2 usable CPUs).
 It also runs `levywave compare` on each variant's six configs as one block,
 at --threads 1 and 2, and `levywave run` once on each config of REJECTED, a
 sample config with one key rewritten to a value it must refuse.  The config
@@ -20,7 +23,7 @@ texts come from CHANGE, so both sides run the same configs.  For each run it
 compares the sha256 of curves.csv, summary.json and plot.tsv (`levywave run`
 only), what the command printed (with the side's output directory in the
 `wrote ...` lines replaced by OUT; stderr for a rejected config) and its exit
-code, and prints one line: 76 runs and 7 rejected configs in all.  It exits 1
+code, and prints one line: 100 runs and 7 rejected configs in all.  It exits 1
 if anything differs or any run fails, and 0 otherwise.  A failed verdict or
 an inversion (exit code 1) is a completed run; a rejected config's run is
 completed only with exit code 2.
@@ -50,6 +53,11 @@ VARIANTS = (
     (" at tau0=0.25", TAU0_KEYS),
     (" under matern", MATERN_KEYS),
     (" under matern at d=2 J=9 gamma=1.5", {**MATERN_KEYS, **D2_KEYS}),
+)
+# (label suffix, rewritten keys) of each variant run as lone trials, not compared as a block
+LONE_VARIANTS = tuple(
+    (f"{suffix}, one trial", {**keys, "trials": "1"})
+    for suffix, keys in VARIANTS if keys.get("d") == "2"
 )
 # (sample config, key, value) of each rejected config, each refused by a different check
 REJECTED = (
@@ -103,6 +111,8 @@ def config_set(root: Path) -> list:
         + [(f"perfbench:{name}", workloads[name]) for name in WORKLOADS]
         + [("configs/gaussian.cfg at gamma=0.4, inadmissible",
             _with_keys(samples["configs/gaussian.cfg"], INADMISSIBLE_KEYS))]
+        + [(f"{label}{suffix}", _with_keys(text, keys))
+           for suffix, keys in LONE_VARIANTS for label, text in samples.items()]
     )
 
 
