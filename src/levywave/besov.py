@@ -11,10 +11,12 @@ regression.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
+from .exponents import _in_parts
 from .wavelets import WaveletCoeffs
 
 __all__ = [
@@ -41,34 +43,98 @@ class BesovParams:
         return 2.0 ** (j * (self.tau - d / self.p))
 
 
+_PIECE = 1 << 16  # values per magnitude piece, and the fewest in a sorted part
+
+
+def _weigh(out: np.ndarray, coeffs: WaveletCoeffs, params: BesovParams, lo: int, hi: int) -> None:
+    """out[lo:hi] = 2^(j(tau - d/p)) |lambda| over those flat positions, in
+    pieces of at most _PIECE values, small enough to stay in cache."""
+    d, zeta = coeffs.d, coeffs.zeta
+    for start in range(lo, hi, _PIECE):
+        stop = min(start + _PIECE, hi)
+        np.abs(coeffs.data[start:stop], out=out[start:stop])
+        # level j fills positions 2^((j+zeta)d) .. 2^((j+1+zeta)d) - 1, level 0 from 0
+        j = max(0, (start.bit_length() - 1) // d - zeta)
+        while start < stop:
+            end = min(stop, 1 << ((j + 1 + zeta) * d))
+            out[start:end] *= params.weight(j, d)
+            start, j = end, j + 1
+
+
 def weighted_magnitudes(coeffs: WaveletCoeffs, params: BesovParams) -> np.ndarray:
     """Flat array of 2^(j(tau - d/p)) |lambda| in canonical iteration order."""
-    out = replace(coeffs, data=np.abs(coeffs.data))
-    for j, _, arr in out.bands():
-        arr *= params.weight(j, coeffs.d)
-    return out.data
+    out = np.empty(coeffs.data.size)
+    _weigh(out, coeffs, params, 0, out.size)
+    return out
 
 
-def sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid) -> np.ndarray:
+def _n_grid(n_grid) -> np.ndarray:
+    """n_grid as an int64 array, checked to be non-empty, strictly ascending,
+    non-negative integers."""
+    grid = np.asarray(n_grid)
+    if grid.dtype.kind not in "iu":
+        values = grid.astype(float)
+        if not np.all((values == np.floor(values)) & (np.abs(values) < 2.0**63)):
+            raise ValueError(f"n grid must hold integers, got {grid.tolist()}")
+    grid = grid.astype(np.int64)
+    if grid.size == 0 or np.any(np.diff(grid) <= 0):
+        raise ValueError("n grid must be non-empty and strictly ascending")
+    if grid[0] < 0:
+        raise ValueError(f"n grid must be non-negative, got {grid.tolist()}")
+    return grid
+
+
+def sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid, threads: int = 1) -> np.ndarray:
     """Best n-term error for every n in the ascending grid, via one sort.
 
     The errors are tail sums of non-negative values, so they never increase
-    along the grid."""
-    n_grid = np.asarray(n_grid, dtype=int)
-    if n_grid.size == 0 or np.any(np.diff(n_grid) <= 0):
-        raise ValueError("n grid must be non-empty and strictly ascending")
-    if n_grid[0] < 0:
-        raise ValueError(f"n grid must be non-negative, got {n_grid.tolist()}")
-    p = params.p
-    acc = weighted_magnitudes(coeffs, params)
-    acc.sort()
-    acc **= p
-    np.cumsum(acc, out=acc)
+    along the grid.  The weighted magnitudes go into one buffer, which is
+    sorted and accumulated in place.  The magnitude pass splits its pieces
+    across `threads` threads.  So does the rest, in parts of at least
+    _PIECE values: a partition at the part edges leaves each part its own
+    range of ranks, so sorting each part sorts the buffer.  Each part is
+    raised to p and accumulated on its thread, its first value plus the
+    last partial sum of the part below it, so every partial sum is the
+    serial cumsum's bit for bit.  Raising to p waits until after the sort,
+    because pow need not be monotone in the last bit.
+    """
+    n_grid = _n_grid(n_grid)
+    p, size = params.p, coeffs.data.size
+    acc = np.empty(size)
+    _in_parts(lambda lo, hi: _weigh(acc, coeffs, params, lo * _PIECE, min(hi * _PIECE, size)),
+              -(-size // _PIECE), threads)
+    parts = max(1, min(threads, size // _PIECE))
+    edges = [size * i // parts for i in range(parts + 1)]
+    # one edge at a time, each in the ranks above the last: numpy's
+    # several-edge partition of 2^24 values took 0.3 s, longer than a sort
+    for lo, edge in zip(edges, edges[1:-1]):
+        acc[lo:].partition(edge - lo)
+    carries = [None] * parts
+    # ready[i] is set once part i has published its last partial sum, or has failed
+    ready = [threading.Event() for _ in range(parts - 1)]
+
+    def rank(i, _):
+        part = acc[edges[i]:edges[i + 1]]
+        try:
+            part.sort()
+            part **= p
+            if i:
+                ready[i - 1].wait()
+                if carries[i - 1] is None:
+                    return  # a part below raised; the lowest one's exception reaches the caller
+                part[0] += carries[i - 1]
+            np.cumsum(part, out=part)
+            carries[i] = part[-1]
+        finally:
+            if i < parts - 1:
+                ready[i].set()
+
+    _in_parts(rank, parts, parts)
     # the n largest are discarded: tail[n] = acc[size - 1 - n], accumulated
     # smallest-first, and 0 once n reaches size
     tail = np.zeros(n_grid.size)
-    inside = n_grid < acc.size
-    tail[inside] = acc[acc.size - 1 - n_grid[inside]]
+    inside = n_grid < size
+    tail[inside] = acc[size - 1 - n_grid[inside]]
     return tail ** (1.0 / p)
 
 

@@ -13,7 +13,8 @@ from .harness import compare_families, emit_outputs, load_config, parse_settings
 
 _THREADS_HELP = ("worker processes for the trials, started with fork (default: the usable "
                 "CPUs, at most 4); a trial that runs alone uses them as threads for its "
-                "large d=2 passes, whose numpy calls release the GIL")
+                "large passes, whose numpy calls release the GIL: the d=2 FFTs, operator "
+                "and DWT, and the sort of its n-term errors at any d")
 
 
 def _build_parser() -> argparse.ArgumentParser:

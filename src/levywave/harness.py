@@ -271,7 +271,7 @@ def _worker_count(workers: Optional[int]) -> int:
 
 
 def _run_trial(config: ExperimentConfig, index: int, threads: int) -> np.ndarray:
-    """The n-term errors of trial `index` over config.n_values(); its large d=2
+    """The n-term errors of trial `index` over config.n_values(); its large
     passes split across `threads` threads."""
     exponent = config.exponent()
     seed = trial_seed(config.base_seed, index)
@@ -281,7 +281,7 @@ def _run_trial(config: ExperimentConfig, index: int, threads: int) -> np.ndarray
         config.wavelet_spec(), threads=threads,
     )
     params = BesovParams(tau=config.tau0, p=config.p0)
-    return sigma_curve(coeffs, params, config.n_values())
+    return sigma_curve(coeffs, params, config.n_values(), threads=threads)
 
 
 def _run_chunk(jobs, threads: int = 1) -> list:
@@ -304,10 +304,11 @@ def _run_trials(configs, workers: Optional[int]) -> list:
     The trials run one at a time on the calling process when one worker is
     asked for, when there is one trial or room for one under the cell cap,
     and where fork does not exist.  Each then gets the workers asked for as
-    threads, at most the usable CPUs, and splits its d=2 FFT passes,
-    operator division and DWT blocks across them: those are large numpy
-    calls, which release the GIL.  A d=1 trial stays on one thread, and so
-    does a trial in a worker process.
+    threads, at most the usable CPUs, and splits its large numpy calls,
+    which release the GIL, across them: at d=2 its FFT passes, operator
+    division and DWT blocks, and at any d its n-term errors' magnitude
+    pass, sort and cumsum.  A trial in a worker process stays on one
+    thread.
     """
     jobs = [(config, index) for config in configs for index in range(config.trials)]
     requested = _worker_count(workers)

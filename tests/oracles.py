@@ -116,6 +116,24 @@ def best_n_term(coeffs: WaveletCoeffs, params: BesovParams, n: int):
     return kept, residual
 
 
+def serial_sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid) -> np.ndarray:
+    """sigma_curve in one pass each: a whole-size magnitude array weighted band
+    by band, one sort, one power and one cumsum, on one thread."""
+    n_grid = np.asarray(n_grid, dtype=int)
+    out = replace(coeffs, data=np.abs(coeffs.data))
+    for j, _, arr in out.bands():
+        arr *= params.weight(j, coeffs.d)
+    acc = out.data
+    acc.sort()
+    acc **= params.p
+    np.cumsum(acc, out=acc)
+    # the n largest are discarded: tail[n] = acc[size - 1 - n], and 0 once n reaches size
+    tail = np.zeros(n_grid.size)
+    inside = n_grid < acc.size
+    tail[inside] = acc[acc.size - 1 - n_grid[inside]]
+    return tail ** (1.0 / params.p)
+
+
 def exhaustive_min_residual(mags, n: int, p: float) -> float:
     """Smallest residual norm over every choice of n kept magnitudes."""
     best = math.inf

@@ -1,7 +1,10 @@
 import math
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levywave import (
     BesovParams,
@@ -17,7 +20,8 @@ from levywave import (
     trial_seed,
     weighted_magnitudes,
 )
-from oracles import best_n_term, empirical_regularity_scan, exhaustive_min_residual, zero_pyramid
+from oracles import (best_n_term, empirical_regularity_scan, exhaustive_min_residual,
+                     serial_sigma_curve, zero_pyramid)
 
 
 def _single(j, gender, index, value, d=1, zeta=0, j_max=4):
@@ -119,6 +123,96 @@ def test_sigma_curve_rejects_a_negative_n():
     coeffs = zero_pyramid(d=1, zeta=0, j_max=3)
     with pytest.raises(ValueError, match=r"^n grid must be non-negative, got \[-1, 4\]$"):
         sigma_curve(coeffs, BesovParams(tau=0.5, p=2.0), [-1, 4])
+
+
+@pytest.mark.parametrize("n_grid, shown", [([4.5, 8], r"\[4\.5, 8\.0\]"), ([4, 1e30], r"\[4\.0, 1e\+30\]"),
+                                            ([1, float("nan")], r"\[1\.0, nan\]")])
+def test_sigma_curve_rejects_an_n_that_is_not_an_integer(n_grid, shown):
+    # 4.5 once came back as the n=4 error, and 1e30 raised OverflowError
+    coeffs = zero_pyramid(d=1, zeta=0, j_max=3)
+    with pytest.raises(ValueError, match=rf"^n grid must hold integers, got {shown}$"):
+        sigma_curve(coeffs, BesovParams(tau=0.5, p=2.0), n_grid)
+
+
+def test_sigma_curve_takes_integral_floats():
+    coeffs = zero_pyramid(d=1, zeta=0, j_max=3)
+    coeffs.data[:] = np.arange(16.0)
+    params = BesovParams(tau=0.5, p=2.0)
+    assert np.array_equal(sigma_curve(coeffs, params, [4.0, 8.0]), sigma_curve(coeffs, params, [4, 8]))
+
+
+def _content(kind: str, size: int, rng) -> np.ndarray:
+    values = rng.standard_cauchy(size)
+    if kind == "ties":
+        return np.round(values) / 2.0  # a few distinct values, zero among them
+    if kind == "zeros":
+        values[rng.random(size) < 0.5] = 0.0
+    elif kind == "all zero":
+        values[:] = 0.0
+    elif kind == "non-finite":
+        values[rng.integers(0, size, 8)] = [np.nan, np.inf, -np.inf, np.nan, 0.0, np.inf, 1.0, -0.0]
+    return values
+
+
+# 2^16 values make one part; 2^17 up to two and 2^18 up to four, and three
+# parts of those put their edges off multiples of 8
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 16), (1, 17), (1, 18), (2, 8), (2, 9)]),
+    p=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+    tau=st.floats(-1.0, 1.0),
+    kind=st.sampled_from(["cauchy", "ties", "zeros", "all zero", "non-finite"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sigma_curve_is_bit_identical_at_any_thread_count(shape, p, tau, kind, seed):
+    # the blocked magnitude pass, the partition at the part edges and the
+    # carried cumsum give the one-sort serial curve bit for bit, and leave
+    # the coefficients as they were
+    d, J = shape
+    coeffs = zero_pyramid(d=d, zeta=3, j_max=J - 4)
+    coeffs.data[:] = _content(kind, coeffs.data.size, make_rng(seed))
+    before = coeffs.data.tobytes()
+    params = BesovParams(tau=tau, p=p)
+    n_grid = np.concatenate([[0], 2 ** np.arange(J * d + 1)])
+    expected = serial_sigma_curve(coeffs, params, n_grid).tobytes()
+    for threads in (1, 2, 3, 4):
+        assert sigma_curve(coeffs, params, n_grid, threads=threads).tobytes() == expected, threads
+        assert coeffs.data.tobytes() == before
+
+
+@pytest.mark.parametrize("threads, failing", [(2, {0}), (3, {0}), (3, {1}), (3, {2}), (3, {1, 2})])
+def test_a_failing_part_of_sigma_curve_releases_the_parts_above_it(monkeypatch, threads, failing):
+    # a part that raises still hands on its carry's event, so the parts above
+    # it end instead of waiting; every thread is joined, and the lowest
+    # failing part's exception reaches the caller
+    coeffs = zero_pyramid(d=1, zeta=0, j_max=17)
+    size = coeffs.data.size
+    coeffs.data[:] = make_rng(3).standard_normal(size)
+    cumsum = np.cumsum
+
+    def failing_cumsum(a, *args, **kwargs):
+        start = (a.__array_interface__["data"][0]
+                 - a.base.__array_interface__["data"][0]) // a.itemsize
+        part = [size * i // threads for i in range(threads)].index(start)
+        if part in failing:
+            raise FloatingPointError(f"part {part} failed")
+        return cumsum(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", failing_cumsum)
+    before, raised = threading.enumerate(), []
+
+    def call():
+        try:
+            sigma_curve(coeffs, BesovParams(tau=0.0, p=2.0), [1, 4], threads=threads)
+        except FloatingPointError as exc:
+            raised.append(str(exc))
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=20)
+    assert not caller.is_alive(), "a part waits forever for its carry"
+    assert raised == [f"part {min(failing)} failed"]
+    assert threading.enumerate() == before
 
 
 def test_sigma_curve_five_nonzeros():

@@ -204,6 +204,34 @@ def test_lone_trial_threads_end_with_the_call(monkeypatch, four_cpus):
         assert threading.enumerate() == before
     assert failed_on[0] is threading.main_thread() is not failed_on[1]
 
+    # the n-term errors' first part fails in its cumsum, on the calling
+    # thread: at threads=2 the second part, on its own thread, waits for that
+    # part's carry, and the call still ends
+    monkeypatch.setattr(np.fft, "irfft", irfft)
+    cumsum = np.cumsum
+
+    def failing_cumsum(a, *args, **kwargs):
+        if threading.current_thread() is caller and np.size(a) >= 1 << 16:
+            raise FloatingPointError("the first part failed")
+        return cumsum(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", failing_cumsum)
+    for threads in (1, 2):
+        raised = []
+
+        def call():
+            try:
+                run_experiment(config, threads=threads)
+            except FloatingPointError as exc:
+                raised.append(str(exc))
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=20)
+        assert not caller.is_alive(), "a part waits forever for its carry"
+        assert raised == ["the first part failed"]
+        assert threading.enumerate() == before
+
 
 def test_lone_trial_threads_are_capped_at_the_usable_cpus(monkeypatch):
     # threads=64 on two usable CPUs runs at most two threads at once, the

@@ -10,12 +10,15 @@ configs:
     with operator = matern; and with operator = matern at d = 2, J = 9 and
     gamma = 1.5;
   - the fine_1d and wide_2d workloads of perfbench/worker.py, whose WORKLOADS
-    table is parsed from the file, not imported;
+    table is parsed from the file, not imported, and fine_1d with trials = 1:
+    a d=1 lone trial, whose 2^20 n-term magnitudes at --threads 2 are sorted
+    and accumulated in two parts;
   - configs/gaussian.cfg at gamma = 0.4 with allow_inadmissible = true, whose
     verdict is "unchecked";
   - the six sample configs at d = 2, J = 9, gamma = 1.5 and trials = 1, under
     each operator: a lone trial, which at --threads 2 splits its FFT passes,
-    operator and DWT blocks across threads (on a host with 2 usable CPUs).
+    operator, DWT blocks and n-term sort across threads (on a host with 2
+    usable CPUs).
 It also runs `levywave compare` on each variant's six configs as one block,
 at --threads 1 and 2, and `levywave run` once on each config of REJECTED, a
 sample config with one key rewritten to a value it must refuse.  The config
@@ -23,7 +26,7 @@ texts come from CHANGE, so both sides run the same configs.  For each run it
 compares the sha256 of curves.csv, summary.json and plot.tsv (`levywave run`
 only), what the command printed (with the side's output directory in the
 `wrote ...` lines replaced by OUT; stderr for a rejected config) and its exit
-code, and prints one line: 100 runs and 7 rejected configs in all.  It exits 1
+code, and prints one line: 102 runs and 7 rejected configs in all.  It exits 1
 if anything differs or any run fails, and 0 otherwise.  A failed verdict or
 an inversion (exit code 1) is a completed run; a rejected config's run is
 completed only with exit code 2.
@@ -42,6 +45,7 @@ from pathlib import Path
 OUTPUTS = ("curves.csv", "summary.json", "plot.tsv")
 THREADS = (1, 2)
 WORKLOADS = ("fine_1d", "wide_2d")
+LONE_WORKLOADS = ("fine_1d",)  # also run with trials = 1
 D2_KEYS = {"d": "2", "J": "9", "gamma": "1.5"}
 TAU0_KEYS = {"tau0": "0.25"}
 INADMISSIBLE_KEYS = {"gamma": "0.4", "allow_inadmissible": "true"}
@@ -109,6 +113,8 @@ def config_set(root: Path) -> list:
     return (
         [entry for _, block in blocks for entry in block]
         + [(f"perfbench:{name}", workloads[name]) for name in WORKLOADS]
+        + [(f"perfbench:{name}, one trial", _with_keys(workloads[name], {"trials": "1"}))
+           for name in LONE_WORKLOADS]
         + [("configs/gaussian.cfg at gamma=0.4, inadmissible",
             _with_keys(samples["configs/gaussian.cfg"], INADMISSIBLE_KEYS))]
         + [(f"{label}{suffix}", _with_keys(text, keys))
