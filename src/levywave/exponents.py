@@ -325,6 +325,9 @@ class Gaussian(LevyExponent):
         return rng.normal(0.0, np.sqrt(self.sigma2 * volume), shape)
 
 
+_SAMPLE_BLOCK = 1 << 14  # values per block of the stable sampler (128 KiB per buffer)
+
+
 @dataclass(frozen=True)
 class SAlphaS(LevyExponent):
     """Symmetric alpha-stable noise, psi(xi) = -|xi|^alpha, 0 < alpha < 2."""
@@ -347,27 +350,38 @@ class SAlphaS(LevyExponent):
         """Chambers-Mallows-Stuck transform, symmetric case:
 
         x = sin(alpha u) / cos(u)^(1/alpha) * (cos((1 - alpha) u) / w)^((1 - alpha)/alpha),
-        evaluated in place, three field-size buffers at most.
+
+        u uniform on (-pi/2, pi/2) and w standard exponential.  All of u is
+        drawn first.  For alpha != 1 the arithmetic then runs in blocks of
+        _SAMPLE_BLOCK values, small enough to stay in cache, each drawing its
+        w in turn, which gives the stream of one whole-field draw; x
+        overwrites u, so the field is the one field-size buffer.
         """
         alpha = self.alpha
+        scale = volume ** (1.0 / alpha)
         u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, shape)
         if alpha == 1.0:
             x = np.tan(u, out=u)
-        else:
-            w = rng.exponential(1.0, shape)
-            tail = np.multiply(u, 1.0 - alpha)
-            np.cos(tail, out=tail)
-            tail /= w
-            del w
-            tail **= (1.0 - alpha) / alpha
-            x = np.multiply(u, alpha)
-            np.sin(x, out=x)
-            np.cos(u, out=u)
-            u **= 1.0 / alpha
-            x /= u
-            x *= tail
-        x *= volume ** (1.0 / alpha)
-        return x
+            x *= scale
+            return x
+        flat = u.reshape(-1)
+        w, tail, x = (np.empty(min(_SAMPLE_BLOCK, flat.size)) for _ in range(3))
+        for start in range(0, flat.size, _SAMPLE_BLOCK):
+            ub = flat[start:start + _SAMPLE_BLOCK]
+            wb, tb, xb = w[:ub.size], tail[:ub.size], x[:ub.size]
+            rng.standard_exponential(out=wb)
+            np.multiply(ub, 1.0 - alpha, out=tb)
+            np.cos(tb, out=tb)
+            tb /= wb
+            tb **= (1.0 - alpha) / alpha
+            np.multiply(ub, alpha, out=xb)
+            np.sin(xb, out=xb)
+            np.cos(ub, out=wb)
+            wb **= 1.0 / alpha
+            xb /= wb
+            np.multiply(xb, tb, out=ub)
+            ub *= scale
+        return u
 
 
 @dataclass(frozen=True)

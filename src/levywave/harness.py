@@ -9,6 +9,7 @@ and IQR, because per-trial norms are heavy-tailed for several families.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -270,6 +271,30 @@ def _worker_count(workers: Optional[int]) -> int:
     return int(workers)
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters (malloc.h)
+
+
+def _keep_heap() -> None:
+    """Trial pool initializer: keep freed memory in the worker's heap.
+
+    By default glibc serves a block above its mmap threshold (128 KiB at
+    first, raised as such blocks are freed) by mmap and returns it on free,
+    and trims the heap's free top, so each trial faults its fields in again.
+    Raising the mmap threshold to glibc's cap, 32 MiB, puts a d=1 J=20
+    field in the heap, and a high trim threshold keeps it there for the
+    next trial.  Setting either one turns off the dynamic threshold, so the
+    trim setting alone would leave every block above 128 KiB to mmap.  Where
+    libc is not glibc, or has no mallopt, this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def _run_trial(config: ExperimentConfig, index: int, threads: int) -> np.ndarray:
     """The n-term errors of trial `index` over config.n_values(); its large
     passes split across `threads` threads."""
@@ -322,7 +347,7 @@ def _run_trials(configs, workers: Optional[int]) -> list:
         chunks = [jobs[start:start + size] for start in range(0, len(jobs), size)]
         others = set(multiprocessing.active_children())
         # leaving the block terminates the workers, also when a trial raised
-        with multiprocessing.get_context("fork").Pool(n_workers) as pool:
+        with multiprocessing.get_context("fork").Pool(n_workers, initializer=_keep_heap) as pool:
             pool_workers = set(multiprocessing.active_children()) - others
             results = pool.imap(_run_chunk, chunks)
             rows = []

@@ -154,17 +154,23 @@ def _along(axis: int, sl: slice) -> tuple:
     return (slice(None),) * axis + (sl,)
 
 
-def _analyze_axis(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int, lo, hi, tmp) -> None:
-    """Periodic filter-and-downsample of one block into zeroed lo, hi:
-    lo[i] += h[t] x[2i + t] for t in order, where x already holds the taps - 2
-    wrapped samples past its 2 lo.shape[axis] along axis.  Polyphase form: each
-    tap multiplies one stride-2 slice of x into the head of the flat buffer
-    tmp, kept contiguous, and adds it to an output."""
-    m, tmp = 2 * lo.shape[axis], tmp[:lo.size].reshape(lo.shape)
+def _analyze_axis(phases, h: np.ndarray, g: np.ndarray, axis: int, lo, hi, tmp) -> None:
+    """Periodic filter-and-downsample of one block into lo, hi:
+    lo[i] = sum_t h[t] x[2i + t], added in tap order, from the two phases of x
+    along axis, phases[p][i] = x[2i + p], each holding taps/2 - 1 wrapped
+    samples past lo.shape[axis].  Tap t reads phase t & 1 at offset t >> 1,
+    a contiguous run.  The first tap writes its products into lo and hi, so
+    they need no zeroing, and each later tap adds its products, made in the
+    head of the flat buffer tmp.  Against adding the first products to 0.0,
+    only the sign of an exact zero can differ."""
+    b, tmp = lo.shape[axis], tmp[:lo.size].reshape(lo.shape)
     for t in range(h.size):
-        phase = x[_along(axis, slice(t, t + m, 2))]
+        phase = phases[t & 1][_along(axis, slice(t >> 1, (t >> 1) + b))]
         for acc, f in ((lo, h), (hi, g)):
-            acc += np.multiply(phase, f[t], out=tmp)
+            if t == 0:
+                np.multiply(phase, f[0], out=acc)
+            else:
+                acc += np.multiply(phase, f[t], out=tmp)
 
 
 def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping,
@@ -172,39 +178,50 @@ def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping,
     """Split c once and return its low-pass part (the scaling band itself at the coarsest level).
 
     One loop runs over blocks of leading-axis output rows, about `block`
-    output samples each, small enough to stay in cache.  A block reads its
+    output samples each, small enough to stay in cache.  A block takes its
     input rows of c in place, and only a block that runs past the end gets a
-    copy padded with the first taps - 2 rows.  In d=1 the block filters
-    straight into the bands.  In d=2 its axis-0 pass fills two strips, and
-    each strip's axis-1 pass, through a buffer with taps - 2 wrapped
-    columns, writes straight into the bands or the coarse part: no
-    whole-size intermediate is made, and every coefficient gets the
-    products, in the order, of two whole-level passes.  The blocks split
-    across `threads` threads, each with its own block-sized scratch, and
-    blocks write disjoint rows.
+    copy padded with the first taps - 2 rows.  In d=1 the block copies its
+    input into a buffer of its two phases and filters straight into the
+    bands.  In d=2 the two row phases are row-strided views, and the axis-0
+    pass fills two strips.  Each strip's copy into two column-phase buffers,
+    with taps/2 - 1 wrapped columns each, feeds its axis-1 pass, which writes
+    straight into the bands or the coarse part: no whole-size intermediate
+    is made, and every coefficient gets the products, in the order, of two
+    whole-level passes.  The blocks split across `threads` threads, each
+    with its own block-sized scratch, and blocks write disjoint rows.
     """
-    n, d, wrap = c.shape[0], c.ndim, h.size - 2
-    out = {m: bands[m] if m in bands else np.zeros((n // 2,) * d) for m in range(1 << d)}
+    n, d, wrap = c.shape[0], c.ndim, h.size // 2 - 1  # wrap: wrapped samples per phase
+    out = {m: bands[m] if m in bands else np.empty((n // 2,) * d) for m in range(1 << d)}
     rows = min(n // 2, max(1, block // math.prod(c.shape[1:])))
     starts = range(0, n // 2, rows)
 
     def analyze(lo, hi):
-        tmp = np.empty(rows * math.prod(c.shape[1:]))
-        if d == 2:
-            strips, buf = np.empty((2, rows, n)), np.empty((rows, n + wrap))
+        if d == 1:
+            # one allocation for the products and both phases
+            scratch = np.empty(3 * rows + 2 * wrap)
+            tmp, phases = scratch[:rows], scratch[rows:].reshape(2, rows + wrap)
+        else:
+            tmp = np.empty(rows * n)
+            strips, cols = np.empty((2, rows, n)), np.empty((2, rows, n // 2 + wrap))
         for r0 in starts[lo:hi]:
             r1 = min(r0 + rows, n // 2)
             # output rows r0 .. r1-1 read input rows 2 r0 .. 2 r1 + taps - 3
-            end, b = 2 * r1 + wrap, r1 - r0
-            src = c[2 * r0:end] if end <= n else np.concatenate([c[2 * r0:], c[:end - n]])
+            end, b = 2 * (r1 + wrap), r1 - r0
             if d == 1:
-                _analyze_axis(src, h, g, 0, out[0][r0:r1], out[1][r0:r1], tmp)
+                # each phase copied from c, up to its end, then from its start
+                k = min(end, n) // 2 - r0
+                for p in (0, 1):
+                    phases[p, :k] = c[2 * r0 + p:2 * (r0 + k):2]
+                    phases[p, k:b + wrap] = c[p:2 * (b + wrap - k):2]
+                _analyze_axis(phases[:, :b + wrap], h, g, 0, out[0][r0:r1], out[1][r0:r1], tmp)
                 continue
-            strips[:, :b] = 0.0
-            _analyze_axis(src, h, g, 0, strips[0, :b], strips[1, :b], tmp)
+            src = c[2 * r0:end] if end <= n else np.concatenate([c[2 * r0:], c[:end - n]])
+            _analyze_axis((src[0::2], src[1::2]), h, g, 0, strips[0, :b], strips[1, :b], tmp)
             for mask in (0, 1):
-                buf[:b, :n], buf[:b, n:] = strips[mask, :b], strips[mask, :b, :wrap]
-                _analyze_axis(buf[:b], h, g, 1, out[mask][r0:r1], out[mask | 2][r0:r1], tmp)
+                for p in (0, 1):
+                    cols[p, :b, :n // 2] = strips[mask, :b, p::2]
+                    cols[p, :b, n // 2:] = strips[mask, :b, p:2 * wrap:2]
+                _analyze_axis(cols[:, :b], h, g, 1, out[mask][r0:r1], out[mask | 2][r0:r1], tmp)
 
     _in_parts(analyze, len(starts), threads)
     return out[0]
@@ -222,7 +239,9 @@ def dwt_periodic(values, spec: WaveletSpec, threads: int = 1) -> WaveletCoeffs:
     Only the finest step reads values: a float array that the caller holds
     no other reference to is freed once that step is done.  A d=2 analysis
     then holds at most the grid, the coefficient buffer, a quarter-size
-    coarse part and, per thread, a few cache-sized strips."""
+    coarse part and, per thread, a few cache-sized phase buffers and strips.
+    The coefficient buffer, the coarse parts and the strips are allocated
+    empty, not zeroed: each band's first tap writes every value of it."""
     x = np.asarray(values, dtype=float)
     d = x.ndim
     if d not in (1, 2):
@@ -242,7 +261,7 @@ def dwt_periodic(values, spec: WaveletSpec, threads: int = 1) -> WaveletCoeffs:
     # fine-scale values and each step filters with h/sqrt(2), g/sqrt(2).
     h = spec.lowpass / math.sqrt(2.0)
     g = spec.highpass / math.sqrt(2.0)
-    coeffs = WaveletCoeffs(d=d, zeta=zeta, data=np.zeros(x.size))
+    coeffs = WaveletCoeffs(d=d, zeta=zeta, data=np.empty(x.size))
     # threads pay only in d=2: a d=1 block's numpy calls are too small.  A
     # split block needs 2^16 samples to pay for the GIL's hand-offs, fewer on
     # a small grid so that the threads' scratch (4 blocks each) stays within

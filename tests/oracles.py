@@ -13,6 +13,18 @@ import numpy as np
 from levywave import BesovParams, WaveletCoeffs, WaveletSpec, weighted_magnitudes
 
 
+def sas_sample_unblocked(alpha: float, volume: float, rng, shape) -> np.ndarray:
+    """SAlphaS(alpha).sample as one whole-field pass: all of u, then all of w,
+    then the Chambers-Mallows-Stuck arithmetic on whole arrays."""
+    u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, shape)
+    if alpha == 1.0:
+        return np.tan(u) * volume ** (1.0 / alpha)
+    w = rng.exponential(1.0, shape)
+    tail = (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+    x = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha) * tail
+    return x * volume ** (1.0 / alpha)
+
+
 def zero_pyramid(d: int, zeta: int, j_max: int) -> WaveletCoeffs:
     """Empty pyramid with the standard gender layout, for building test inputs."""
     return WaveletCoeffs(d=d, zeta=zeta, data=np.zeros(1 << ((j_max + 1 + zeta) * d)))

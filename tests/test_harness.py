@@ -611,6 +611,76 @@ def test_no_worker_process_outlives_a_call(monkeypatch, tmp_path, capsys, failur
         assert multiprocessing.active_children() == []
 
 
+class _RecordingLibc:
+    """Stands in for ctypes.CDLL: each mallopt call appends "pid param value"
+    to a file, so a call made in a worker process shows too."""
+
+    def __init__(self, log):
+        self.log = log
+
+        def mallopt(param, value):  # a plain function takes argtypes, as a ctypes one does
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {param} {value}\n")
+            return 1
+
+        self.mallopt = mallopt
+
+    def __call__(self, name):
+        assert name == "libc.so.6"
+        return self
+
+    def calls(self):
+        lines = self.log.read_text().splitlines() if self.log.exists() else []
+        calls = {}
+        for line in lines:
+            pid, param, value = map(int, line.split())
+            calls.setdefault(pid, []).append((param, value))
+        return calls
+
+
+def _trial_leaving_pid(tmp_path):
+    def trial(config, index, threads=1):
+        (tmp_path / f"trial{index}").write_text(str(os.getpid()))
+        return config.n_values() ** -1.0
+    return trial
+
+
+def test_every_trial_worker_keeps_its_heap(monkeypatch, tmp_path):
+    libc = _RecordingLibc(tmp_path / "mallopt.log")
+    monkeypatch.setattr(harness.ctypes, "CDLL", libc)
+    monkeypatch.setattr(harness, "_run_trial", _trial_leaving_pid(tmp_path))
+    run_experiment(_small_config(trials=4), threads=2)
+    calls = libc.calls()
+    # M_MMAP_THRESHOLD at glibc's 32 MiB cap, then M_TRIM_THRESHOLD at 1 GiB, in each of the 2
+    assert list(calls.values()) == [[(-3, 32 << 20), (-1, 1 << 30)]] * 2
+    assert os.getpid() not in calls
+    trial_pids = {int(path.read_text()) for path in tmp_path.glob("trial*")}
+    assert trial_pids <= set(calls)
+
+
+@pytest.mark.parametrize("trials, threads", [(4, 1), (1, 2)], ids=["one-worker", "lone-trial"])
+def test_the_calling_process_keeps_its_allocator_settings(monkeypatch, tmp_path, trials, threads):
+    libc = _RecordingLibc(tmp_path / "mallopt.log")
+    monkeypatch.setattr(harness.ctypes, "CDLL", libc)
+    monkeypatch.setattr(harness, "_run_trial", _trial_leaving_pid(tmp_path))
+    run_experiment(_small_config(trials=trials), threads=threads)
+    assert {int(path.read_text()) for path in tmp_path.glob("trial*")} == {os.getpid()}
+    assert libc.calls() == {}
+
+
+def _no_libc(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()], ids=["no-libc", "no-mallopt"])
+def test_heap_setting_is_skipped_without_glibc_mallopt(monkeypatch, cdll):
+    monkeypatch.setattr(harness.ctypes, "CDLL", cdll)
+    assert harness._keep_heap() is None
+    config = _small_config()
+    assert np.array_equal(run_experiment(config, threads=2).sigma,
+                          run_experiment(config, threads=1).sigma)
+
+
 def test_non_finite_trial_is_named(tmp_path, capsys):
     # at alpha = 0.01 the Chambers-Mallows-Stuck draw overflows float64, so
     # the field and every n-term error are nan: the error names the trial,

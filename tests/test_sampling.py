@@ -30,6 +30,7 @@ from levywave import (
     trial_seed,
 )
 from levywave.spectral import FractionalLaplacian
+from oracles import sas_sample_unblocked
 
 FAMILIES = [
     Gaussian(1.0),
@@ -258,3 +259,13 @@ def test_trial_seed_derivation():
     assert len(seeds) == 1000
     assert trial_seed(123, 7) != trial_seed(124, 7)
 
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5])
+@pytest.mark.parametrize("size", [2**10, 2**14, 2**17, (2**7, 2**7)], ids=str)
+def test_blocked_sas_sampler_matches_the_unblocked_formula(alpha, size):
+    # all of u is drawn first, then w block by block: the stream of one whole-field draw
+    volume = 2.0**-10
+    got = SAlphaS(alpha).sample(volume, make_rng(99), size)
+    want = sas_sample_unblocked(alpha, volume, make_rng(99), size)
+    assert got.shape == want.shape == ((size,) if isinstance(size, int) else size)
+    assert got.tobytes() == want.tobytes()

@@ -327,3 +327,37 @@ def test_polyphase_dwt_matches_gather_window_reference(k, d, extra, block, threa
         for mask, arr in bands.items():
             assert coeffs.levels[j][mask].shape == arr.shape
             assert np.abs(coeffs.levels[j][mask] - arr).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 4, 6])
+def test_dwt_reads_no_buffer_before_writing_it(k, d, threads):
+    # every buffer the analysis allocates starts as NaN, so a read before the
+    # first write would show in the coefficients; runs of exact 0.0 and -0.0
+    # check that the first tap's write, in place of an add to 0.0, moves at
+    # most the sign of a zero, which |lambda| drops
+    spec = WaveletSpec(k=k)
+    J = spec.zeta + (5 if d == 1 else 3)
+    n = 2**J
+    x = make_rng(100 * k + d).standard_cauchy(size=(n,) * d)
+    if d == 1:
+        x[n // 4:n // 2], x[n // 2:3 * n // 4] = 0.0, -0.0
+    else:
+        x[:n // 2, :n // 2], x[n // 2:, n // 2:] = 0.0, -0.0
+    real_empty, calls = np.empty, []
+
+    def nan_empty(*args, **kwargs):
+        out = real_empty(*args, **kwargs)
+        out.fill(np.nan)
+        calls.append(out.size)
+        return out
+
+    # small blocks make several blocks per level, the last of them wrapping
+    with mock.patch.object(wavelets, "_BLOCK", 16), mock.patch.object(np, "empty", nan_empty):
+        coeffs = dwt_periodic(x, spec, threads=threads)
+    assert x.size in calls  # the coefficient buffer came from the patched np.empty
+    want = dwt_taps(x, spec)
+    assert not np.isnan(coeffs.data).any()
+    assert np.abs(coeffs.data).tobytes() == np.abs(want).tobytes()
+    assert (coeffs.data == 0.0).any()

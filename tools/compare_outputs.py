@@ -5,10 +5,12 @@
 Runs `levywave run` from each checkout's src/ (PYTHONPATH=<checkout>/src)
 into temporary output directories, at --threads 1 and 2, on this set of
 configs:
-  - the six sample configs/*.cfg, as they are and in four variants: with
+  - the six sample configs/*.cfg, as they are and in six variants: with
     d = 2, J = 9 and gamma = 1.5; with tau0 = 0.25, all still admissible;
-    with operator = matern; and with operator = matern at d = 2, J = 9 and
-    gamma = 1.5;
+    with operator = matern; with operator = matern at d = 2, J = 9 and
+    gamma = 1.5; and with k = 1 (Haar, whose DWT wraps no samples) and
+    k = 6 (12 taps), since the DWT's split of its input into even and odd
+    phases depends on the filter length;
   - the fine_1d and wide_2d workloads of perfbench/worker.py, whose WORKLOADS
     table is parsed from the file, not imported, and fine_1d with trials = 1:
     a d=1 lone trial, whose 2^20 n-term magnitudes at --threads 2 are sorted
@@ -26,7 +28,7 @@ texts come from CHANGE, so both sides run the same configs.  For each run it
 compares the sha256 of curves.csv, summary.json and plot.tsv (`levywave run`
 only), what the command printed (with the side's output directory in the
 `wrote ...` lines replaced by OUT; stderr for a rejected config) and its exit
-code, and prints one line: 102 runs and 7 rejected configs in all.  It exits 1
+code, and prints one line: 130 runs and 7 rejected configs in all.  It exits 1
 if anything differs or any run fails, and 0 otherwise.  A failed verdict or
 an inversion (exit code 1) is a completed run; a rejected config's run is
 completed only with exit code 2.
@@ -57,6 +59,8 @@ VARIANTS = (
     (" at tau0=0.25", TAU0_KEYS),
     (" under matern", MATERN_KEYS),
     (" under matern at d=2 J=9 gamma=1.5", {**MATERN_KEYS, **D2_KEYS}),
+    (" at k=1", {"k": "1"}),
+    (" at k=6", {"k": "6"}),
 )
 # (label suffix, rewritten keys) of each variant run as lone trials, not compared as a block
 LONE_VARIANTS = tuple(
