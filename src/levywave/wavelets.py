@@ -178,17 +178,18 @@ def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping,
     """Split c once and return its low-pass part (the scaling band itself at the coarsest level).
 
     One loop runs over blocks of leading-axis output rows, about `block`
-    output samples each, small enough to stay in cache.  A block takes its
-    input rows of c in place, and only a block that runs past the end gets a
-    copy padded with the first taps - 2 rows.  In d=1 the block copies its
-    input into a buffer of its two phases and filters straight into the
-    bands.  In d=2 the two row phases are row-strided views, and the axis-0
-    pass fills two strips.  Each strip's copy into two column-phase buffers,
-    with taps/2 - 1 wrapped columns each, feeds its axis-1 pass, which writes
-    straight into the bands or the coarse part: no whole-size intermediate
-    is made, and every coefficient gets the products, in the order, of two
-    whole-level passes.  The blocks split across `threads` threads, each
-    with its own block-sized scratch, and blocks write disjoint rows.
+    output samples each, small enough to stay in cache.  In d=1 a block
+    copies its input samples into a buffer of its two phases, the wrapped
+    ones from the start of c, and filters straight into the bands.  In d=2 a
+    block takes its input rows of c in place, and only a block that runs past
+    the end gets a copy padded with the first taps - 2 rows.  Its two row
+    phases are row-strided views, and its axis-0 pass fills two strips.  Each
+    strip's copy into two column-phase buffers, with taps/2 - 1 wrapped
+    columns each, feeds its axis-1 pass, which writes straight into the bands
+    or the coarse part: no whole-size intermediate is made, and every
+    coefficient gets the products, in the order, of two whole-level passes.
+    The blocks split across `threads` threads, each with its own block-sized
+    scratch, and blocks write disjoint rows.
     """
     n, d, wrap = c.shape[0], c.ndim, h.size // 2 - 1  # wrap: wrapped samples per phase
     out = {m: bands[m] if m in bands else np.empty((n // 2,) * d) for m in range(1 << d)}
@@ -209,10 +210,10 @@ def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping,
             end, b = 2 * (r1 + wrap), r1 - r0
             if d == 1:
                 # each phase copied from c, up to its end, then from its start
-                k = min(end, n) // 2 - r0
+                head = min(end, n) // 2 - r0
                 for p in (0, 1):
-                    phases[p, :k] = c[2 * r0 + p:2 * (r0 + k):2]
-                    phases[p, k:b + wrap] = c[p:2 * (b + wrap - k):2]
+                    phases[p, :head] = c[2 * r0 + p:2 * (r0 + head):2]
+                    phases[p, head:b + wrap] = c[p:2 * (b + wrap - head):2]
                 _analyze_axis(phases[:, :b + wrap], h, g, 0, out[0][r0:r1], out[1][r0:r1], tmp)
                 continue
             src = c[2 * r0:end] if end <= n else np.concatenate([c[2 * r0:], c[:end - n]])
