@@ -47,24 +47,26 @@ _PIECE = 1 << 16  # values per magnitude piece, and the fewest in a sorted part
 
 
 def _weigh(out: np.ndarray, coeffs: WaveletCoeffs, params: BesovParams, lo: int, hi: int) -> None:
-    """out[lo:hi] = 2^(j(tau - d/p)) |lambda| over those flat positions, in
-    pieces of at most _PIECE values, small enough to stay in cache."""
+    """out[..., lo:hi] = 2^(j(tau - d/p)) |lambda| over those flat positions
+    of every pyramid of the stack, in pieces of at most _PIECE positions,
+    small enough to stay in cache."""
     d, zeta = coeffs.d, coeffs.zeta
     for start in range(lo, hi, _PIECE):
         stop = min(start + _PIECE, hi)
-        np.abs(coeffs.data[start:stop], out=out[start:stop])
+        np.abs(coeffs.data[..., start:stop], out=out[..., start:stop])
         # level j fills positions 2^((j+zeta)d) .. 2^((j+1+zeta)d) - 1, level 0 from 0
         j = max(0, (start.bit_length() - 1) // d - zeta)
         while start < stop:
             end = min(stop, 1 << ((j + 1 + zeta) * d))
-            out[start:end] *= params.weight(j, d)
+            out[..., start:end] *= params.weight(j, d)
             start, j = end, j + 1
 
 
 def weighted_magnitudes(coeffs: WaveletCoeffs, params: BesovParams) -> np.ndarray:
-    """Flat array of 2^(j(tau - d/p)) |lambda| in canonical iteration order."""
-    out = np.empty(coeffs.data.size)
-    _weigh(out, coeffs, params, 0, out.size)
+    """2^(j(tau - d/p)) |lambda| in canonical iteration order, of the shape
+    of coeffs.data: one flat row per pyramid of a stack."""
+    out = np.empty(coeffs.data.shape)
+    _weigh(out, coeffs, params, 0, out.shape[-1])
     return out
 
 
@@ -85,22 +87,23 @@ def _n_grid(n_grid) -> np.ndarray:
 
 
 def sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid, threads: int = 1) -> np.ndarray:
-    """Best n-term error for every n in the ascending grid, via one sort.
+    """Best n-term error for every n in the ascending grid, via one sort: of
+    shape (..., len(n_grid)), one row per pyramid of a stack in coeffs.data.
 
     The errors are tail sums of non-negative values, so they never increase
     along the grid.  The weighted magnitudes go into one buffer, which is
-    sorted and accumulated in place.  The magnitude pass splits its pieces
-    across `threads` threads.  So does the rest, in parts of at least
-    _PIECE values: a partition at the part edges leaves each part its own
-    range of ranks, so sorting each part sorts the buffer.  Each part is
-    raised to p and accumulated on its thread, its first value plus the
-    last partial sum of the part below it, so every partial sum is the
-    serial cumsum's bit for bit.  Raising to p waits until after the sort,
-    because pow need not be monotone in the last bit.
+    sorted, raised to p and accumulated in place, row by row.  The magnitude
+    pass splits its pieces across `threads` threads.  So does the rest, in
+    parts of at least _PIECE values of each row: a partition at the part
+    edges leaves each part its own range of ranks, so sorting each part
+    sorts the row.  Each part is raised to p and accumulated on its thread,
+    its first value plus the last partial sum of the part below it, so every
+    partial sum is the serial cumsum's bit for bit.  Raising to p waits
+    until after the sort, because pow need not be monotone in the last bit.
     """
     n_grid = _n_grid(n_grid)
-    p, size = params.p, coeffs.data.size
-    acc = np.empty(size)
+    p, size = params.p, coeffs.data.shape[-1]
+    acc = np.empty(coeffs.data.shape)
     _in_parts(lambda lo, hi: _weigh(acc, coeffs, params, lo * _PIECE, min(hi * _PIECE, size)),
               -(-size // _PIECE), threads)
     parts = max(1, min(threads, size // _PIECE))
@@ -108,23 +111,23 @@ def sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid, threads: int
     # one edge at a time, each in the ranks above the last: numpy's
     # several-edge partition of 2^24 values took 0.3 s, longer than a sort
     for lo, edge in zip(edges, edges[1:-1]):
-        acc[lo:].partition(edge - lo)
+        acc[..., lo:].partition(edge - lo, axis=-1)
     carries = [None] * parts
     # ready[i] is set once part i has published its last partial sum, or has failed
     ready = [threading.Event() for _ in range(parts - 1)]
 
     def rank(i, _):
-        part = acc[edges[i]:edges[i + 1]]
+        part = acc[..., edges[i]:edges[i + 1]]
         try:
-            part.sort()
+            part.sort(axis=-1)
             part **= p
             if i:
                 ready[i - 1].wait()
                 if carries[i - 1] is None:
                     return  # a part below raised; the lowest one's exception reaches the caller
-                part[0] += carries[i - 1]
-            np.cumsum(part, out=part)
-            carries[i] = part[-1]
+                part[..., 0] += carries[i - 1]
+            np.cumsum(part, axis=-1, out=part)
+            carries[i] = part[..., -1]
         finally:
             if i < parts - 1:
                 ready[i].set()
@@ -132,9 +135,9 @@ def sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid, threads: int
     _in_parts(rank, parts, parts)
     # the n largest are discarded: tail[n] = acc[size - 1 - n], accumulated
     # smallest-first, and 0 once n reaches size
-    tail = np.zeros(n_grid.size)
+    tail = np.zeros(acc.shape[:-1] + n_grid.shape)
     inside = n_grid < size
-    tail[inside] = acc[size - 1 - n_grid[inside]]
+    tail[..., inside] = acc[..., size - 1 - n_grid[inside]]
     return tail ** (1.0 / p)
 
 

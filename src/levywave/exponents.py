@@ -66,7 +66,8 @@ _MASK64 = (1 << 64) - 1
 # d=1 (J=20, any family), so 2^26 cells need up to 2.4 GB; each thread of a
 # lone d=2 trial adds its DWT block scratch, 2 MiB (all of them together at
 # most 1/8 of a small grid); the jump families draw 16 bytes per jump, so the
-# same bound caps a trial's jumps
+# same bound caps a trial's jumps.  Trials run in stacks (harness._STACK_CELLS),
+# and the cap on the trials in flight counts every cell of each stack
 _MAX_CELLS = 1 << 26
 
 

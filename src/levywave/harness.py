@@ -284,34 +284,64 @@ def _keep_heap() -> None:
     field in the heap, and a high trim threshold keeps it there for the
     next trial.  Setting either one turns off the dynamic threshold, so the
     trim setting alone would leave every block above 128 KiB to mmap.  Where
-    libc is not glibc, or has no mallopt, this does nothing.
+    libc is not glibc, has no mallopt, or its mallopt cannot be called this
+    way, this does nothing: an initializer that raises would kill every
+    worker the pool starts.
     """
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    except (OSError, AttributeError, TypeError, ctypes.ArgumentError):
+        pass  # no glibc mallopt that takes these: the allocator keeps its defaults
 
 
-def _run_trial(config: ExperimentConfig, index: int, threads: int) -> np.ndarray:
-    """The n-term errors of trial `index` over config.n_values(); its large
+# cells per stack of trials: four trials at d=1 J=14; a trial of 2^16 cells or
+# more is a stack of one
+_STACK_CELLS = 1 << 16
+
+
+def _run_stack(config: ExperimentConfig, indices, threads: int) -> np.ndarray:
+    """The n-term errors over config.n_values() of config's trials `indices`,
+    one row each, run as one stack along a leading trial axis; its large
     passes split across `threads` threads."""
-    exponent = config.exponent()
-    seed = trial_seed(config.base_seed, index)
-    # passed on with no name kept, so the DWT frees the field after its finest level
+    grid = config.grid()
+    seeds = [trial_seed(config.base_seed, index) for index in indices]
+    # passed on with no name kept, so the DWT frees the stack after its finest level
     coeffs = dwt_periodic(
-        synthesize_process(exponent, config.grid(), config.symbol(), seed, threads=threads),
-        config.wavelet_spec(), threads=threads,
+        synthesize_process(config.exponent(), grid, config.symbol(), seeds, threads=threads),
+        config.wavelet_spec(), threads=threads, d=grid.d,
     )
     params = BesovParams(tau=config.tau0, p=config.p0)
     return sigma_curve(coeffs, params, config.n_values(), threads=threads)
 
 
-def _run_chunk(jobs, threads: int = 1) -> list:
-    # _run_trial is looked up when the chunk runs, so a job pickles as (config, index) alone
-    return [_run_trial(config, index, threads=threads) for config, index in jobs]
+def _stacks(configs) -> list:
+    """(config, trial indices) of each stack, in trial order: each config's
+    trials in consecutive stacks of at most _STACK_CELLS cells, and at least
+    one trial."""
+    size = max(1, _STACK_CELLS // configs[0].grid().size)
+    return [(config, range(start, min(start + size, config.trials)))
+            for config in configs for start in range(0, config.trials, size)]
+
+
+def _run_chunk(stacks, threads: int = 1) -> list:
+    # _run_stack is looked up when the chunk runs, so a stack pickles as (config, indices) alone
+    return [row for config, indices in stacks for row in _run_stack(config, indices, threads)]
+
+
+def _chunks(stacks, workers: int) -> list:
+    """stacks cut into consecutive chunks that shrink toward the end of the
+    map, each about the stacks not yet cut over twice the workers, and at
+    least one: a round trip per stack would cost most of the gain, and the
+    last chunks are small, so the workers finish close together."""
+    chunks, start = [], 0
+    while start < len(stacks):
+        size = math.ceil((len(stacks) - start) / (2 * workers))
+        chunks.append(stacks[start:start + size])
+        start += size
+    return chunks
 
 
 def _run_trials(configs, workers: Optional[int]) -> list:
@@ -319,39 +349,46 @@ def _run_trials(configs, workers: Optional[int]) -> list:
     one grid.  All their trials go through one map, in order, so the
     lowest-index failing trial's own exception reaches the caller.
 
-    The workers are processes started with fork: a trial at desk scale is
-    2-5 ms of small numpy calls with the GIL held between them, so threads
+    The trials run as stacks along a leading trial axis: each stage takes a
+    stack of up to _STACK_CELLS cells in one set of numpy calls, which at
+    desk scale (d=1 J=14, a stack of four) saves most of the per-call
+    overhead of the DWT's small coarse levels.  Every row gets the
+    operations of a trial run alone, in the same order.
+
+    The workers are processes started with fork: a stack at desk scale is
+    a few ms of small numpy calls with the GIL held between them, so threads
     gain little.  fork starts a pool and runs its first task in about 0.01 s,
     forkserver in 0.21 s and spawn in 0.25 s, which would eat the gain.
     Python 3.12+ warns when a process with threads forks, and after
-    `import numpy` this process has OpenBLAS's.
+    `import numpy` this process has OpenBLAS's.  The map's chunks shrink
+    toward its end, so the workers finish close together.  The memory
+    guard's cell cap bounds the cells of all the stacks in flight.
 
-    The trials run one at a time on the calling process when one worker is
-    asked for, when there is one trial or room for one under the cell cap,
+    The stacks run one at a time on the calling process when one worker is
+    asked for, when there is one stack or room for one under the cell cap,
     and where fork does not exist.  Each then gets the workers asked for as
     threads, at most the usable CPUs, and splits its large numpy calls,
     which release the GIL, across them: at d=2 its FFT passes, operator
     division and DWT blocks, and at any d its n-term errors' magnitude
-    pass, sort and cumsum.  A trial in a worker process stays on one
+    pass, sort and cumsum.  A stack in a worker process stays on one
     thread.
     """
-    jobs = [(config, index) for config in configs for index in range(config.trials)]
+    stacks = _stacks(configs)
+    ends = np.cumsum([config.trials for config in configs])
     requested = _worker_count(workers)
-    # the memory guard's cell cap bounds all the trials in flight (one trial is within it)
-    n_workers = min(requested, len(jobs), _MAX_CELLS // configs[0].grid().size)
+    largest = max(len(indices) for _, indices in stacks) * configs[0].grid().size
+    # the memory guard's cell cap bounds all the stacks in flight (one stack is within it)
+    n_workers = min(requested, len(stacks), _MAX_CELLS // largest)
     if n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        rows = _run_chunk(jobs, threads=min(requested, _usable_cpus()))
+        rows = _run_chunk(stacks, threads=min(requested, _usable_cpus()))
     else:
-        # about four chunks per worker: a round trip per trial costs most of the gain
-        size = math.ceil(len(jobs) / (4 * n_workers))
-        chunks = [jobs[start:start + size] for start in range(0, len(jobs), size)]
         others = set(multiprocessing.active_children())
         # leaving the block terminates the workers, also when a trial raised
         with multiprocessing.get_context("fork").Pool(n_workers, initializer=_keep_heap) as pool:
             pool_workers = set(multiprocessing.active_children()) - others
-            results = pool.imap(_run_chunk, chunks)
+            results = pool.imap(_run_chunk, _chunks(stacks, n_workers))
             rows = []
-            while len(rows) < len(jobs):
+            while len(rows) < ends[-1]:
                 try:
                     rows += results.next(timeout=1.0)
                 except multiprocessing.TimeoutError:
@@ -360,7 +397,6 @@ def _run_trials(configs, workers: Optional[int]) -> list:
                     if lost:
                         raise ChildProcessError(
                             f"a trial's worker process died (exit code {lost[0]})") from None
-    ends = np.cumsum([config.trials for config in configs])
     return [np.array(rows[end - config.trials:end]) for config, end in zip(configs, ends)]
 
 

@@ -83,70 +83,76 @@ _BLOCK = 1 << 16  # symbol values per block of apply_inverse_operator (512 KiB)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
-    # a d=1 array is one row, so both dimensions run the same row passes
+    # every 1-d transform of a stack is one row, so both dimensions run the same row passes
     return a.reshape(-1, a.shape[-1])
 
 
 def forward_fft(values: np.ndarray, grid: GridSpec, threads: int = 1) -> np.ndarray:
-    """Half spectrum (rfftn layout) of a real field, normalized so coefficients
-    approximate continuous Fourier coefficients.
+    """Half spectrum (rfftn layout) of a real field, or of each field of a
+    stack along leading axes, normalized so coefficients approximate
+    continuous Fourier coefficients.
 
     The zero-frequency coefficient is forced to zero.  The passes of rfftn,
-    rows then (in d=2) columns, each split across `threads` threads; the
-    column pass transforms in place rather than into a second array.
+    rows then (in d=2) columns on axis -2, each split across `threads`
+    threads; the column pass transforms in place rather than into a second
+    array.
     """
-    if values.shape != grid.shape:
+    if values.shape[-grid.d:] != grid.shape:
         raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
-    half = np.empty(grid.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+    half = np.empty(values.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
     rows, out = _rows(values), _rows(half)
     _in_parts(lambda lo, hi: np.fft.rfft(rows[lo:hi], norm="forward", out=out[lo:hi]),
               len(rows), threads)
     if grid.d == 2:
-        _in_parts(lambda lo, hi: np.fft.fft(half[:, lo:hi], axis=0, norm="forward",
-                                            out=half[:, lo:hi]), half.shape[1], threads)
-    half[(0,) * grid.d] = 0.0
+        _in_parts(lambda lo, hi: np.fft.fft(half[..., lo:hi], axis=-2, norm="forward",
+                                            out=half[..., lo:hi]), half.shape[-1], threads)
+    half[(Ellipsis,) + (0,) * grid.d] = 0.0
     return half
 
 
 def inverse_fft(coeffs: np.ndarray, grid: GridSpec, threads: int = 1) -> np.ndarray:
-    """Back from a half spectrum to the real grid field; consumes coeffs.
+    """Back from a half spectrum, or a stack of them along leading axes, to
+    the real grid field; consumes coeffs.
 
     Same passes as irfftn, each split across `threads` threads, but the
-    leading axis is transformed in place.  The symbols are real, so dividing
-    by one keeps the Hermitian symmetry of a real field's spectrum; irfft
-    drops only the round-off imaginary parts of the self-conjugate bins
-    (2m = 0 mod N).
+    column axis -2 is transformed in place.  The symbols are real, so
+    dividing by one keeps the Hermitian symmetry of a real field's spectrum;
+    irfft drops only the round-off imaginary parts of the self-conjugate
+    bins (2m = 0 mod N).
     """
     if grid.d == 2:
-        _in_parts(lambda lo, hi: np.fft.ifft(coeffs[:, lo:hi], axis=0, norm="forward",
-                                             out=coeffs[:, lo:hi]), coeffs.shape[1], threads)
-    field = np.empty(grid.shape)
-    rows, out = _rows(coeffs), _rows(field)
-    _in_parts(lambda lo, hi: np.fft.irfft(rows[lo:hi], n=grid.n, norm="forward", out=out[lo:hi]),
-              len(rows), threads)
-    return field
+        _in_parts(lambda lo, hi: np.fft.ifft(coeffs[..., lo:hi], axis=-2, norm="forward",
+                                             out=coeffs[..., lo:hi]), coeffs.shape[-1], threads)
+    rows = _rows(coeffs)
+    field = np.empty((len(rows), grid.n))
+    _in_parts(lambda lo, hi: np.fft.irfft(rows[lo:hi], n=grid.n, norm="forward",
+                                          out=field[lo:hi]), len(rows), threads)
+    return field.reshape(coeffs.shape[:-1] + (grid.n,))
 
 
 def apply_inverse_operator(
     coeffs: np.ndarray, symbol: _RadialSymbol, grid: GridSpec, threads: int = 1
 ) -> np.ndarray:
-    """Divide a half spectrum by the symbol off the zero frequency:
-    s_hat(m) = w_hat(m)/L_hat(m), in place; returns coeffs.  The symbol is
-    evaluated and divided by a block of rows at a time, blocks split across
-    `threads` threads."""
-    rows = _rows(coeffs)
-    block = max(1, _BLOCK // rows.shape[1])
-    starts = range(0, len(rows), block)
+    """Divide a half spectrum, or each of a stack along leading axes, by the
+    symbol off the zero frequency: s_hat(m) = w_hat(m)/L_hat(m), in place;
+    returns coeffs.  The symbol is evaluated for a block of a field's rows at
+    a time and divides those rows of every field of the stack; the blocks
+    split across `threads` threads.  A grid small enough to be stacked has its
+    whole half spectrum in one block, so a stack evaluates the symbol once."""
+    # (field, row of the field, frequency): a d=1 field is one row
+    rows = coeffs.reshape(-1, grid.n if grid.d == 2 else 1, coeffs.shape[-1])
+    block = max(1, _BLOCK // rows.shape[-1])
+    starts = range(0, rows.shape[1], block)
 
     def divide(lo, hi):
         for r0 in starts[lo:hi]:
             lhat = symbol.evaluate(grid, slice(r0, r0 + block))
             if r0 == 0:
                 lhat.flat[0] = 1.0  # the zero frequency, set to 0 below
-            rows[r0:r0 + block] /= lhat
+            rows[:, r0:r0 + block] /= lhat
 
     _in_parts(divide, len(starts), threads)
-    coeffs[(0,) * grid.d] = 0.0
+    coeffs[(Ellipsis,) + (0,) * grid.d] = 0.0
     return coeffs
 
 
@@ -154,13 +160,20 @@ def synthesize_process(
     exponent: LevyExponent,
     grid: GridSpec,
     symbol: _RadialSymbol,
-    seed: int,
+    seed,
     threads: int = 1,
 ) -> np.ndarray:
-    """One realization of the process solving (operator) s = noise, zero mean;
-    the spectral stages split across `threads` threads."""
+    """A realization of the process solving (operator) s = noise, zero mean,
+    for an integer seed; for a sequence of seeds, one per seed stacked along
+    a leading axis.  Each draws its own noise; the spectral stages take the
+    whole stack and split across `threads` threads."""
+    stacked = np.ndim(seed) > 0
+    noises = [generate_noise(exponent, grid, s) for s in (seed if stacked else [seed])]
+    # a stack of one is a view of its noise, so a lone trial copies no field
+    field = np.stack(noises) if len(noises) > 1 else noises[0][None]
     # one name for every stage frees each full-size array once the next returns
-    field = generate_noise(exponent, grid, seed)
+    del noises
     field = forward_fft(field, grid, threads=threads)
     field = apply_inverse_operator(field, symbol, grid, threads=threads)
-    return inverse_fft(field, grid, threads=threads)
+    field = inverse_fft(field, grid, threads=threads)
+    return field if stacked else field[0]

@@ -107,7 +107,9 @@ class WaveletSpec:
 
 @dataclass(frozen=True, eq=False)
 class WaveletCoeffs:
-    """Coefficient pyramid in one flat buffer; levels[j][G] is a read-only mapping of views.
+    """Coefficient pyramid in one flat buffer, or a stack of them along the
+    leading axes of data (shape (..., N)); levels[j][G] is a read-only
+    mapping of views, with data's leading axes first.
 
     Band (j, G) holds 2^((j+zeta)d) values at offset G * 2^((j+zeta)d): levels
     ascend from 0, then genders, coarse scaling band first.  So a pyramid up
@@ -121,17 +123,19 @@ class WaveletCoeffs:
     levels: Mapping = field(init=False, repr=False)
 
     def __post_init__(self):
-        d, zeta, size = self.d, self.zeta, self.data.size
+        d, zeta = self.d, self.zeta
+        size = self.data.shape[-1] if self.data.ndim else 0
         top = (size.bit_length() - 1) // d  # 2^top values per axis on the grid
-        if self.data.ndim != 1 or top <= zeta or size != 1 << (top * d):
+        if top <= zeta or size != 1 << (top * d):
             raise ValueError(f"a buffer of shape {self.data.shape} does not fill a d={d} pyramid")
+        lead = self.data.shape[:-1]
         levels = {}
         for j in range(top - zeta):
             n = 1 << ((j + zeta) * d)
-            shape = (1 << (j + zeta),) * d
+            shape = lead + (1 << (j + zeta),) * d
             genders = range(0 if j == 0 else 1, 1 << d)
             levels[j] = MappingProxyType(
-                {g: self.data[g * n:(g + 1) * n].reshape(shape) for g in genders}
+                {g: self.data[..., g * n:(g + 1) * n].reshape(shape) for g in genders}
             )
         object.__setattr__(self, "levels", MappingProxyType(levels))
 
@@ -175,35 +179,37 @@ def _analyze_axis(phases, h: np.ndarray, g: np.ndarray, axis: int, lo, hi, tmp) 
 
 def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping,
                   block: int, threads: int) -> np.ndarray:
-    """Split c once and return its low-pass part (the scaling band itself at the coarsest level).
+    """Split each grid of the stack c (grids along its leading axis) once and
+    return their low-pass parts (the scaling band itself at the coarsest level).
 
-    One loop runs over blocks of leading-axis output rows, about `block`
-    output samples each, small enough to stay in cache.  In d=1 a block
-    copies its input samples into a buffer of its two phases, the wrapped
-    ones from the start of c, and filters straight into the bands.  In d=2 a
-    block takes its input rows of c in place, and only a block that runs past
-    the end gets a copy padded with the first taps - 2 rows.  Its two row
-    phases are row-strided views, and its axis-0 pass fills two strips.  Each
-    strip's copy into two column-phase buffers, with taps/2 - 1 wrapped
-    columns each, feeds its axis-1 pass, which writes straight into the bands
-    or the coarse part: no whole-size intermediate is made, and every
-    coefficient gets the products, in the order, of two whole-level passes.
-    The blocks split across `threads` threads, each with its own block-sized
-    scratch, and blocks write disjoint rows.
+    One loop runs over blocks of output rows along the grids' first axis,
+    across the whole stack, about `block` output samples each, small enough
+    to stay in cache.  In d=1 a block copies its input samples into a buffer
+    of its two phases, the wrapped ones from the start of each grid, and
+    filters straight into the bands.  In d=2 a block takes its input rows of
+    c in place, and only a block that runs past the end gets a copy padded
+    with the first taps - 2 rows.  Its two row phases are row-strided views,
+    and its axis-1 pass fills two strips.  Each strip's copy into two
+    column-phase buffers, with taps/2 - 1 wrapped columns each, feeds its
+    axis-2 pass, which writes straight into the bands or the coarse part: no
+    whole-size intermediate is made, and every coefficient gets the
+    products, in the order, of two whole-level passes.  The blocks split
+    across `threads` threads, each with its own block-sized scratch, and
+    blocks write disjoint rows.
     """
-    n, d, wrap = c.shape[0], c.ndim, h.size // 2 - 1  # wrap: wrapped samples per phase
-    out = {m: bands[m] if m in bands else np.empty((n // 2,) * d) for m in range(1 << d)}
-    rows = min(n // 2, max(1, block // math.prod(c.shape[1:])))
+    m, n, d, wrap = c.shape[0], c.shape[1], c.ndim - 1, h.size // 2 - 1  # wrap: per phase
+    out = {q: bands[q] if q in bands else np.empty((m,) + (n // 2,) * d) for q in range(1 << d)}
+    rows = min(n // 2, max(1, block // (c.size // n)))
     starts = range(0, n // 2, rows)
 
     def analyze(lo, hi):
         if d == 1:
             # one allocation for the products and both phases
-            scratch = np.empty(3 * rows + 2 * wrap)
-            tmp, phases = scratch[:rows], scratch[rows:].reshape(2, rows + wrap)
+            scratch = np.empty(m * (3 * rows + 2 * wrap))
+            tmp, phases = scratch[:m * rows], scratch[m * rows:].reshape(2, m, rows + wrap)
         else:
-            tmp = np.empty(rows * n)
-            strips, cols = np.empty((2, rows, n)), np.empty((2, rows, n // 2 + wrap))
+            tmp = np.empty(m * rows * n)
+            strips, cols = np.empty((2, m, rows, n)), np.empty((2, m, rows, n // 2 + wrap))
         for r0 in starts[lo:hi]:
             r1 = min(r0 + rows, n // 2)
             # output rows r0 .. r1-1 read input rows 2 r0 .. 2 r1 + taps - 3
@@ -212,17 +218,21 @@ def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping,
                 # each phase copied from c, up to its end, then from its start
                 head = min(end, n) // 2 - r0
                 for p in (0, 1):
-                    phases[p, :head] = c[2 * r0 + p:2 * (r0 + head):2]
-                    phases[p, head:b + wrap] = c[p:2 * (b + wrap - head):2]
-                _analyze_axis(phases[:, :b + wrap], h, g, 0, out[0][r0:r1], out[1][r0:r1], tmp)
+                    phases[p, :, :head] = c[:, 2 * r0 + p:2 * (r0 + head):2]
+                    phases[p, :, head:b + wrap] = c[:, p:2 * (b + wrap - head):2]
+                _analyze_axis(phases[..., :b + wrap], h, g, 1,
+                              out[0][:, r0:r1], out[1][:, r0:r1], tmp)
                 continue
-            src = c[2 * r0:end] if end <= n else np.concatenate([c[2 * r0:], c[:end - n]])
-            _analyze_axis((src[0::2], src[1::2]), h, g, 0, strips[0, :b], strips[1, :b], tmp)
+            src = c[:, 2 * r0:end] if end <= n else np.concatenate(
+                [c[:, 2 * r0:], c[:, :end - n]], axis=1)
+            _analyze_axis((src[:, 0::2], src[:, 1::2]), h, g, 1,
+                          strips[0, :, :b], strips[1, :, :b], tmp)
             for mask in (0, 1):
                 for p in (0, 1):
-                    cols[p, :b, :n // 2] = strips[mask, :b, p::2]
-                    cols[p, :b, n // 2:] = strips[mask, :b, p:2 * wrap:2]
-                _analyze_axis(cols[:, :b], h, g, 1, out[mask][r0:r1], out[mask | 2][r0:r1], tmp)
+                    cols[p, :, :b, :n // 2] = strips[mask, :, :b, p::2]
+                    cols[p, :, :b, n // 2:] = strips[mask, :, :b, p:2 * wrap:2]
+                _analyze_axis(cols[:, :, :b], h, g, 2,
+                              out[mask][:, r0:r1], out[mask | 2][:, r0:r1], tmp)
 
     _in_parts(analyze, len(starts), threads)
     return out[0]
@@ -232,10 +242,14 @@ def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping,
 # multilevel transforms
 
 
-def dwt_periodic(values, spec: WaveletSpec, threads: int = 1) -> WaveletCoeffs:
-    """Orthonormal periodic analysis of a square dyadic grid, shape (2^J,) or
-    (2^J, 2^J), in J - zeta splitting steps down to level 0; a d=2 step
-    splits its blocks across `threads` threads.
+def dwt_periodic(values, spec: WaveletSpec, threads: int = 1, d=None) -> WaveletCoeffs:
+    """Orthonormal periodic analysis of a square dyadic d-grid, shape (2^J,)
+    or (2^J, 2^J), or of each grid of a stack along leading axes, in J - zeta
+    splitting steps down to level 0; a d=2 step splits its blocks across
+    `threads` threads.  d defaults to values.ndim, one grid; a stack must be
+    given its grids' d, since an (m, n) stack has the shape of a d=2 grid.
+    The coefficients' data has values' leading axes and one flat pyramid per
+    grid.
 
     Only the finest step reads values: a float array that the caller holds
     no other reference to is freed once that step is done.  A d=2 analysis
@@ -244,12 +258,13 @@ def dwt_periodic(values, spec: WaveletSpec, threads: int = 1) -> WaveletCoeffs:
     The coefficient buffer, the coarse parts and the strips are allocated
     empty, not zeroed: each band's first tap writes every value of it."""
     x = np.asarray(values, dtype=float)
-    d = x.ndim
-    if d not in (1, 2):
-        raise ValueError(f"only 1-d and 2-d grids are supported, got ndim={d}")
-    n = x.shape[0]
-    if any(s != n for s in x.shape):
-        raise ValueError(f"grid must be square, got shape {x.shape}")
+    d = x.ndim if d is None else d
+    if d not in (1, 2) or x.ndim < d:
+        raise ValueError(f"only 1-d and 2-d grids are supported, got d={d} and ndim={x.ndim}")
+    lead, shape = x.shape[:x.ndim - d], x.shape[x.ndim - d:]
+    n = shape[0]
+    if any(s != n for s in shape):
+        raise ValueError(f"grid must be square, got shape {shape}")
     J = n.bit_length() - 1
     if (1 << J) != n:
         raise ValueError(f"grid length must be a power of two, got {n}")
@@ -262,15 +277,18 @@ def dwt_periodic(values, spec: WaveletSpec, threads: int = 1) -> WaveletCoeffs:
     # fine-scale values and each step filters with h/sqrt(2), g/sqrt(2).
     h = spec.lowpass / math.sqrt(2.0)
     g = spec.highpass / math.sqrt(2.0)
-    coeffs = WaveletCoeffs(d=d, zeta=zeta, data=np.empty(x.size))
+    coeffs = WaveletCoeffs(d=d, zeta=zeta, data=np.empty(lead + (n**d,)))
+    # the steps see one leading stack axis, and write through these views of the buffer
+    stack = WaveletCoeffs(d=d, zeta=zeta, data=coeffs.data.reshape(-1, n**d))
     # threads pay only in d=2: a d=1 block's numpy calls are too small.  A
     # split block needs 2^16 samples to pay for the GIL's hand-offs, fewer on
     # a small grid so that the threads' scratch (4 blocks each) stays within
     # 1/8 of it; one thread is as fast with the smaller _BLOCK
     threads = threads if d == 2 else 1
     block = _BLOCK if threads == 1 else min(_BLOCK << 2, x.size // (32 * threads))
-    c = x  # this function's only name for its input from here on
+    # this function's only name for its input from here on; a view keeps its array
+    c = x if len(lead) == 1 else x.reshape((-1,) + shape)
     del values, x
-    for bands in reversed(coeffs.levels.values()):
+    for bands in reversed(stack.levels.values()):
         c = _analyze_step(c, h, g, bands, block, threads)
     return coeffs

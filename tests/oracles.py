@@ -10,7 +10,29 @@ from dataclasses import replace
 
 import numpy as np
 
-from levywave import BesovParams, WaveletCoeffs, WaveletSpec, weighted_magnitudes
+from levywave import (
+    BesovParams,
+    WaveletCoeffs,
+    WaveletSpec,
+    apply_inverse_operator,
+    dwt_periodic,
+    forward_fft,
+    generate_noise,
+    inverse_fft,
+    sigma_curve,
+    trial_seed,
+    weighted_magnitudes,
+)
+
+
+def trial_alone(config, index: int) -> np.ndarray:
+    """The n-term errors of trial `index` of config run by itself, one field
+    with no trial axis through each stage: the row its stack must give."""
+    grid = config.grid()
+    field = generate_noise(config.exponent(), grid, trial_seed(config.base_seed, index))
+    spectrum = apply_inverse_operator(forward_fft(field, grid), config.symbol(), grid)
+    coeffs = dwt_periodic(inverse_fft(spectrum, grid), config.wavelet_spec())
+    return sigma_curve(coeffs, BesovParams(tau=config.tau0, p=config.p0), config.n_values())
 
 
 def sas_sample_unblocked(alpha: float, volume: float, rng, shape) -> np.ndarray:

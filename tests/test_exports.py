@@ -89,8 +89,9 @@ def test_perfbench_patch_points_are_looked_up(monkeypatch, tmp_path):
 def test_compare_outputs_runs_parseable_configs():
     # tools/compare_outputs.py parses perfbench's workload table without
     # importing it and rewrites the sample configs to d=2, to tau0 = 0.25, to
-    # the matern operator at d=1 and d=2, to k = 1 and k = 6, gaussian to an inadmissible gamma,
-    # and fine_1d and the two d=2 variants to one trial; every text it runs must parse, or
+    # the matern operator at d=1 and d=2, to k = 1 and k = 6, to J = 15, to seven trials and
+    # to d=2 J=7, gaussian to an inadmissible gamma,
+    # and fine_1d and the two d=2 J=9 variants to one trial; every text it runs must parse, or
     # a byte-identity check would report failed runs only, and every rejected
     # text it runs must be refused
     spec = importlib.util.spec_from_file_location("compare", ROOT / "tools" / "compare_outputs.py")
@@ -98,35 +99,43 @@ def test_compare_outputs_runs_parseable_configs():
     spec.loader.exec_module(tool)
     configs = [harness.parse_config(text) for _, text in tool.config_set(ROOT)]
     n = len(list((ROOT / "configs").glob("*.cfg")))
-    assert len(configs) == 9 * n + 4
-    samples, d2, shifted, matern, matern_d2, haar, k6 = (
-        configs[i * n:(i + 1) * n] for i in range(7))
-    workloads = configs[7 * n:7 * n + 2]
+    assert len(configs) == 12 * n + 4
+    samples, d2, shifted, matern, matern_d2, haar, k6, j15, seven, d2_j7 = (
+        configs[i * n:(i + 1) * n] for i in range(10))
+    workloads = configs[10 * n:10 * n + 2]
     assert [(c.family, c.d, c.J) for c in workloads] == [("sas", 1, 20), ("laplace", 2, 12)]
     # fine_1d as a lone trial: 2^20 magnitudes, two parts at --threads 2
-    assert configs[7 * n + 2] == dataclasses.replace(workloads[0], trials=1)
+    assert configs[10 * n + 2] == dataclasses.replace(workloads[0], trials=1)
     assert [(c.d, c.J, c.gamma) for c in d2] == [(2, 9, 1.5)] * n
     assert [c.family for c in d2] == [c.family for c in samples]
     assert [(c.family, c.tau0) for c in shifted] == [(c.family, 0.25) for c in samples]
     assert all(c.prediction().condition_satisfied for c in shifted)
-    (inadmissible,) = configs[7 * n + 3:7 * n + 4]
+    (inadmissible,) = configs[10 * n + 3:10 * n + 4]
     assert (inadmissible.family, inadmissible.gamma) == ("gaussian", 0.4)
     assert inadmissible.prediction().verdict(0.5, inadmissible.tolerance) == "unchecked"
     # the DWT's phase split depends on the filter length: Haar wraps no samples, k = 6 has 12 taps
     assert [(c.family, c.k) for c in haar + k6] == [(c.family, k) for k in (1, 6) for c in samples]
     assert [dataclasses.replace(c, k=4) for c in haar + k6] == samples + samples
+    # stacks of 2^16 cells: two trials at d=1 J=15, a ragged three after four at
+    # seven trials, four at d=2 J=7
+    assert [dataclasses.replace(c, J=14) for c in j15] == samples
+    assert [dataclasses.replace(c, trials=s.trials) for c, s in zip(seven, samples)] == samples
+    assert {c.trials for c in seven} == {7}
+    assert [(c.family, c.d, c.J, c.gamma) for c in d2_j7] == [
+        (c.family, 2, 7, 1.5) for c in samples]
     assert all(c.operator == "fractional_laplacian"
-               for c in samples + d2 + shifted + haar + k6 + workloads + [inadmissible])
+               for c in samples + d2 + shifted + haar + k6 + j15 + seven + d2_j7 + workloads
+               + [inadmissible])
     assert [(c.family, c.operator, c.d, c.J, c.gamma) for c in matern] == [
         (c.family, "matern", 1, c.J, c.gamma) for c in samples]
     assert [(c.family, c.operator, c.d, c.J, c.gamma) for c in matern_d2] == [
         (c.family, "matern", 2, 9, 1.5) for c in samples]
     # the lone trials: the d=2 variants, under each operator, at one trial
-    lone = configs[7 * n + 4:]
+    lone = configs[10 * n + 4:]
     assert [dataclasses.replace(c, trials=1) for c in d2 + matern_d2] == lone
     # `levywave compare` runs each variant as one block, which must share its scale
     blocks = tool.compare_blocks(ROOT)
-    assert [entry for _, block in blocks for entry in block] == tool.config_set(ROOT)[:7 * n]
+    assert [entry for _, block in blocks for entry in block] == tool.config_set(ROOT)[:10 * n]
     for _, block in blocks:
         parsed = [harness.parse_config(text) for _, text in block]
         assert len({(c.gamma, c.d, c.J, c.k, c.p0, c.tau0) for c in parsed}) == 1

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import itertools
 import multiprocessing
@@ -57,6 +58,17 @@ def _small_config(**overrides):
         setattr(config, key, value)
     config.validate()
     return config
+
+
+def _flat_rows(config, indices):
+    # a stand-in stack's n-term errors: every row n^-1, which fits kappa = 1
+    return np.tile(config.n_values() ** -1.0, (len(indices), 1))
+
+
+@pytest.fixture
+def one_trial_stacks(monkeypatch):
+    # each trial a stack of its own, so a small config's trials spread over the workers
+    monkeypatch.setattr(harness, "_STACK_CELLS", 1)
 
 
 @pytest.fixture
@@ -514,37 +526,53 @@ def test_report_names_a_non_finite_row(bad):
         harness.ExperimentReport(config, sigma)
 
 
-@pytest.mark.parametrize("J, max_workers", [(26, 1), (25, 2)])
-def test_trials_in_flight_stay_within_the_memory_guard(monkeypatch, tmp_path, J, max_workers):
-    # a d=1 J=26 trial alone fills the cell cap, so its trials run one at a
-    # time on the calling process; the fake trial allocates nothing large,
-    # waits a little so that trials given workers overlap, and leaves its pid
-    # and its enter and exit times in a file, which a worker process can
-    def small_trial(config, index, threads=1):
+def _check_trials_in_flight(monkeypatch, tmp_path, J, stack, max_trials):
+    # the fake stack allocates nothing large, waits a little so that stacks
+    # given workers overlap, and leaves its pid and its enter and exit times
+    # in a file per trial, which a worker process can
+    def small_stack(config, indices, threads=1):
         enter = time.monotonic()
         time.sleep(0.05)
-        (tmp_path / f"trial{index}").write_text(f"{os.getpid()} {enter!r} {time.monotonic()!r}")
-        return config.n_values() ** -1.0
+        for index in indices:
+            (tmp_path / f"trial{index}").write_text(
+                f"{os.getpid()} {enter!r} {time.monotonic()!r}")
+        return _flat_rows(config, indices)
 
-    monkeypatch.setattr(harness, "_run_trial", small_trial)
-    report = run_experiment(_small_config(J=J, k=4, fit_lo=None, fit_hi=None), threads=4)
+    monkeypatch.setattr(harness, "_STACK_CELLS", stack << J)
+    monkeypatch.setattr(harness, "_run_stack", small_stack)
+    report = run_experiment(_small_config(J=J, k=4, trials=8, fit_lo=None, fit_hi=None),
+                            threads=4)
     assert report.kappa_median == pytest.approx(1.0)
     records = [path.read_text().split() for path in tmp_path.iterdir()]
     # +1 at each enter and -1 at each exit, an exit first at a tie
     events = sorted([(float(t0), 1) for _, t0, _ in records]
                     + [(float(t1), -1) for _, _, t1 in records])
     peak = max(itertools.accumulate(step for _, step in events))
-    assert len(records) == 4 and 1 <= peak <= max_workers
-    if max_workers == 1:
+    assert len(records) == 8 and 1 <= peak <= max_trials
+    if max_trials == 1:
         assert {int(pid) for pid, _, _ in records} == {os.getpid()}
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_trial_exception_is_the_same_at_any_thread_count(monkeypatch, tmp_path, capsys, threads):
-    def failing_trial(config, index, threads=1):
-        raise ValueError(f"trial {index} cannot fit")
+@pytest.mark.parametrize("J, max_workers", [(26, 1), (25, 2)])
+def test_trials_in_flight_stay_within_the_memory_guard(monkeypatch, tmp_path, J, max_workers):
+    # a d=1 J=26 trial alone fills the cell cap, so its trials run one at a
+    # time on the calling process
+    _check_trials_in_flight(monkeypatch, tmp_path, J, 1, max_workers)
 
-    monkeypatch.setattr(harness, "_run_trial", failing_trial)
+
+def test_the_memory_guard_counts_every_cell_of_a_stack(monkeypatch, tmp_path):
+    # at J=24 in stacks of two, two stacks fill the cell cap, so two of the
+    # four workers asked for run, four trials in flight at most
+    _check_trials_in_flight(monkeypatch, tmp_path, 24, 2, 4)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_trial_exception_is_the_same_at_any_thread_count(monkeypatch, tmp_path, capsys, threads,
+                                                         one_trial_stacks):
+    def failing_stack(config, indices, threads=1):
+        raise ValueError(f"trial {indices[0]} cannot fit")
+
+    monkeypatch.setattr(harness, "_run_stack", failing_stack)
     with pytest.raises(ValueError, match="trial 0 cannot fit") as info:
         run_experiment(_small_config(trials=3), threads=threads)
     assert type(info.value) is ValueError
@@ -553,24 +581,37 @@ def test_trial_exception_is_the_same_at_any_thread_count(monkeypatch, tmp_path, 
     assert "error: trial 0 cannot fit" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_lowest_index_failure_wins_at_any_worker_count(monkeypatch, tmp_path, capsys, threads):
-    # trial 2 fails while trial 1 still sleeps, so at 2 workers its error
-    # arrives first; the caller still gets trial 1's
-    def failing_trial(config, index, threads=1):
-        if index == 1:
-            time.sleep(0.2)
-            raise ValueError("trial 1 failed late")
-        if index == 2:
-            raise ValueError("trial 2 failed early")
-        return config.n_values() ** -1.0
+def _check_lowest_index_failure(monkeypatch, tmp_path, capsys, threads, stack):
+    def failing_stack(config, indices, threads=1):
+        for index in indices:
+            if index == 1:
+                time.sleep(0.2)
+                raise ValueError("trial 1 failed late")
+            if index == 2:
+                raise ValueError("trial 2 failed early")
+        return _flat_rows(config, indices)
 
-    monkeypatch.setattr(harness, "_run_trial", failing_trial)
+    monkeypatch.setattr(harness, "_STACK_CELLS", stack * _small_config().grid().size)
+    monkeypatch.setattr(harness, "_run_stack", failing_stack)
     with pytest.raises(ValueError, match="^trial 1 failed late$"):
-        run_experiment(_small_config(trials=3), threads=threads)
+        run_experiment(_small_config(trials=6), threads=threads)
     cfg = _write_config(tmp_path, SMALL)
     assert cli_main(["run", str(cfg), "--threads", str(threads)]) == 2
     assert "error: trial 1 failed late" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_lowest_index_failure_wins_at_any_worker_count(monkeypatch, tmp_path, capsys, threads):
+    # in stacks of one trial, trial 2 fails while trial 1 still sleeps, so at
+    # 2 workers its error arrives first; the caller still gets trial 1's
+    _check_lowest_index_failure(monkeypatch, tmp_path, capsys, threads, 1)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_lowest_index_failure_wins_within_a_shared_stack(monkeypatch, tmp_path, capsys, threads):
+    # in stacks of three, trials 1 and 2 share the first stack, which draws
+    # its trials in order, while the second stack runs on the other worker
+    _check_lowest_index_failure(monkeypatch, tmp_path, capsys, threads, 3)
 
 
 @pytest.mark.parametrize(
@@ -583,17 +624,18 @@ def test_lowest_index_failure_wins_at_any_worker_count(monkeypatch, tmp_path, ca
     ],
     ids=["succeeds", "raises", "worker-dies"],
 )
-def test_no_worker_process_outlives_a_call(monkeypatch, tmp_path, capsys, failure, message):
+def test_no_worker_process_outlives_a_call(monkeypatch, tmp_path, capsys, failure, message,
+                                           one_trial_stacks):
     parent = os.getpid()
 
-    def trial(config, index, threads=1):
-        if index == 1 and failure is ValueError:
+    def stack(config, indices, threads=1):
+        if 1 in indices and failure is ValueError:
             raise ValueError(message)
-        if index == 1 and failure is ChildProcessError and os.getpid() != parent:
+        if 1 in indices and failure is ChildProcessError and os.getpid() != parent:
             os._exit(3)
-        return config.n_values() ** -1.0
+        return _flat_rows(config, indices)
 
-    monkeypatch.setattr(harness, "_run_trial", trial)
+    monkeypatch.setattr(harness, "_run_stack", stack)
     cfg = _write_config(tmp_path, SMALL)
     calls = [lambda: run_experiment(_small_config(), threads=2),
              lambda: compare_families([_small_config(), _small_config(base_seed=1)], threads=2),
@@ -638,17 +680,18 @@ class _RecordingLibc:
         return calls
 
 
-def _trial_leaving_pid(tmp_path):
-    def trial(config, index, threads=1):
-        (tmp_path / f"trial{index}").write_text(str(os.getpid()))
-        return config.n_values() ** -1.0
-    return trial
+def _stack_leaving_pid(tmp_path):
+    def stack(config, indices, threads=1):
+        for index in indices:
+            (tmp_path / f"trial{index}").write_text(str(os.getpid()))
+        return _flat_rows(config, indices)
+    return stack
 
 
-def test_every_trial_worker_keeps_its_heap(monkeypatch, tmp_path):
+def test_every_trial_worker_keeps_its_heap(monkeypatch, tmp_path, one_trial_stacks):
     libc = _RecordingLibc(tmp_path / "mallopt.log")
     monkeypatch.setattr(harness.ctypes, "CDLL", libc)
-    monkeypatch.setattr(harness, "_run_trial", _trial_leaving_pid(tmp_path))
+    monkeypatch.setattr(harness, "_run_stack", _stack_leaving_pid(tmp_path))
     run_experiment(_small_config(trials=4), threads=2)
     calls = libc.calls()
     # M_MMAP_THRESHOLD at glibc's 32 MiB cap, then M_TRIM_THRESHOLD at 1 GiB, in each of the 2
@@ -658,11 +701,12 @@ def test_every_trial_worker_keeps_its_heap(monkeypatch, tmp_path):
     assert trial_pids <= set(calls)
 
 
-@pytest.mark.parametrize("trials, threads", [(4, 1), (1, 2)], ids=["one-worker", "lone-trial"])
+@pytest.mark.parametrize("trials, threads", [(4, 1), (1, 2), (4, 2)],
+                         ids=["one-worker", "lone-trial", "one-stack"])
 def test_the_calling_process_keeps_its_allocator_settings(monkeypatch, tmp_path, trials, threads):
     libc = _RecordingLibc(tmp_path / "mallopt.log")
     monkeypatch.setattr(harness.ctypes, "CDLL", libc)
-    monkeypatch.setattr(harness, "_run_trial", _trial_leaving_pid(tmp_path))
+    monkeypatch.setattr(harness, "_run_stack", _stack_leaving_pid(tmp_path))
     run_experiment(_small_config(trials=trials), threads=threads)
     assert {int(path.read_text()) for path in tmp_path.glob("trial*")} == {os.getpid()}
     assert libc.calls() == {}
@@ -672,8 +716,27 @@ def _no_libc(name):
     raise OSError(f"{name}: cannot open shared object file")
 
 
-@pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()], ids=["no-libc", "no-mallopt"])
-def test_heap_setting_is_skipped_without_glibc_mallopt(monkeypatch, cdll):
+class _RaisingLibc:
+    """Stands in for ctypes.CDLL with a mallopt that cannot be called with ints."""
+
+    def __init__(self, error):
+        def mallopt(param, value):
+            raise error("mallopt cannot take these arguments")
+
+        self.mallopt = mallopt
+
+    def __call__(self, name):
+        return self
+
+
+@pytest.mark.parametrize(
+    "cdll",
+    [_no_libc, lambda name: object(), _RaisingLibc(ctypes.ArgumentError), _RaisingLibc(TypeError)],
+    ids=["no-libc", "no-mallopt", "mallopt-argument-error", "mallopt-type-error"],
+)
+def test_heap_setting_is_skipped_without_glibc_mallopt(monkeypatch, cdll, one_trial_stacks):
+    # a pool initializer that raised would kill every worker it started, and
+    # the call would stop with "worker process died" instead of running
     monkeypatch.setattr(harness.ctypes, "CDLL", cdll)
     assert harness._keep_heap() is None
     config = _small_config()
@@ -756,10 +819,10 @@ def test_cli_predict_settings(capsys, settings, status, expected):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_cli_run_narrow_fit_window_exits_before_trials(monkeypatch, tmp_path, capsys, threads):
-    def no_trial(config, index):
+    def no_stack(config, indices, threads=1):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(harness, "_run_trial", no_trial)
+    monkeypatch.setattr(harness, "_run_stack", no_stack)
     cfg = _write_config(
         tmp_path, "family = gaussian\nJ = 10\ntrials = 2\nfit_lo = 3\nfit_hi = 5\n"
     )
@@ -975,10 +1038,8 @@ def test_cli_compare(tmp_path, capsys):
 def test_cli_compare_exits_1_on_an_inversion(monkeypatch, tmp_path, capsys):
     # every trial's curve is n^-1 and fits kappa = 1, so laplace (infinite)
     # does not measure above gaussian
-    def flat_trial(config, index, threads=1):
-        return config.n_values() ** -1.0
-
-    monkeypatch.setattr(harness, "_run_trial", flat_trial)
+    monkeypatch.setattr(harness, "_run_stack", lambda config, indices, threads=1:
+                        _flat_rows(config, indices))
     base = "J = 10\nk = 2\ntrials = 3\nfit_lo = 4\nfit_hi = 256\n"
     a = _write_config(tmp_path, "family = laplace\n" + base, "a.cfg")
     b = _write_config(tmp_path, "family = gaussian\n" + base, "b.cfg")
@@ -1010,10 +1071,10 @@ def test_thread_count_explicit_and_default(monkeypatch):
 
 @pytest.mark.parametrize("threads", [0, -5])
 def test_threads_below_one_rejected(monkeypatch, tmp_path, capsys, threads):
-    def no_trial(config, index):
+    def no_stack(config, indices, threads=1):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(harness, "_run_trial", no_trial)
+    monkeypatch.setattr(harness, "_run_stack", no_stack)
     with pytest.raises(ConfigError, match=f"threads must be >= 1, got {threads}"):
         run_experiment(_small_config(), threads=threads)
     cfg = _write_config(tmp_path, SMALL)

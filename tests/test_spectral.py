@@ -123,8 +123,11 @@ def test_forward_fft_rejects_a_field_off_the_grid():
     grid = GridSpec(d=1, J=5)
     with pytest.raises(ValueError, match="does not match grid"):
         forward_fft(np.zeros(grid.n // 2), grid)
+    # leading axes hold a stack of fields, each of which must match the grid
     with pytest.raises(ValueError, match="does not match grid"):
-        forward_fft(np.zeros((grid.n, grid.n)), grid)
+        forward_fft(np.zeros((grid.n, grid.n // 2)), grid)
+    with pytest.raises(ValueError, match="does not match grid"):
+        forward_fft(np.zeros(grid.n), GridSpec(d=2, J=5))
 
 
 def test_forward_operator_examples():

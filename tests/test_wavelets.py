@@ -217,7 +217,9 @@ def test_flat_buffer_layout(k, d, extra, tau, p, seed):
     np.testing.assert_array_equal(np.sort(chosen), np.sort(mags)[data.size - n:])
 
     scaling_only = np.zeros(coeffs.levels[0][0].size)
-    wrong = [data[:-1], scaling_only, data.reshape(2, -1)] + [np.zeros(2 * data.size)] * (d == 2)
+    # leading axes hold a stack of pyramids, each of which must fill one
+    wrong = [data[:-1], scaling_only, np.stack([data[:-1]] * 2)]
+    wrong += [np.zeros(2 * data.size)] * (d == 2)
     for buffer in wrong:
         with pytest.raises(ValueError, match="does not fill"):
             WaveletCoeffs(d=d, zeta=coeffs.zeta, data=buffer)
