@@ -11,7 +11,6 @@ regression.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,13 +92,12 @@ def sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid, threads: int
     The errors are tail sums of non-negative values, so they never increase
     along the grid.  The weighted magnitudes go into one buffer, which is
     sorted, raised to p and accumulated in place, row by row.  The magnitude
-    pass splits its pieces across `threads` threads.  So does the rest, in
-    parts of at least _PIECE values of each row: a partition at the part
-    edges leaves each part its own range of ranks, so sorting each part
-    sorts the row.  Each part is raised to p and accumulated on its thread,
-    its first value plus the last partial sum of the part below it, so every
-    partial sum is the serial cumsum's bit for bit.  Raising to p waits
-    until after the sort, because pow need not be monotone in the last bit.
+    pass splits its pieces across `threads` threads.  So do the sort and the
+    power, in parts of at least _PIECE values of each row: a partition at the
+    part edges leaves each part its own range of ranks, so sorting each part
+    sorts the row.  Raising to p waits until after the sort, because pow
+    need not be monotone in the last bit.  One cumsum on the calling thread
+    then accumulates the whole buffer, in the serial order.
     """
     n_grid = _n_grid(n_grid)
     p, size = params.p, coeffs.data.shape[-1]
@@ -112,27 +110,14 @@ def sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid, threads: int
     # several-edge partition of 2^24 values took 0.3 s, longer than a sort
     for lo, edge in zip(edges, edges[1:-1]):
         acc[..., lo:].partition(edge - lo, axis=-1)
-    carries = [None] * parts
-    # ready[i] is set once part i has published its last partial sum, or has failed
-    ready = [threading.Event() for _ in range(parts - 1)]
 
-    def rank(i, _):
-        part = acc[..., edges[i]:edges[i + 1]]
-        try:
-            part.sort(axis=-1)
-            part **= p
-            if i:
-                ready[i - 1].wait()
-                if carries[i - 1] is None:
-                    return  # a part below raised; the lowest one's exception reaches the caller
-                part[..., 0] += carries[i - 1]
-            np.cumsum(part, axis=-1, out=part)
-            carries[i] = part[..., -1]
-        finally:
-            if i < parts - 1:
-                ready[i].set()
+    def rank(lo, hi):
+        part = acc[..., edges[lo]:edges[hi]]
+        part.sort(axis=-1)
+        part **= p
 
     _in_parts(rank, parts, parts)
+    np.cumsum(acc, axis=-1, out=acc)
     # the n largest are discarded: tail[n] = acc[size - 1 - n], accumulated
     # smallest-first, and 0 once n reaches size
     tail = np.zeros(acc.shape[:-1] + n_grid.shape)

@@ -285,8 +285,8 @@ def _keep_heap() -> None:
     next trial.  Setting either one turns off the dynamic threshold, so the
     trim setting alone would leave every block above 128 KiB to mmap.  Where
     libc is not glibc, has no mallopt, or its mallopt cannot be called this
-    way, this does nothing: an initializer that raises would kill every
-    worker the pool starts.
+    way, this does nothing: an initializer that raises would break the pool
+    before its first trial.
     """
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
@@ -362,7 +362,11 @@ def _run_trials(configs, workers: Optional[int]) -> list:
     Python 3.12+ warns when a process with threads forks, and after
     `import numpy` this process has OpenBLAS's.  The map's chunks shrink
     toward its end, so the workers finish close together.  The memory
-    guard's cell cap bounds the cells of all the stacks in flight.
+    guard's cell cap bounds the cells of all the stacks in flight.  When a
+    trial raises, the chunks already handed out (one running per worker and
+    up to workers + 1 queued) run to their end before its exception reaches
+    the caller; the rest are dropped.  A worker that dies without raising
+    breaks the executor, which ends the other workers at once.
 
     The stacks run one at a time on the calling process when one worker is
     asked for, when there is one stack or room for one under the cell cap,
@@ -382,21 +386,17 @@ def _run_trials(configs, workers: Optional[int]) -> list:
     if n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
         rows = _run_chunk(stacks, threads=min(requested, _usable_cpus()))
     else:
-        others = set(multiprocessing.active_children())
-        # leaving the block terminates the workers, also when a trial raised
-        with multiprocessing.get_context("fork").Pool(n_workers, initializer=_keep_heap) as pool:
-            pool_workers = set(multiprocessing.active_children()) - others
-            results = pool.imap(_run_chunk, _chunks(stacks, n_workers))
-            rows = []
-            while len(rows) < ends[-1]:
-                try:
-                    rows += results.next(timeout=1.0)
-                except multiprocessing.TimeoutError:
-                    # the pool replaces a worker that was killed but drops its chunk
-                    lost = [w.exitcode for w in pool_workers if not w.is_alive()]
-                    if lost:
-                        raise ChildProcessError(
-                            f"a trial's worker process died (exit code {lost[0]})") from None
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+        pool = ProcessPoolExecutor(n_workers, multiprocessing.get_context("fork"), _keep_heap)
+        try:
+            rows = [row for chunk in pool.map(_run_chunk, _chunks(stacks, n_workers))
+                    for row in chunk]
+        except BrokenExecutor:
+            # a worker killed mid-chunk sends nothing back; the executor fails every chunk left
+            raise ChildProcessError("a trial's worker process died") from None
+        finally:
+            # drops the chunks not yet handed out and joins the workers
+            pool.shutdown(cancel_futures=True)
     return [np.array(rows[end - config.trials:end]) for config, end in zip(configs, ends)]
 
 
@@ -457,6 +457,7 @@ def _family_label(config: ExperimentConfig) -> str:
 def compare_families(configs, threads: Optional[int] = None) -> ComparisonReport:
     """Run each config's trials, on `threads` worker processes, and check the
     measured medians against the theory order."""
+    configs = list(configs)  # an iterator would be used up by the shared-settings check
     if not configs:
         raise ConfigError("compare_families needs at least one config")
     # k caps the measured rate, so medians at different k do not compare

@@ -20,6 +20,7 @@ from levywave import (
     trial_seed,
     weighted_magnitudes,
 )
+from levywave import besov
 from oracles import (best_n_term, empirical_regularity_scan, exhaustive_min_residual,
                      serial_sigma_curve, zero_pyramid)
 
@@ -166,7 +167,7 @@ def _content(kind: str, size: int, rng) -> np.ndarray:
 )
 def test_sigma_curve_is_bit_identical_at_any_thread_count(shape, p, tau, kind, seed):
     # the blocked magnitude pass, the partition at the part edges and the
-    # carried cumsum give the one-sort serial curve bit for bit, and leave
+    # one cumsum give the one-sort serial curve bit for bit, and leave
     # the coefficients as they were
     d, J = shape
     coeffs = zero_pyramid(d=d, zeta=3, j_max=J - 4)
@@ -180,25 +181,12 @@ def test_sigma_curve_is_bit_identical_at_any_thread_count(shape, p, tau, kind, s
         assert coeffs.data.tobytes() == before
 
 
-@pytest.mark.parametrize("threads, failing", [(2, {0}), (3, {0}), (3, {1}), (3, {2}), (3, {1, 2})])
-def test_a_failing_part_of_sigma_curve_releases_the_parts_above_it(monkeypatch, threads, failing):
-    # a part that raises still hands on its carry's event, so the parts above
-    # it end instead of waiting; every thread is joined, and the lowest
-    # failing part's exception reaches the caller
+def _messages_raised_by_sigma_curve(threads):
+    # on 2^18 values, four magnitude pieces; the call runs on a thread of its
+    # own, so a part that never ends fails the test instead of hanging it, and
+    # every thread is joined before it returns
     coeffs = zero_pyramid(d=1, zeta=0, j_max=17)
-    size = coeffs.data.size
-    coeffs.data[:] = make_rng(3).standard_normal(size)
-    cumsum = np.cumsum
-
-    def failing_cumsum(a, *args, **kwargs):
-        start = (a.__array_interface__["data"][0]
-                 - a.base.__array_interface__["data"][0]) // a.itemsize
-        part = [size * i // threads for i in range(threads)].index(start)
-        if part in failing:
-            raise FloatingPointError(f"part {part} failed")
-        return cumsum(a, *args, **kwargs)
-
-    monkeypatch.setattr(np, "cumsum", failing_cumsum)
+    coeffs.data[:] = make_rng(3).standard_normal(coeffs.data.size)
     before, raised = threading.enumerate(), []
 
     def call():
@@ -210,9 +198,35 @@ def test_a_failing_part_of_sigma_curve_releases_the_parts_above_it(monkeypatch, 
     caller = threading.Thread(target=call, daemon=True)
     caller.start()
     caller.join(timeout=20)
-    assert not caller.is_alive(), "a part waits forever for its carry"
-    assert raised == [f"part {min(failing)} failed"]
+    assert not caller.is_alive(), "a part of sigma_curve never ends"
     assert threading.enumerate() == before
+    return raised
+
+
+@pytest.mark.parametrize("threads, failing", [(2, {0}), (3, {0}), (3, {1}), (3, {2}), (3, {1, 2})])
+def test_a_failing_part_of_sigma_curve_releases_the_parts_above_it(monkeypatch, threads, failing):
+    # a part of the magnitude pass that raises, on the calling thread or on
+    # its own, still ends the call: the parts above it run to their end and
+    # are joined, and the lowest failing part's exception reaches the caller
+    starts = [4 * i // threads * besov._PIECE for i in range(threads)]  # each part's first piece
+    weigh = besov._weigh
+
+    def failing_weigh(out, coeffs, params, lo, hi):
+        if starts.index(lo) in failing:
+            raise FloatingPointError(f"part {starts.index(lo)} failed")
+        weigh(out, coeffs, params, lo, hi)
+
+    monkeypatch.setattr(besov, "_weigh", failing_weigh)
+    assert _messages_raised_by_sigma_curve(threads) == [f"part {min(failing)} failed"]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_a_failing_cumsum_of_sigma_curve_ends_the_call(monkeypatch, threads):
+    def failing_cumsum(a, *args, **kwargs):
+        raise FloatingPointError("the cumsum failed")
+
+    monkeypatch.setattr(np, "cumsum", failing_cumsum)
+    assert _messages_raised_by_sigma_curve(threads) == ["the cumsum failed"]
 
 
 def test_sigma_curve_five_nonzeros():

@@ -12,6 +12,7 @@ from levywave import (
     FractionalLaplacian,
     GridSpec,
     Laplace,
+    OPERATORS,
     WaveletSpec,
     dwt_periodic,
     harness,
@@ -95,6 +96,24 @@ def test_a_stack_of_seeds_synthesizes_each_seed_alone(d, J, threads):
     assert stack.shape == (3,) + grid.shape
     alone = [synthesize_process(Laplace(), grid, symbol, seed) for seed in seeds]
     assert stack.tobytes() == np.array(alone).tobytes()
+
+
+@pytest.mark.parametrize("operator", sorted(OPERATORS))
+@pytest.mark.parametrize("d, J", [(1, 14), (1, 15), (2, 7)])
+def test_a_stack_evaluates_its_operators_symbol_once(monkeypatch, d, J, operator):
+    # a grid that stacks has its whole half spectrum in one block of
+    # apply_inverse_operator, so the symbol's cost does not grow with the stack
+    grid, symbol = GridSpec(d=d, J=J), OPERATORS[operator](1.5)
+    assert 1 < harness._STACK_CELLS // grid.size
+    evaluate, calls = type(symbol).evaluate, []
+
+    def counted(self, *args):
+        calls.append(args)
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(type(symbol), "evaluate", counted)
+    synthesize_process(Laplace(), grid, symbol, [11, 12, 13, 14])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("threads", [1, 2])

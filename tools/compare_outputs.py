@@ -17,7 +17,7 @@ configs:
   - the fine_1d and wide_2d workloads of perfbench/worker.py, whose WORKLOADS
     table is parsed from the file, not imported, and fine_1d with trials = 1:
     a d=1 lone trial, whose 2^20 n-term magnitudes at --threads 2 are sorted
-    and accumulated in two parts;
+    and raised to p in two parts;
   - configs/gaussian.cfg at gamma = 0.4 with allow_inadmissible = true, whose
     verdict is "unchecked";
   - the six sample configs at d = 2, J = 9, gamma = 1.5 and trials = 1, under
