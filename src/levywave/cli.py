@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .harness import compare_families, emit_outputs, load_config, parse_settings, run_experiment
 
@@ -80,7 +81,10 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # a runtime error too, also one from a worker; 1 is a failed verdict
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

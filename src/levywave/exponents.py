@@ -21,7 +21,6 @@ resolution-J noise field of cell averages <w, 1_cell>/vol.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar, Union
 
@@ -108,35 +107,23 @@ class GridSpec:
 
 def _in_parts(work, n: int, threads: int) -> None:
     """Call work(lo, hi) on min(threads, n) consecutive ranges that cover
-    range(n), each range on its own thread and the first on the calling one.
+    range(n), the first on the calling thread and the others on a thread pool.
 
     Threads pay only where work is large numpy calls, which release the GIL.
-    Every thread is joined before this returns, also when a part raises, and
+    The pool is shut down before this returns, also when a part raises, and
     the exception of the lowest part that raised reaches the caller.
     """
     parts = max(1, min(threads, n))
+    if parts == 1:
+        work(0, n)
+        return
+    from concurrent.futures import ThreadPoolExecutor
     edges = [n * i // parts for i in range(parts + 1)]
-    errors = [None] * parts
-
-    def run(i):
-        try:
-            work(edges[i], edges[i + 1])
-        except BaseException as exc:  # raised on the calling thread below
-            errors[i] = exc
-
-    started = []
-    try:
-        for i in range(1, parts):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            started.append(thread)
+    with ThreadPoolExecutor(parts - 1) as pool:
+        futures = [pool.submit(work, edges[i], edges[i + 1]) for i in range(1, parts)]
         work(edges[0], edges[1])
-    finally:
-        for thread in started:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    for future in futures:
+        future.result()
 
 
 def make_rng(seed: int) -> np.random.Generator:

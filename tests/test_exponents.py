@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from levywave import (
     make_rng,
     theoretical_kappa,
 )
+from levywave.exponents import _in_parts
 
 ALL_FAMILIES = [
     Gaussian(1.0),
@@ -265,3 +269,69 @@ def test_prediction_describe_sort_key_and_record(prediction, describe, sort_key,
     assert prediction.describe() == describe
     np.testing.assert_equal(prediction.sort_key(), sort_key)
     assert prediction.record() == record
+
+
+def _call_in_parts(work, n, parts, ended):
+    # _in_parts called from a daemon thread, with the interpreter switching
+    # threads as often as it can; a part that never ends fails the test
+    # instead of hanging it.  Returns the calling thread and, for what it
+    # raised, the message and how many parts had ended by then
+    before, raised = threading.enumerate(), []
+
+    def call():
+        try:
+            _in_parts(work, n, parts)
+        except RuntimeError as exc:
+            raised.append((str(exc), len(ended)))
+
+    caller = threading.Thread(target=call, daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller.start()
+        caller.join(timeout=20)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive(), "a part never ends"
+    assert threading.enumerate() == before
+    return caller, raised
+
+
+def test_in_parts_covers_the_range_once_and_raises_the_lowest_part():
+    # 16 parts on more threads than cores: every index is worked on once,
+    # part 0 on the calling thread and the others off it
+    n, parts = 1000, 16
+    edges = [n * i // parts for i in range(parts + 1)]
+    seen, ran_on, ended = [], {}, []
+
+    def work(lo, hi):
+        ran_on[edges.index(lo)] = threading.current_thread()
+        for i in range(lo, hi):
+            seen.append(i)
+
+    caller, raised = _call_in_parts(work, n, parts, ended)
+    assert raised == []
+    assert sorted(seen) == list(range(n))
+    assert sorted(ran_on) == list(range(parts))
+    assert ran_on[0] is caller
+    assert caller not in [ran_on[part] for part in range(1, parts)]
+
+    # part 7 raises at once and part 3 soon after, while the parts above 3
+    # still run; part 3's exception reaches the caller, and only once every
+    # part ended
+    def failing_work(lo, hi):
+        part = edges.index(lo)
+        try:
+            if part == 7:
+                raise RuntimeError("part 7 failed")
+            if part == 3:
+                time.sleep(0.02)
+                raise RuntimeError("part 3 failed")
+            if part > 3:
+                time.sleep(0.2)
+            work(lo, hi)
+        finally:
+            ended.append(part)
+
+    _, raised = _call_in_parts(failing_work, n, parts, ended)
+    assert raised == [("part 3 failed", parts)]

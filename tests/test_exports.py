@@ -54,6 +54,26 @@ def test_readme_library_example_runs():
     assert round(float(lines[0]), 4) == float(stated.group(1)), done.stdout
 
 
+
+def test_a_serial_run_imports_no_pool_module():
+    # the pools import concurrent.futures where they start, and a threads=1
+    # run starts none, so neither the import nor the run loads it
+    code = (
+        "import sys\n"
+        "import levywave\n"
+        "config = levywave.harness.parse_config('family = gaussian\\nJ = 9\\nk = 2\\n"
+        "trials = 3\\nfit_lo = 4\\nfit_hi = 128\\n')\n"
+        "levywave.run_experiment(config, threads=1)\n"
+        "print(sorted(name for name in sys.modules if name.startswith('concurrent.futures')))\n"
+    )
+    src = pathlib.Path(levywave.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
 def test_perfbench_patch_points_are_looked_up(monkeypatch, tmp_path):
     # perfbench/spans.py times a layer by replacing the module attribute its
     # caller looks up; a name no caller looks up any more would read as a

@@ -592,6 +592,23 @@ def test_trial_exception_is_the_same_at_any_thread_count(monkeypatch, tmp_path, 
     assert "error: trial 0 cannot fit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_exits_2_on_any_error_of_a_run(monkeypatch, tmp_path, capsys, command, threads,
+                                           one_trial_stacks):
+    # exit code 1 is a failed verdict, so an error that is neither a
+    # ValueError nor an OSError exits 2 with its traceback and type
+    def failing_stack(config, indices, threads=1):
+        raise MemoryError(f"trial {indices[0]} ran out of memory")
+
+    monkeypatch.setattr(harness, "_run_stack", failing_stack)
+    cfg = _write_config(tmp_path, SMALL)
+    assert cli_main([command, str(cfg), "--threads", threads]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last):" in err
+    assert err.endswith("\nerror: MemoryError: trial 0 ran out of memory\n")
+
+
 def _check_lowest_index_failure(monkeypatch, tmp_path, capsys, threads, stack):
     def failing_stack(config, indices, threads=1):
         for index in indices:
