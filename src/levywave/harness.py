@@ -37,6 +37,7 @@ __all__ = [
     "parse_config",
     "load_config",
     "run_experiment",
+    "run_sweep",
     "compare_families",
     "emit_outputs",
 ]
@@ -319,11 +320,11 @@ def _run_stack(config: ExperimentConfig, indices, threads: int) -> np.ndarray:
 
 def _stacks(configs) -> list:
     """(config, trial indices) of each stack, in trial order: each config's
-    trials in consecutive stacks of at most _STACK_CELLS cells, and at least
-    one trial."""
-    size = max(1, _STACK_CELLS // configs[0].grid().size)
+    trials in consecutive stacks of at most _STACK_CELLS cells of its own
+    grid, and at least one trial."""
     return [(config, range(start, min(start + size, config.trials)))
-            for config in configs for start in range(0, config.trials, size)]
+            for config in configs for size in [max(1, _STACK_CELLS // config.grid().size)]
+            for start in range(0, config.trials, size)]
 
 
 def _run_chunk(stacks, threads: int = 1) -> list:
@@ -344,16 +345,17 @@ def _chunks(stacks, workers: int) -> list:
     return chunks
 
 
-def _run_trials(configs, workers: Optional[int]) -> list:
-    """Each validated config's sigma, row t from its trial t.  The configs share
-    one grid.  All their trials go through one map, in order, so the
-    lowest-index failing trial's own exception reaches the caller.
+def run_sweep(configs, threads: Optional[int] = None) -> list:
+    """One report per config, in order ([] for none); the configs may differ in
+    any setting.  All are validated before any trial runs, and all their
+    trials go through one map, in order, so the lowest-index failing trial's
+    own exception reaches the caller.
 
     The trials run as stacks along a leading trial axis: each stage takes a
-    stack of up to _STACK_CELLS cells in one set of numpy calls, which at
-    desk scale (d=1 J=14, a stack of four) saves most of the per-call
-    overhead of the DWT's small coarse levels.  Every row gets the
-    operations of a trial run alone, in the same order.
+    stack of up to _STACK_CELLS cells of its config's grid in one set of
+    numpy calls, which at desk scale (d=1 J=14, a stack of four) saves most
+    of the per-call overhead of the DWT's small coarse levels.  Every row
+    gets the operations of a trial run alone, in the same order.
 
     The workers are processes started with fork: a stack at desk scale is
     a few ms of small numpy calls with the GIL held between them, so threads
@@ -362,11 +364,11 @@ def _run_trials(configs, workers: Optional[int]) -> list:
     Python 3.12+ warns when a process with threads forks, and after
     `import numpy` this process has OpenBLAS's.  The map's chunks shrink
     toward its end, so the workers finish close together.  The memory
-    guard's cell cap bounds the cells of all the stacks in flight.  When a
-    trial raises, the chunks already handed out (one running per worker and
-    up to workers + 1 queued) run to their end before its exception reaches
-    the caller; the rest are dropped.  A worker that dies without raising
-    breaks the executor, which ends the other workers at once.
+    guard's cell cap bounds the cells of all the stacks in flight, each
+    counted as large as the map's largest.  When a trial raises, the chunks
+    already handed out (one running per worker and up to workers + 1 queued)
+    run to their end before its exception reaches the caller; the rest are
+    dropped.  A worker that dies without raising breaks the executor.
 
     The stacks run one at a time on the calling process when one worker is
     asked for, when there is one stack or room for one under the cell cap,
@@ -374,16 +376,18 @@ def _run_trials(configs, workers: Optional[int]) -> list:
     threads, at most the usable CPUs, and splits its large numpy calls,
     which release the GIL, across them: at d=2 its FFT passes, operator
     division and DWT blocks, and at any d its n-term errors' magnitude
-    pass, sort and cumsum.  A stack in a worker process stays on one
-    thread.
+    pass, sort and cumsum.  A stack in a worker process, a sweep's lone
+    large trial too, stays on one thread; its bytes are the same.
     """
+    configs = list(configs)
+    for config in configs:
+        config.validate()
+    requested = _worker_count(threads)
     stacks = _stacks(configs)
-    ends = np.cumsum([config.trials for config in configs])
-    requested = _worker_count(workers)
-    largest = max(len(indices) for _, indices in stacks) * configs[0].grid().size
+    largest = max((len(indices) * config.grid().size for config, indices in stacks), default=1)
     # the memory guard's cell cap bounds all the stacks in flight (one stack is within it)
     n_workers = min(requested, len(stacks), _MAX_CELLS // largest)
-    if n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+    if n_workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         rows = _run_chunk(stacks, threads=min(requested, _usable_cpus()))
     else:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -397,14 +401,15 @@ def _run_trials(configs, workers: Optional[int]) -> list:
         finally:
             # drops the chunks not yet handed out and joins the workers
             pool.shutdown(cancel_futures=True)
-    return [np.array(rows[end - config.trials:end]) for config, end in zip(configs, ends)]
+    ends = np.cumsum([config.trials for config in configs])
+    return [ExperimentReport(config, np.array(rows[end - config.trials:end]))
+            for config, end in zip(configs, ends)]
 
 
 def run_experiment(config: ExperimentConfig, threads: Optional[int] = None) -> ExperimentReport:
     """Run all trials, on `threads` worker processes, and report their n-term
     errors, fits and verdict."""
-    config.validate()
-    return ExperimentReport(config, _run_trials([config], threads)[0])
+    return run_sweep([config], threads)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +471,8 @@ def compare_families(configs, threads: Optional[int] = None) -> ComparisonReport
         raise ConfigError(
             f"configs must share (gamma, d, J, k, p0, tau0), got {sorted(set(shared))}"
         )
-    for config in configs:
-        config.validate()
-    # one map over every trial; the fits and reports stay in this process
-    sigmas = _run_trials(configs, threads)
-    reports = [ExperimentReport(config, sigma) for config, sigma in zip(configs, sigmas)]
-    return ComparisonReport(
-        [ComparisonEntry(_family_label(r.config), r.prediction, r.kappa_median) for r in reports]
-    )
+    return ComparisonReport([ComparisonEntry(_family_label(r.config), r.prediction, r.kappa_median)
+                             for r in run_sweep(configs, threads)])
 
 
 # ---------------------------------------------------------------------------

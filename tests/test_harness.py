@@ -1,3 +1,4 @@
+import concurrent.futures
 import ctypes
 import dataclasses
 import itertools
@@ -27,6 +28,7 @@ from levywave import (
     harness,
     make_rng,
     run_experiment,
+    run_sweep,
     wavelets,
 )
 from levywave.cli import main as cli_main
@@ -741,6 +743,46 @@ def test_the_calling_process_keeps_its_allocator_settings(monkeypatch, tmp_path,
     run_experiment(_small_config(trials=trials), threads=threads)
     assert {int(path.read_text()) for path in tmp_path.glob("trial*")} == {os.getpid()}
     assert libc.calls() == {}
+
+
+def test_the_cell_cap_counts_the_largest_stack_of_any_config(monkeypatch, tmp_path):
+    # 200 trials at d=1 J=10 form stacks of 64 (2^16 cells each), and a J=17
+    # trial is a stack of 2^17 cells, which fills the cap: the whole sweep
+    # runs in this process.  A cap counted at the first config's grid would
+    # allow 2^17 // 2^16 = 2 workers.
+    monkeypatch.setattr(harness, "_MAX_CELLS", 1 << 17)
+    monkeypatch.setattr(harness, "_run_stack", _stack_leaving_pid(tmp_path))
+    reports = run_sweep([_small_config(J=10, trials=200), _small_config(J=17, trials=2)], threads=2)
+    assert [report.sigma.shape[0] for report in reports] == [200, 2]
+    assert {int(path.read_text()) for path in tmp_path.glob("trial*")} == {os.getpid()}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_sweep_validates_every_config_before_any_trial(monkeypatch, tmp_path, threads):
+    monkeypatch.setattr(harness, "_run_stack", _stack_leaving_pid(tmp_path))
+    configs = [_small_config(), _small_config(base_seed=1), _small_config()]
+    configs[-1].trials = 0
+    with pytest.raises(ConfigError, match="^trials must be >= 1, got 0$"):
+        run_sweep(configs, threads=threads)
+    assert list(tmp_path.glob("trial*")) == []
+
+
+def test_a_sweep_of_no_configs_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert run_sweep([], threads=2) == []
+    assert run_sweep(iter([]), threads=2) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_a_sweep_takes_a_generator_of_configs():
+    configs = [_small_config(), _small_config(family="sas", params={"alpha": 1.5}, base_seed=7)]
+    listed = run_sweep(configs, threads=2)
+    generated = run_sweep((config for config in configs), threads=2)
+    assert [report.config for report in generated] == configs
+    assert [r.sigma.tobytes() for r in generated] == [r.sigma.tobytes() for r in listed]
 
 
 def _no_libc(name):

@@ -18,14 +18,16 @@ from levywave import (
     harness,
     make_rng,
     run_experiment,
+    run_sweep,
     sigma_curve,
     synthesize_process,
     weighted_magnitudes,
 )
-from levywave.harness import load_config, parse_config
+from levywave.harness import load_config, parse_config, summary_record
 from oracles import trial_alone
 
-SAMPLE_CONFIGS = sorted((pathlib.Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+SAMPLE_CONFIGS = sorted(CONFIGS.glob("*.cfg"))
 
 
 def _alone(config) -> bytes:
@@ -72,8 +74,30 @@ def test_a_chunk_spans_two_configs():
     rows = np.array(harness._run_chunk(first))
     assert rows.tobytes() == np.array([trial_alone(c, i) for c in (a, b) for i in range(4)]).tobytes()
     # the whole map on two worker processes
-    sigmas = harness._run_trials([a, b], 2)
-    assert [sigma.tobytes() for sigma in sigmas] == [_alone(a), _alone(b)]
+    reports = run_sweep([a, b], 2)
+    assert [report.sigma.tobytes() for report in reports] == [_alone(a), _alone(b)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_mixed_sweep_reproduces_each_config_run_alone(threads):
+    # gaussian as it is; sas alpha = 1.5 in stacks of two, the last one
+    # ragged; laplace in d=2 stacks of four; a lone d=2 inverse_gaussian trial
+    variants = {
+        "gaussian": {},
+        "sas15": {"J": 15, "k": 2, "trials": 7},
+        "laplace": {"d": 2, "J": 7, "gamma": 1.5},
+        "inverse_gaussian": {"d": 2, "J": 9, "gamma": 1.5, "trials": 1, "operator": "matern"},
+    }
+    configs = [dataclasses.replace(load_config(CONFIGS / f"{name}.cfg"), **keys)
+               for name, keys in variants.items()]
+    # each config's stacks are cut from its own grid
+    assert _stack_sizes(*configs) == [4] * 5 + [2, 2, 2, 1] + [4] * 5 + [1]
+    reports = run_sweep(configs, threads)
+    assert [report.config for report in reports] == configs
+    for config, report in zip(configs, reports):
+        alone = run_experiment(config, threads)
+        assert report.sigma.tobytes() == alone.sigma.tobytes(), config.family
+        assert summary_record(report) == summary_record(alone), config.family
 
 
 def test_chunks_shrink_toward_the_end_of_the_map():
