@@ -63,10 +63,10 @@ _MASK64 = (1 << 64) - 1
 # the interpreter's) is 16 bytes per cell in d=2 (laplace J=12, two fields, set
 # equally by the two FFT stages, the DWT's finest level and sigma_curve) to 36 in
 # d=1 (J=20, any family), so 2^26 cells need up to 2.4 GB; each thread of a
-# lone d=2 trial adds its DWT block scratch, 2 MiB (all of them together at
+# lone d=2 trial adds its DWT block scratch, 3 MiB (all of them together at
 # most 1/8 of a small grid); the jump families draw 16 bytes per jump, so the
-# same bound caps a trial's jumps.  Trials run in stacks (harness._STACK_CELLS),
-# and the cap on the trials in flight counts every cell of each stack
+# same bound caps a trial's jumps.  The cap on the trials in flight weighs each
+# stack (harness._STACK_CELLS) by its cells or one trial's jumps, if more
 _MAX_CELLS = 1 << 26
 
 
@@ -251,6 +251,8 @@ class LevyExponent:
     law into the keys jump and jump_<field>.
     """
 
+    jump_rate = 0.0  # the mean number of jumps sample draws per unit volume
+
     @classmethod
     def config_keys(cls) -> dict:
         """Config key -> value type."""
@@ -416,8 +418,10 @@ class CompoundPoisson(LevyExponent):
     def indices(self):
         return BGIndices(0.0, 0.0)
 
+    jump_rate = property(lambda self: self.rate)
+
     def sample(self, volume: float, rng, shape):
-        return _bin_jumps(self.rate * volume, self.jumps.sample, rng, shape)
+        return _bin_jumps(self.jump_rate * volume, self.jumps.sample, rng, shape)
 
 
 @dataclass(frozen=True)
@@ -425,6 +429,7 @@ class Laplace(LevyExponent):
     """Laplace noise, psi(xi) = -log(1 + xi^2)."""
 
     family_name: ClassVar[str] = "laplace"
+    jump_rate: ClassVar[float] = 2.0 * (_LAPLACE_SMALL + _LAPLACE_LARGE)
 
     def psi(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -435,8 +440,7 @@ class Laplace(LevyExponent):
 
     def sample(self, volume: float, rng, shape):
         """The jumps above _LAPLACE_EPS of the Levy measure e^{-|x|}/|x|."""
-        rate = 2.0 * (_LAPLACE_SMALL + _LAPLACE_LARGE) * volume
-        return _bin_jumps(rate, _laplace_jumps, rng, shape)
+        return _bin_jumps(self.jump_rate * volume, _laplace_jumps, rng, shape)
 
 
 @dataclass(frozen=True)

@@ -364,11 +364,12 @@ def run_sweep(configs, threads: Optional[int] = None) -> list:
     Python 3.12+ warns when a process with threads forks, and after
     `import numpy` this process has OpenBLAS's.  The map's chunks shrink
     toward its end, so the workers finish close together.  The memory
-    guard's cell cap bounds the cells of all the stacks in flight, each
-    counted as large as the map's largest.  When a trial raises, the chunks
-    already handed out (one running per worker and up to workers + 1 queued)
-    run to their end before its exception reaches the caller; the rest are
-    dropped.  A worker that dies without raising breaks the executor.
+    guard's cell cap bounds all the stacks in flight, each counted as large
+    as the map's largest, by its cells or one trial's jumps if more.  When a
+    trial raises, the chunks already handed out (one running per worker and
+    up to workers + 1 queued) run to their end before its exception reaches
+    the caller; the rest are dropped.  A worker that dies without raising
+    breaks the executor.
 
     The stacks run one at a time on the calling process when one worker is
     asked for, when there is one stack or room for one under the cell cap,
@@ -384,8 +385,9 @@ def run_sweep(configs, threads: Optional[int] = None) -> list:
         config.validate()
     requested = _worker_count(threads)
     stacks = _stacks(configs)
-    largest = max((len(indices) * config.grid().size for config, indices in stacks), default=1)
-    # the memory guard's cell cap bounds all the stacks in flight (one stack is within it)
+    # the cell cap bounds all the stacks in flight; a stack draws its jumps a trial at a time
+    largest = max((max(len(indices) * config.grid().size, math.ceil(config.exponent().jump_rate))
+                   for config, indices in stacks), default=1)
     n_workers = min(requested, len(stacks), _MAX_CELLS // largest)
     if n_workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         rows = _run_chunk(stacks, threads=min(requested, _usable_cpus()))

@@ -177,6 +177,16 @@ def _analyze_axis(phases, h: np.ndarray, g: np.ndarray, axis: int, lo, hi, tmp) 
                 acc += np.multiply(phase, f[t], out=tmp)
 
 
+def _phases(x: np.ndarray, axis: int, r0: int, out: np.ndarray) -> None:
+    """out[p][i] = x[2 (r0 + i) + p] along axis, for both phases p: a run from
+    2 r0, no further than the end of x, then the wrapped rest from its start."""
+    n, b, lead = x.shape[axis], out.shape[axis + 1], (slice(None),) * axis
+    head = min(b, n // 2 - r0)
+    for p in (0, 1):
+        out[(p, *lead, slice(head))] = x[(*lead, slice(2 * r0 + p, 2 * (r0 + head), 2))]
+        out[(p, *lead, slice(head, b))] = x[(*lead, slice(p, 2 * (b - head), 2))]
+
+
 def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping,
                   block: int, threads: int) -> np.ndarray:
     """Split each grid of the stack c (grids along its leading axis) once and
@@ -184,18 +194,15 @@ def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping,
 
     One loop runs over blocks of output rows along the grids' first axis,
     across the whole stack, about `block` output samples each, small enough
-    to stay in cache.  In d=1 a block copies its input samples into a buffer
-    of its two phases, the wrapped ones from the start of each grid, and
-    filters straight into the bands.  In d=2 a block takes its input rows of
-    c in place, and only a block that runs past the end gets a copy padded
-    with the first taps - 2 rows.  Its two row phases are row-strided views,
-    and its axis-1 pass fills two strips.  Each strip's copy into two
-    column-phase buffers, with taps/2 - 1 wrapped columns each, feeds its
-    axis-2 pass, which writes straight into the bands or the coarse part: no
-    whole-size intermediate is made, and every coefficient gets the
-    products, in the order, of two whole-level passes.  The blocks split
-    across `threads` threads, each with its own block-sized scratch, and
-    blocks write disjoint rows.
+    to stay in cache.  A block copies its input rows into a buffer of their
+    two phases, the wrapped ones from the start of each grid, and filters
+    them along the first axis: in d=1 straight into the bands, in d=2 into
+    two strips.  Each strip's two column phases, copied the same way, feed
+    its axis-2 pass, which writes straight into the bands or the coarse
+    part: no whole-size intermediate is made, and every coefficient gets
+    the products, in the order, of two whole-level passes.  The blocks
+    split across `threads` threads, each with its own block-sized scratch,
+    and blocks write disjoint rows.
     """
     m, n, d, wrap = c.shape[0], c.shape[1], c.ndim - 1, h.size // 2 - 1  # wrap: per phase
     out = {q: bands[q] if q in bands else np.empty((m,) + (n // 2,) * d) for q in range(1 << d)}
@@ -203,36 +210,22 @@ def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping,
     starts = range(0, n // 2, rows)
 
     def analyze(lo, hi):
-        if d == 1:
-            # one allocation for the products and both phases
-            scratch = np.empty(m * (3 * rows + 2 * wrap))
-            tmp, phases = scratch[:m * rows], scratch[m * rows:].reshape(2, m, rows + wrap)
-        else:
-            tmp = np.empty(m * rows * n)
+        # one allocation for the products (its head) and both row phases
+        scratch = np.empty(c.size // n * (3 * rows + 2 * wrap))
+        phases = scratch[rows * c.size // n:].reshape((2, m, rows + wrap) + c.shape[2:])
+        if d == 2:
             strips, cols = np.empty((2, m, rows, n)), np.empty((2, m, rows, n // 2 + wrap))
         for r0 in starts[lo:hi]:
             r1 = min(r0 + rows, n // 2)
+            b = r1 - r0
             # output rows r0 .. r1-1 read input rows 2 r0 .. 2 r1 + taps - 3
-            end, b = 2 * (r1 + wrap), r1 - r0
-            if d == 1:
-                # each phase copied from c, up to its end, then from its start
-                head = min(end, n) // 2 - r0
-                for p in (0, 1):
-                    phases[p, :, :head] = c[:, 2 * r0 + p:2 * (r0 + head):2]
-                    phases[p, :, head:b + wrap] = c[:, p:2 * (b + wrap - head):2]
-                _analyze_axis(phases[..., :b + wrap], h, g, 1,
-                              out[0][:, r0:r1], out[1][:, r0:r1], tmp)
-                continue
-            src = c[:, 2 * r0:end] if end <= n else np.concatenate(
-                [c[:, 2 * r0:], c[:, :end - n]], axis=1)
-            _analyze_axis((src[:, 0::2], src[:, 1::2]), h, g, 1,
-                          strips[0, :, :b], strips[1, :, :b], tmp)
-            for mask in (0, 1):
-                for p in (0, 1):
-                    cols[p, :, :b, :n // 2] = strips[mask, :, :b, p::2]
-                    cols[p, :, :b, n // 2:] = strips[mask, :, :b, p:2 * wrap:2]
+            _phases(c, 1, r0, phases[:, :, :b + wrap])
+            lo_hi = strips[:, :, :b] if d == 2 else (out[0][:, r0:r1], out[1][:, r0:r1])
+            _analyze_axis(phases[:, :, :b + wrap], h, g, 1, *lo_hi, scratch)
+            for mask in (0, 1) if d == 2 else ():  # each strip's axis-2 pass
+                _phases(lo_hi[mask], 2, 0, cols[:, :, :b])
                 _analyze_axis(cols[:, :, :b], h, g, 2,
-                              out[mask][:, r0:r1], out[mask | 2][:, r0:r1], tmp)
+                              out[mask][:, r0:r1], out[mask | 2][:, r0:r1], scratch)
 
     _in_parts(analyze, len(starts), threads)
     return out[0]
@@ -282,10 +275,11 @@ def dwt_periodic(values, spec: WaveletSpec, threads: int = 1, d=None) -> Wavelet
     stack = WaveletCoeffs(d=d, zeta=zeta, data=coeffs.data.reshape(-1, n**d))
     # threads pay only in d=2: a d=1 block's numpy calls are too small.  A
     # split block needs 2^16 samples to pay for the GIL's hand-offs, fewer on
-    # a small grid so that the threads' scratch (4 blocks each) stays within
-    # 1/8 of it; one thread is as fast with the smaller _BLOCK
+    # a small grid so that the threads' scratch (about 6 blocks each, besides
+    # the row phases' wrapped rows) stays within 1/8 of it; one thread is as
+    # fast with the smaller _BLOCK
     threads = threads if d == 2 else 1
-    block = _BLOCK if threads == 1 else min(_BLOCK << 2, x.size // (32 * threads))
+    block = _BLOCK if threads == 1 else min(_BLOCK << 2, x.size // (48 * threads))
     # this function's only name for its input from here on; a view keeps its array
     c = x if len(lead) == 1 else x.reshape((-1,) + shape)
     del values, x

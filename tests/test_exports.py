@@ -109,9 +109,9 @@ def test_perfbench_patch_points_are_looked_up(monkeypatch, tmp_path):
 def test_compare_outputs_runs_parseable_configs():
     # tools/compare_outputs.py parses perfbench's workload table without
     # importing it and rewrites the sample configs to d=2, to tau0 = 0.25, to
-    # the matern operator at d=1 and d=2, to k = 1 and k = 6, to J = 15, to seven trials and
-    # to d=2 J=7, gaussian to an inadmissible gamma,
-    # and fine_1d and the two d=2 J=9 variants to one trial; every text it runs must parse, or
+    # the matern operator at d=1 and d=2, to k = 1 and k = 6, to J = 15, to seven trials,
+    # to d=2 J=7 and to d=2 J=9 at k = 1 and k = 6, gaussian to an inadmissible gamma,
+    # and fine_1d and the four d=2 J=9 variants to one trial; every text it runs must parse, or
     # a byte-identity check would report failed runs only, and every rejected
     # text it runs must be refused
     spec = importlib.util.spec_from_file_location("compare", ROOT / "tools" / "compare_outputs.py")
@@ -119,18 +119,18 @@ def test_compare_outputs_runs_parseable_configs():
     spec.loader.exec_module(tool)
     configs = [harness.parse_config(text) for _, text in tool.config_set(ROOT)]
     n = len(list((ROOT / "configs").glob("*.cfg")))
-    assert len(configs) == 12 * n + 4
-    samples, d2, shifted, matern, matern_d2, haar, k6, j15, seven, d2_j7 = (
-        configs[i * n:(i + 1) * n] for i in range(10))
-    workloads = configs[10 * n:10 * n + 2]
+    assert len(configs) == 16 * n + 4
+    samples, d2, shifted, matern, matern_d2, haar, k6, j15, seven, d2_j7, d2_haar, d2_k6 = (
+        configs[i * n:(i + 1) * n] for i in range(12))
+    workloads = configs[12 * n:12 * n + 2]
     assert [(c.family, c.d, c.J) for c in workloads] == [("sas", 1, 20), ("laplace", 2, 12)]
     # fine_1d as a lone trial: 2^20 magnitudes, two parts at --threads 2
-    assert configs[10 * n + 2] == dataclasses.replace(workloads[0], trials=1)
+    assert configs[12 * n + 2] == dataclasses.replace(workloads[0], trials=1)
     assert [(c.d, c.J, c.gamma) for c in d2] == [(2, 9, 1.5)] * n
     assert [c.family for c in d2] == [c.family for c in samples]
     assert [(c.family, c.tau0) for c in shifted] == [(c.family, 0.25) for c in samples]
     assert all(c.prediction().condition_satisfied for c in shifted)
-    (inadmissible,) = configs[10 * n + 3:10 * n + 4]
+    (inadmissible,) = configs[12 * n + 3:12 * n + 4]
     assert (inadmissible.family, inadmissible.gamma) == ("gaussian", 0.4)
     assert inadmissible.prediction().verdict(0.5, inadmissible.tolerance) == "unchecked"
     # the DWT's phase split depends on the filter length: Haar wraps no samples, k = 6 has 12 taps
@@ -143,19 +143,23 @@ def test_compare_outputs_runs_parseable_configs():
     assert {c.trials for c in seven} == {7}
     assert [(c.family, c.d, c.J, c.gamma) for c in d2_j7] == [
         (c.family, 2, 7, 1.5) for c in samples]
+    # the d=2 row and column phases wrap 0 rows at k = 1 and 5 at k = 6
+    assert [(c.family, c.d, c.J, c.gamma, c.k) for c in d2_haar + d2_k6] == [
+        (c.family, 2, 9, 1.5, k) for k in (1, 6) for c in samples]
+    assert [dataclasses.replace(c, k=4) for c in d2_haar + d2_k6] == d2 + d2
     assert all(c.operator == "fractional_laplacian"
-               for c in samples + d2 + shifted + haar + k6 + j15 + seven + d2_j7 + workloads
-               + [inadmissible])
+               for c in samples + d2 + shifted + haar + k6 + j15 + seven + d2_j7 + d2_haar
+               + d2_k6 + workloads + [inadmissible])
     assert [(c.family, c.operator, c.d, c.J, c.gamma) for c in matern] == [
         (c.family, "matern", 1, c.J, c.gamma) for c in samples]
     assert [(c.family, c.operator, c.d, c.J, c.gamma) for c in matern_d2] == [
         (c.family, "matern", 2, 9, 1.5) for c in samples]
     # the lone trials: the d=2 variants, under each operator, at one trial
-    lone = configs[10 * n + 4:]
-    assert [dataclasses.replace(c, trials=1) for c in d2 + matern_d2] == lone
+    lone = configs[12 * n + 4:]
+    assert [dataclasses.replace(c, trials=1) for c in d2 + matern_d2 + d2_haar + d2_k6] == lone
     # `levywave compare` runs each variant as one block, which must share its scale
     blocks = tool.compare_blocks(ROOT)
-    assert [entry for _, block in blocks for entry in block] == tool.config_set(ROOT)[:10 * n]
+    assert [entry for _, block in blocks for entry in block] == tool.config_set(ROOT)[:12 * n]
     for _, block in blocks:
         parsed = [harness.parse_config(text) for _, text in block]
         assert len({(c.gamma, c.d, c.J, c.k, c.p0, c.tau0) for c in parsed}) == 1

@@ -757,6 +757,20 @@ def test_the_cell_cap_counts_the_largest_stack_of_any_config(monkeypatch, tmp_pa
     assert {int(path.read_text()) for path in tmp_path.glob("trial*")} == {os.getpid()}
 
 
+def test_the_cell_cap_counts_one_trials_jumps_when_they_outnumber_a_stacks_cells(
+        monkeypatch, tmp_path):
+    # 8 trials at d=1 J=14 form two stacks of four, 2^16 cells each, but a
+    # trial at rate 2^17 draws about 2^17 jumps, which fill the cap: both
+    # stacks run in this process.  A cap that counts cells alone would allow
+    # 2^17 // 2^16 = 2 workers.
+    monkeypatch.setattr(harness, "_MAX_CELLS", 1 << 17)
+    monkeypatch.setattr(harness, "_run_stack", _stack_leaving_pid(tmp_path))
+    config = _small_config(family="compound_poisson", params={"rate": float(1 << 17)},
+                           J=14, trials=8)
+    assert run_experiment(config, threads=2).sigma.shape[0] == 8
+    assert {int(path.read_text()) for path in tmp_path.glob("trial*")} == {os.getpid()}
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_sweep_validates_every_config_before_any_trial(monkeypatch, tmp_path, threads):
     monkeypatch.setattr(harness, "_run_stack", _stack_leaving_pid(tmp_path))

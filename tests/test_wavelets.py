@@ -305,30 +305,33 @@ def _reference_dwt(x, spec):
     extra=st.integers(0, 4),
     block=st.sampled_from([1, 3, 64, wavelets._BLOCK]),
     threads=st.integers(1, 3),
+    stack=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_polyphase_dwt_matches_gather_window_reference(k, d, extra, block, threads, seed):
+def test_polyphase_dwt_matches_gather_window_reference(k, d, extra, block, threads, stack, seed):
     # grids from n = 2^(zeta+1), the coarsest a full decomposition reaches, upward;
-    # small analysis blocks make these grids span several blocks, as large ones do
+    # small analysis blocks make these grids span several blocks, as large ones do,
+    # and a block of a stack spans its grids, whose last block wraps in each
     spec = WaveletSpec(k=k)
     J = spec.zeta + 1 + (extra if d == 1 else min(extra, 3))
-    x = make_rng(seed).standard_cauchy(size=(2**J,) * d)
+    x = make_rng(seed).standard_cauchy(size=(stack,) + (2**J,) * d)
     with mock.patch.object(wavelets, "_BLOCK", block):
-        coeffs = dwt_periodic(x, spec, threads=threads)
+        coeffs = dwt_periodic(x, spec, threads=threads, d=d)
     # blocks, their split across threads, and the wrap padding of the blocks
     # that run past the end, move no bit
-    assert np.array_equal(coeffs.data, dwt_periodic(x, spec).data)
-    # nor do the one-row strips and the fused d=2 step: every coefficient gets
-    # the tap-by-tap products and sums of whole-level passes
-    assert np.array_equal(coeffs.data, dwt_taps(x, spec))
-    reference = _reference_dwt(x, spec)
-    assert sorted(coeffs.levels) == sorted(reference)
-    scale = max(np.abs(arr).max() for bands in reference.values() for arr in bands.values())
-    for j, bands in reference.items():
-        assert sorted(coeffs.levels[j]) == sorted(bands)
-        for mask, arr in bands.items():
-            assert coeffs.levels[j][mask].shape == arr.shape
-            assert np.abs(coeffs.levels[j][mask] - arr).max() <= 1e-13 * scale
+    assert np.array_equal(coeffs.data, dwt_periodic(x, spec, d=d).data)
+    for i, grid in enumerate(x):
+        # nor do the one-row strips and the fused d=2 step: every coefficient gets
+        # the tap-by-tap products and sums of whole-level passes
+        assert np.array_equal(coeffs.data[i], dwt_taps(grid, spec))
+        reference = _reference_dwt(grid, spec)
+        assert sorted(coeffs.levels) == sorted(reference)
+        scale = max(np.abs(arr).max() for bands in reference.values() for arr in bands.values())
+        for j, bands in reference.items():
+            assert sorted(coeffs.levels[j]) == sorted(bands)
+            for mask, arr in bands.items():
+                assert coeffs.levels[j][mask][i].shape == arr.shape
+                assert np.abs(coeffs.levels[j][mask][i] - arr).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -5,15 +5,17 @@
 Runs `levywave run` from each checkout's src/ (PYTHONPATH=<checkout>/src)
 into temporary output directories, at --threads 1 and 2, on this set of
 configs:
-  - the six sample configs/*.cfg, as they are and in nine variants: with
+  - the six sample configs/*.cfg, as they are and in eleven variants: with
     d = 2, J = 9 and gamma = 1.5; with tau0 = 0.25, all still admissible;
     with operator = matern; with operator = matern at d = 2, J = 9 and
     gamma = 1.5; with k = 1 (Haar, whose DWT wraps no samples) and
     k = 6 (12 taps), since the DWT's split of its input into even and odd
-    phases depends on the filter length; and three that stack their trials
+    phases depends on the filter length; three that stack their trials
     differently from the sample configs' stacks of four (2^16 cells a
     stack): J = 15 (stacks of two), trials = 7 (a ragged last stack of
-    three) and d = 2, J = 7, gamma = 1.5 (d=2 stacks of four);
+    three) and d = 2, J = 7, gamma = 1.5 (d=2 stacks of four); and d = 2,
+    J = 9, gamma = 1.5 at k = 1 and at k = 6, whose row and column phases
+    wrap 0 and 5 rows or columns;
   - the fine_1d and wide_2d workloads of perfbench/worker.py, whose WORKLOADS
     table is parsed from the file, not imported, and fine_1d with trials = 1:
     a d=1 lone trial, whose 2^20 n-term magnitudes at --threads 2 are sorted
@@ -21,9 +23,9 @@ configs:
   - configs/gaussian.cfg at gamma = 0.4 with allow_inadmissible = true, whose
     verdict is "unchecked";
   - the six sample configs at d = 2, J = 9, gamma = 1.5 and trials = 1, under
-    each operator: a lone trial, which at --threads 2 splits its FFT passes,
-    operator, DWT blocks and n-term sort across threads (on a host with 2
-    usable CPUs).
+    each operator and at k = 1 and k = 6: a lone trial, which at --threads 2
+    splits its FFT passes, operator, DWT blocks and n-term sort across
+    threads (on a host with 2 usable CPUs).
 It also runs `levywave compare` on each variant's six configs as one block,
 at --threads 1 and 2, and `levywave run` once on each config of REJECTED, a
 sample config with one key rewritten to a value it must refuse.  The config
@@ -31,7 +33,7 @@ texts come from CHANGE, so both sides run the same configs.  For each run it
 compares the sha256 of curves.csv, summary.json and plot.tsv (`levywave run`
 only), what the command printed (with the side's output directory in the
 `wrote ...` lines replaced by OUT; stderr for a rejected config) and its exit
-code, and prints one line: 172 runs and 7 rejected configs in all.  It exits 1
+code, and prints one line: 224 runs and 7 rejected configs in all.  It exits 1
 if anything differs or any run fails, and 0 otherwise.  A failed verdict or
 an inversion (exit code 1) is a completed run; a rejected config's run is
 completed only with exit code 2.
@@ -67,6 +69,8 @@ VARIANTS = (
     (" at J=15", {"J": "15"}),
     (" at trials=7", {"trials": "7"}),
     (" at d=2 J=7 gamma=1.5", {**D2_KEYS, "J": "7"}),
+    (" at d=2 J=9 gamma=1.5 k=1", {**D2_KEYS, "k": "1"}),
+    (" at d=2 J=9 gamma=1.5 k=6", {**D2_KEYS, "k": "6"}),
 )
 # (label suffix, rewritten keys) of each d=2 J=9 variant run as lone trials, not compared as a block
 LONE_VARIANTS = tuple(
