@@ -375,8 +375,8 @@ def run_sweep(configs, threads: Optional[int] = None) -> list:
     asked for, when there is one stack or room for one under the cell cap,
     and where fork does not exist.  Each then gets the workers asked for as
     threads, at most the usable CPUs, and splits its large numpy calls,
-    which release the GIL, across them: at d=2 its FFT passes, operator
-    division and DWT blocks, and at any d its n-term errors' magnitude
+    which release the GIL, across them: its FFT passes, operator division
+    and, on a large grid, DWT blocks, and its n-term errors' magnitude
     pass, sort and cumsum.  A stack in a worker process, a sweep's lone
     large trial too, stays on one thread; its bytes are the same.
     """

@@ -32,10 +32,8 @@ __all__ = [
 
 def frequency_lattice(grid: GridSpec):
     """Integer frequencies per axis, in rfftn layout (half spectrum on the last axis)."""
-    half = np.fft.rfftfreq(grid.n, d=1.0 / grid.n)
-    if grid.d == 1:
-        return (half,)
-    return (np.fft.fftfreq(grid.n, d=1.0 / grid.n), half)
+    lead = tuple(np.fft.fftfreq(grid.n, d=1.0 / grid.n) for _ in range(grid.d - 1))
+    return lead + (np.fft.rfftfreq(grid.n, d=1.0 / grid.n),)
 
 
 @dataclass(frozen=True)
@@ -50,14 +48,15 @@ class _RadialSymbol:
             raise ConfigError(f"order gamma must be positive, got {self.gamma}")
 
     def evaluate(self, grid: GridSpec, rows: slice = slice(None)) -> np.ndarray:
-        """The symbol on the half spectrum; in d=2 on its leading-axis `rows` only."""
+        """The symbol on the half spectrum; on its first leading axis's `rows` only, if any."""
         # the shift joins the 1-D last-axis table before the broadcast: every
         # term is an integer below 2^53, so each sum is exact in any order
-        axes = frequency_lattice(grid)
-        m2 = axes[-1] ** 2
+        *lead, last = frequency_lattice(grid)
+        m2 = last ** 2
         m2 += self.shift
-        if grid.d == 2:
-            m2 = axes[0][rows, None] ** 2 + m2[None, :]
+        lead[:1] = [m[rows] for m in lead[:1]]
+        for m in reversed(lead):  # each leading axis broadcasts in front
+            m2 = np.add.outer(m ** 2, m2)
         m2 **= self.gamma / 2.0
         return m2
 
@@ -82,8 +81,16 @@ OPERATORS = {cls.operator_name: cls for cls in (FractionalLaplacian, Matern)}
 _BLOCK = 1 << 16  # symbol values per block of apply_inverse_operator (512 KiB)
 
 
+def _half_shape(coeffs: np.ndarray, grid: GridSpec) -> tuple:
+    """The half spectrum's shape on grid; raises unless coeffs' shape ends in it."""
+    half = grid.shape[:-1] + (grid.n // 2 + 1,)
+    if coeffs.shape[-grid.d:] != half:
+        raise ValueError(f"spectrum shape {coeffs.shape} does not match grid {grid.shape}")
+    return half
+
+
 def _rows(a: np.ndarray) -> np.ndarray:
-    # every 1-d transform of a stack is one row, so both dimensions run the same row passes
+    # every 1-d transform of a stack is one row, so every d runs the same row passes
     return a.reshape(-1, a.shape[-1])
 
 
@@ -93,9 +100,9 @@ def forward_fft(values: np.ndarray, grid: GridSpec, threads: int = 1) -> np.ndar
     continuous Fourier coefficients.
 
     The zero-frequency coefficient is forced to zero.  The passes of rfftn,
-    rows then (in d=2) columns on axis -2, each split across `threads`
-    threads; the column pass transforms in place rather than into a second
-    array.
+    rows, then each leading axis from -2 down to -d, each split across
+    `threads` threads; the leading-axis passes transform in place rather than
+    into a second array.
     """
     if values.shape[-grid.d:] != grid.shape:
         raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
@@ -103,8 +110,8 @@ def forward_fft(values: np.ndarray, grid: GridSpec, threads: int = 1) -> np.ndar
     rows, out = _rows(values), _rows(half)
     _in_parts(lambda lo, hi: np.fft.rfft(rows[lo:hi], norm="forward", out=out[lo:hi]),
               len(rows), threads)
-    if grid.d == 2:
-        _in_parts(lambda lo, hi: np.fft.fft(half[..., lo:hi], axis=-2, norm="forward",
+    for axis in range(-2, -grid.d - 1, -1):  # each pass ends before the next begins
+        _in_parts(lambda lo, hi: np.fft.fft(half[..., lo:hi], axis=axis, norm="forward",
                                             out=half[..., lo:hi]), half.shape[-1], threads)
     half[(Ellipsis,) + (0,) * grid.d] = 0.0
     return half
@@ -115,13 +122,14 @@ def inverse_fft(coeffs: np.ndarray, grid: GridSpec, threads: int = 1) -> np.ndar
     the real grid field; consumes coeffs.
 
     Same passes as irfftn, each split across `threads` threads, but the
-    column axis -2 is transformed in place.  The symbols are real, so
+    leading axes, -d up to -2, are transformed in place.  The symbols are real, so
     dividing by one keeps the Hermitian symmetry of a real field's spectrum;
     irfft drops only the round-off imaginary parts of the self-conjugate
     bins (2m = 0 mod N).
     """
-    if grid.d == 2:
-        _in_parts(lambda lo, hi: np.fft.ifft(coeffs[..., lo:hi], axis=-2, norm="forward",
+    _half_shape(coeffs, grid)
+    for axis in range(-grid.d, -1):
+        _in_parts(lambda lo, hi: np.fft.ifft(coeffs[..., lo:hi], axis=axis, norm="forward",
                                              out=coeffs[..., lo:hi]), coeffs.shape[-1], threads)
     rows = _rows(coeffs)
     field = np.empty((len(rows), grid.n))
@@ -139,8 +147,10 @@ def apply_inverse_operator(
     a time and divides those rows of every field of the stack; the blocks
     split across `threads` threads.  A grid small enough to be stacked has its
     whole half spectrum in one block, so a stack evaluates the symbol once."""
-    # (field, row of the field, frequency): a d=1 field is one row
-    rows = coeffs.reshape(-1, grid.n if grid.d == 2 else 1, coeffs.shape[-1])
+    # (field, row along its first leading axis, the rest): a d=1 field is one row
+    half = _half_shape(coeffs, grid)
+    first = np.prod(half[:-1][:1], dtype=int)
+    rows = coeffs.reshape(-1, first, np.prod(half, dtype=int) // first)
     block = max(1, _BLOCK // rows.shape[-1])
     starts = range(0, rows.shape[1], block)
 
@@ -149,7 +159,7 @@ def apply_inverse_operator(
             lhat = symbol.evaluate(grid, slice(r0, r0 + block))
             if r0 == 0:
                 lhat.flat[0] = 1.0  # the zero frequency, set to 0 below
-            rows[:, r0:r0 + block] /= lhat
+            rows[:, r0:r0 + block] /= lhat.reshape(-1, rows.shape[-1])
 
     _in_parts(divide, len(starts), threads)
     coeffs[(Ellipsis,) + (0,) * grid.d] = 0.0

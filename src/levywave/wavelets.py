@@ -151,11 +151,7 @@ class WaveletCoeffs:
 # single-axis periodic filter-bank steps
 
 
-_BLOCK = 1 << 14  # output samples per d=1 analysis block (128 KiB per buffer)
-
-
-def _along(axis: int, sl: slice) -> tuple:
-    return (slice(None),) * axis + (sl,)
+_BLOCK = 1 << 14  # output samples per analysis block (128 KiB per buffer)
 
 
 def _analyze_axis(phases, h: np.ndarray, g: np.ndarray, axis: int, lo, hi, tmp) -> None:
@@ -169,7 +165,7 @@ def _analyze_axis(phases, h: np.ndarray, g: np.ndarray, axis: int, lo, hi, tmp) 
     only the sign of an exact zero can differ."""
     b, tmp = lo.shape[axis], tmp[:lo.size].reshape(lo.shape)
     for t in range(h.size):
-        phase = phases[t & 1][_along(axis, slice(t >> 1, (t >> 1) + b))]
+        phase = phases[t & 1][(slice(None),) * axis + (slice(t >> 1, (t >> 1) + b),)]
         for acc, f in ((lo, h), (hi, g)):
             if t == 0:
                 np.multiply(phase, f[0], out=acc)
@@ -196,36 +192,40 @@ def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping,
     across the whole stack, about `block` output samples each, small enough
     to stay in cache.  A block copies its input rows into a buffer of their
     two phases, the wrapped ones from the start of each grid, and filters
-    them along the first axis: in d=1 straight into the bands, in d=2 into
-    two strips.  Each strip's two column phases, copied the same way, feed
-    its axis-2 pass, which writes straight into the bands or the coarse
-    part: no whole-size intermediate is made, and every coefficient gets
-    the products, in the order, of two whole-level passes.  The blocks
-    split across `threads` threads, each with its own block-sized scratch,
-    and blocks write disjoint rows.
+    them along the first axis into two parts; each further axis splits each
+    part the same way, and the last writes straight into the bands or the
+    coarse part.  No whole-size intermediate is made, and every coefficient
+    gets the products, in the order, of whole-level passes axis by axis.
+    The blocks split across `threads` threads, each with its own scratch: per
+    axis one phase buffer and, but for the last, one of parts.  Blocks write
+    disjoint rows.
     """
     m, n, d, wrap = c.shape[0], c.shape[1], c.ndim - 1, h.size // 2 - 1  # wrap: per phase
-    out = {q: bands[q] if q in bands else np.empty((m,) + (n // 2,) * d) for q in range(1 << d)}
+    out = [bands[q] if q in bands else np.empty((m,) + (n // 2,) * d) for q in range(1 << d)]
     rows = min(n // 2, max(1, block // (c.size // n)))
     starts = range(0, n // 2, rows)
 
     def analyze(lo, hi):
         # one allocation for the products (its head) and both row phases
         scratch = np.empty(c.size // n * (3 * rows + 2 * wrap))
-        phases = scratch[rows * c.size // n:].reshape((2, m, rows + wrap) + c.shape[2:])
-        if d == 2:
-            strips, cols = np.empty((2, m, rows, n)), np.empty((2, m, rows, n // 2 + wrap))
+        phases = [scratch[rows * c.size // n:].reshape((2, m, rows + wrap) + c.shape[2:])]
+        parts = []  # the 2^axis parts of axis 1 .. d-1, halved along the axes before
+        for axis in range(2, d + 1):
+            done = (m, rows) + (n // 2,) * (axis - 2)
+            parts.append(np.empty((1 << (axis - 1),) + done + (n,) * (d + 1 - axis)))
+            phases.append(np.empty((2,) + done + (n // 2 + wrap,) + (n,) * (d - axis)))
         for r0 in starts[lo:hi]:
             r1 = min(r0 + rows, n // 2)
             b = r1 - r0
             # output rows r0 .. r1-1 read input rows 2 r0 .. 2 r1 + taps - 3
-            _phases(c, 1, r0, phases[:, :, :b + wrap])
-            lo_hi = strips[:, :, :b] if d == 2 else (out[0][:, r0:r1], out[1][:, r0:r1])
-            _analyze_axis(phases[:, :, :b + wrap], h, g, 1, *lo_hi, scratch)
-            for mask in (0, 1) if d == 2 else ():  # each strip's axis-2 pass
-                _phases(lo_hi[mask], 2, 0, cols[:, :, :b])
-                _analyze_axis(cols[:, :, :b], h, g, 2,
-                              out[mask][:, r0:r1], out[mask | 2][:, r0:r1], scratch)
+            todo, first, extent = [c], r0, b + wrap
+            for axis, buffer in enumerate(phases, 1):
+                bit, ph = 1 << (axis - 1), buffer[:, :, :extent]
+                made = parts[axis - 1][:, :, :b] if axis < d else [q[:, r0:r1] for q in out]
+                for mask, x in enumerate(todo):
+                    _phases(x, axis, first, ph)
+                    _analyze_axis(ph, h, g, axis, made[mask], made[mask | bit], scratch)
+                todo, first, extent = made, 0, b
 
     _in_parts(analyze, len(starts), threads)
     return out[0]
@@ -236,24 +236,24 @@ def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping,
 
 
 def dwt_periodic(values, spec: WaveletSpec, threads: int = 1, d=None) -> WaveletCoeffs:
-    """Orthonormal periodic analysis of a square dyadic d-grid, shape (2^J,)
-    or (2^J, 2^J), or of each grid of a stack along leading axes, in J - zeta
-    splitting steps down to level 0; a d=2 step splits its blocks across
-    `threads` threads.  d defaults to values.ndim, one grid; a stack must be
-    given its grids' d, since an (m, n) stack has the shape of a d=2 grid.
-    The coefficients' data has values' leading axes and one flat pyramid per
-    grid.
+    """Orthonormal periodic analysis of a square dyadic d-grid, shape
+    (2^J,) * d for any d >= 1, or of each grid of a stack along leading axes,
+    in J - zeta splitting steps down to level 0; the steps on a large grid
+    split their blocks across `threads` threads.  d defaults to values.ndim,
+    one grid; a stack must be given its grids' d, since an (m, n) stack has
+    the shape of a d=2 grid.  The coefficients' data has values' leading
+    axes and one flat pyramid per grid.
 
     Only the finest step reads values: a float array that the caller holds
-    no other reference to is freed once that step is done.  A d=2 analysis
-    then holds at most the grid, the coefficient buffer, a quarter-size
-    coarse part and, per thread, a few cache-sized phase buffers and strips.
-    The coefficient buffer, the coarse parts and the strips are allocated
-    empty, not zeroed: each band's first tap writes every value of it."""
+    no other reference to is freed once that step is done.  An analysis
+    then holds at most the grid, the coefficient buffer, a 2^-d-size coarse
+    part and, per thread, a few cache-sized phase buffers and parts.  The
+    coefficient buffer, the coarse parts and the parts are allocated empty,
+    not zeroed: each band's first tap writes every value of it."""
     x = np.asarray(values, dtype=float)
     d = x.ndim if d is None else d
-    if d not in (1, 2) or x.ndim < d:
-        raise ValueError(f"only 1-d and 2-d grids are supported, got d={d} and ndim={x.ndim}")
+    if not 1 <= d <= x.ndim:
+        raise ValueError(f"d must be from 1 to the values' ndim, got d={d} and ndim={x.ndim}")
     lead, shape = x.shape[:x.ndim - d], x.shape[x.ndim - d:]
     n = shape[0]
     if any(s != n for s in shape):
@@ -268,18 +268,15 @@ def dwt_periodic(values, spec: WaveletSpec, threads: int = 1, d=None) -> Wavelet
     # A band of 2^(j+zeta) shifts per axis stores 2^((j+zeta)d/2) times the
     # orthonormal coefficient, so the samples themselves are the stored
     # fine-scale values and each step filters with h/sqrt(2), g/sqrt(2).
-    h = spec.lowpass / math.sqrt(2.0)
-    g = spec.highpass / math.sqrt(2.0)
+    h, g = spec.lowpass / math.sqrt(2.0), spec.highpass / math.sqrt(2.0)
     coeffs = WaveletCoeffs(d=d, zeta=zeta, data=np.empty(lead + (n**d,)))
     # the steps see one leading stack axis, and write through these views of the buffer
     stack = WaveletCoeffs(d=d, zeta=zeta, data=coeffs.data.reshape(-1, n**d))
-    # threads pay only in d=2: a d=1 block's numpy calls are too small.  A
-    # split block needs 2^16 samples to pay for the GIL's hand-offs, fewer on
-    # a small grid so that the threads' scratch (about 6 blocks each, besides
-    # the row phases' wrapped rows) stays within 1/8 of it; one thread is as
-    # fast with the smaller _BLOCK
-    threads = threads if d == 2 else 1
-    block = _BLOCK if threads == 1 else min(_BLOCK << 2, x.size // (48 * threads))
+    # a split block of up to 2^16 samples, within 1/8 of the grid for the threads'
+    # scratch (about 6 blocks each), pays for the GIL's hand-offs from 2^15 on: a
+    # smaller grid (below 3 * 2^20 cells at 2 threads) is faster on one thread
+    block = min(_BLOCK << 2, x.size // (48 * threads))
+    threads, block = (threads, block) if threads > 1 and block >= 2 * _BLOCK else (1, _BLOCK)
     # this function's only name for its input from here on; a view keeps its array
     c = x if len(lead) == 1 else x.reshape((-1,) + shape)
     del values, x

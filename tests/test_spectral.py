@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -128,6 +129,42 @@ def test_forward_fft_rejects_a_field_off_the_grid():
         forward_fft(np.zeros((grid.n, grid.n // 2)), grid)
     with pytest.raises(ValueError, match="does not match grid"):
         forward_fft(np.zeros(grid.n), GridSpec(d=2, J=5))
+
+
+def test_inverse_stages_reject_a_spectrum_off_the_grid():
+    # (8, 5) is the half spectrum of a d=2 J=3 grid; a d=1 J=3 grid's has 5
+    # bins, a stack of (16, 8) spectra misses one bin of each
+    cases = [(GridSpec(d=2, J=4), (8, 5)), (GridSpec(d=1, J=4), (5,)),
+             (GridSpec(d=2, J=4), (9,)), (GridSpec(d=2, J=4), (3, 16, 8))]
+    for grid, shape in cases:
+        with pytest.raises(ValueError, match="does not match grid"):
+            inverse_fft(np.zeros(shape, dtype=complex), grid)
+        with pytest.raises(ValueError, match="does not match grid"):
+            apply_inverse_operator(np.zeros(shape, dtype=complex), Matern(1.0), grid)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_spectral_stages_loop_over_any_dimension(threads):
+    # configs admit d = 1 and 2 only, so a stand-in grid runs d = 3: each
+    # leading axis is one more in-place pass and one more broadcast table
+    grid = SimpleNamespace(d=3, J=3, n=8, shape=(8, 8, 8))
+    x = make_rng(4).standard_cauchy(size=(2,) + grid.shape)
+    axes = (1, 2, 3)
+    expected = np.fft.rfftn(x, axes=axes, norm="forward")
+    expected[:, 0, 0, 0] = 0.0
+    sf = forward_fft(x, grid, threads=threads)
+    assert np.array_equal(sf, expected)
+    m = np.fft.fftfreq(8, d=1.0 / 8)
+    m2 = m[:, None, None] ** 2 + m[None, :, None] ** 2 + np.arange(5.0)[None, None, :] ** 2
+    lhat = FractionalLaplacian(1.5).evaluate(grid)
+    assert np.array_equal(lhat, m2 ** 0.75)
+    assert np.array_equal(Matern(1.5).evaluate(grid, slice(2, 5)), (m2[2:5] + 1.0) ** 0.75)
+    lhat[0, 0, 0] = 1.0
+    expected /= lhat
+    expected[:, 0, 0, 0] = 0.0
+    assert np.array_equal(apply_inverse_operator(sf, FractionalLaplacian(1.5), grid), expected)
+    back = np.fft.irfftn(sf.copy(), s=grid.shape, axes=axes, norm="forward")
+    assert np.array_equal(inverse_fft(sf, grid, threads=threads), back)
 
 
 def test_forward_operator_examples():

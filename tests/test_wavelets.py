@@ -1,4 +1,5 @@
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -77,9 +78,10 @@ def test_base_shift(k, zeta):
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
-@pytest.mark.parametrize("d,J", [(1, 8), (2, 6)])
+@pytest.mark.parametrize("d,J", [(1, 8), (2, 6), (3, None)])
 def test_perfect_reconstruction(k, d, J):
     spec = WaveletSpec(k=k)
+    J = J or spec.zeta + 1  # None: the coarsest grid a full decomposition reaches
     rng = make_rng(17 * k + d + J)
     x = rng.normal(size=(2**J,) * d)
     coeffs = dwt_periodic(x, spec)
@@ -88,10 +90,11 @@ def test_perfect_reconstruction(k, d, J):
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
-@pytest.mark.parametrize("d,J", [(1, 8), (2, 5)])
+@pytest.mark.parametrize("d,J", [(1, 8), (2, 5), (3, None)])
 def test_parseval(k, d, J):
     # stored values relate to orthonormal-basis coefficients by 2^((j+zeta)d/2)
     spec = WaveletSpec(k=k)
+    J = J or spec.zeta + 1  # None: the coarsest grid a full decomposition reaches
     rng = make_rng(23 * k + d)
     x = rng.normal(size=(2**J,) * d)
     x -= x.mean()
@@ -233,6 +236,9 @@ def test_dwt_input_validation():
         dwt_periodic(np.zeros((8, 16)), spec)
     with pytest.raises(ValueError, match="too coarse"):
         dwt_periodic(np.zeros(8), spec)  # needs J >= zeta + 1 = 4
+    for d in (0, 2):  # a grid has at least one axis, and no more than its array
+        with pytest.raises(ValueError, match="d must be from 1"):
+            dwt_periodic(np.zeros(16), spec, d=d)
 
 
 def test_replacing_a_band_raises():
@@ -301,7 +307,7 @@ def _reference_dwt(x, spec):
 @settings(max_examples=60, deadline=None)
 @given(
     k=st.integers(1, 6),
-    d=st.sampled_from([1, 2]),
+    d=st.sampled_from([1, 2, 3]),
     extra=st.integers(0, 4),
     block=st.sampled_from([1, 3, 64, wavelets._BLOCK]),
     threads=st.integers(1, 3),
@@ -313,7 +319,7 @@ def test_polyphase_dwt_matches_gather_window_reference(k, d, extra, block, threa
     # small analysis blocks make these grids span several blocks, as large ones do,
     # and a block of a stack spans its grids, whose last block wraps in each
     spec = WaveletSpec(k=k)
-    J = spec.zeta + 1 + (extra if d == 1 else min(extra, 3))
+    J = spec.zeta + 1 + min(extra, {1: 4, 2: 3, 3: 1}[d])
     x = make_rng(seed).standard_cauchy(size=(stack,) + (2**J,) * d)
     with mock.patch.object(wavelets, "_BLOCK", block):
         coeffs = dwt_periodic(x, spec, threads=threads, d=d)
@@ -321,7 +327,7 @@ def test_polyphase_dwt_matches_gather_window_reference(k, d, extra, block, threa
     # that run past the end, move no bit
     assert np.array_equal(coeffs.data, dwt_periodic(x, spec, d=d).data)
     for i, grid in enumerate(x):
-        # nor do the one-row strips and the fused d=2 step: every coefficient gets
+        # nor do the one-row parts and the fused per-axis passes: every coefficient gets
         # the tap-by-tap products and sums of whole-level passes
         assert np.array_equal(coeffs.data[i], dwt_taps(grid, spec))
         reference = _reference_dwt(grid, spec)
@@ -335,7 +341,7 @@ def test_polyphase_dwt_matches_gather_window_reference(k, d, extra, block, threa
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("k", [1, 2, 4, 6])
 def test_dwt_reads_no_buffer_before_writing_it(k, d, threads):
     # every buffer the analysis allocates starts as NaN, so a read before the
@@ -343,7 +349,7 @@ def test_dwt_reads_no_buffer_before_writing_it(k, d, threads):
     # check that the first tap's write, in place of an add to 0.0, moves at
     # most the sign of a zero, which |lambda| drops
     spec = WaveletSpec(k=k)
-    J = spec.zeta + (5 if d == 1 else 3)
+    J = spec.zeta + {1: 5, 2: 3, 3: 2}[d]
     n = 2**J
     x = make_rng(100 * k + d).standard_cauchy(size=(n,) * d)
     if d == 1:
@@ -366,3 +372,26 @@ def test_dwt_reads_no_buffer_before_writing_it(k, d, threads):
     assert not np.isnan(coeffs.data).any()
     assert np.abs(coeffs.data).tobytes() == np.abs(want).tobytes()
     assert (coeffs.data == 0.0).any()
+
+
+def test_a_threaded_step_frees_the_field_after_the_finest_level(monkeypatch):
+    # small blocks make a 64 x 64 grid split every step across two threads;
+    # a field handed over with no other reference must not outlive the finest
+    # step in a thread's scratch or in a part's closure
+    monkeypatch.setattr(wavelets, "_BLOCK", 16)
+    step, refs, seen = wavelets._analyze_step, [], []
+
+    def spy_step(c, h, g, bands, block, threads):
+        seen.append((refs[0]() is not None, threads))
+        return step(c, h, g, bands, block, threads)
+
+    def make_field():
+        field = make_rng(7).standard_normal((64, 64))
+        refs.append(weakref.ref(field))
+        return field
+
+    monkeypatch.setattr(wavelets, "_analyze_step", spy_step)
+    spec = WaveletSpec(k=2)
+    dwt_periodic(make_field(), spec, threads=2)
+    steps = 6 - spec.zeta
+    assert seen == [(True, 2)] + [(False, 2)] * (steps - 1)
