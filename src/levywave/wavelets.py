@@ -215,13 +215,12 @@ def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping,
             parts.append(np.empty((1 << (axis - 1),) + done + (n,) * (d + 1 - axis)))
             phases.append(np.empty((2,) + done + (n // 2 + wrap,) + (n,) * (d - axis)))
         for r0 in starts[lo:hi]:
-            r1 = min(r0 + rows, n // 2)
-            b = r1 - r0
-            # output rows r0 .. r1-1 read input rows 2 r0 .. 2 r1 + taps - 3
+            b = min(rows, n // 2 - r0)
+            # output rows r0 .. r0+b-1 read input rows 2 r0 .. 2 (r0+b) + taps - 3
             todo, first, extent = [c], r0, b + wrap
             for axis, buffer in enumerate(phases, 1):
                 bit, ph = 1 << (axis - 1), buffer[:, :, :extent]
-                made = parts[axis - 1][:, :, :b] if axis < d else [q[:, r0:r1] for q in out]
+                made = parts[axis - 1][:, :, :b] if axis < d else [q[:, r0:r0 + b] for q in out]
                 for mask, x in enumerate(todo):
                     _phases(x, axis, first, ph)
                     _analyze_axis(ph, h, g, axis, made[mask], made[mask | bit], scratch)
@@ -268,15 +267,16 @@ def dwt_periodic(values, spec: WaveletSpec, threads: int = 1, d=None) -> Wavelet
     # A band of 2^(j+zeta) shifts per axis stores 2^((j+zeta)d/2) times the
     # orthonormal coefficient, so the samples themselves are the stored
     # fine-scale values and each step filters with h/sqrt(2), g/sqrt(2).
-    h, g = spec.lowpass / math.sqrt(2.0), spec.highpass / math.sqrt(2.0)
+    h = spec.lowpass / math.sqrt(2.0)
+    g = spec.highpass / math.sqrt(2.0)
     coeffs = WaveletCoeffs(d=d, zeta=zeta, data=np.empty(lead + (n**d,)))
     # the steps see one leading stack axis, and write through these views of the buffer
     stack = WaveletCoeffs(d=d, zeta=zeta, data=coeffs.data.reshape(-1, n**d))
-    # a split block of up to 2^16 samples, within 1/8 of the grid for the threads'
-    # scratch (about 6 blocks each), pays for the GIL's hand-offs from 2^15 on: a
-    # smaller grid (below 3 * 2^20 cells at 2 threads) is faster on one thread
-    block = min(_BLOCK << 2, x.size // (48 * threads))
-    threads, block = (threads, block) if threads > 1 and block >= 2 * _BLOCK else (1, _BLOCK)
+    # a split block pays for the GIL's hand-offs from 2^15 samples on, so a step
+    # takes at most one thread per 96 _BLOCK cells; blocks of up to 2^16 keep the
+    # threads' scratch (6 blocks each at d <= 2) within 1/8 of the grid, 8.5/48 at d = 3
+    threads = max(1, min(threads, x.size // (96 * _BLOCK)))
+    block = min(_BLOCK << 2, x.size // (48 * threads)) if threads > 1 else _BLOCK
     # this function's only name for its input from here on; a view keeps its array
     c = x if len(lead) == 1 else x.reshape((-1,) + shape)
     del values, x

@@ -319,7 +319,10 @@ def test_trial_field_is_freed_after_the_finest_level(monkeypatch, four_cpus, thr
         fields.append(weakref.ref(field))
         return field
 
+    # small blocks make every step of this grid split across threads at threads=2,
+    # as a large grid's steps do
     alive.clear()
+    monkeypatch.setattr(wavelets, "_BLOCK", 16)
     dwt_periodic(make_field(), WaveletSpec(k=config.k), threads=threads)
     assert alive == [True] + [False] * (steps - 1)
 

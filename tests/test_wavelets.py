@@ -1,5 +1,5 @@
 import math
-import weakref
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -374,24 +374,19 @@ def test_dwt_reads_no_buffer_before_writing_it(k, d, threads):
     assert (coeffs.data == 0.0).any()
 
 
-def test_a_threaded_step_frees_the_field_after_the_finest_level(monkeypatch):
-    # small blocks make a 64 x 64 grid split every step across two threads;
-    # a field handed over with no other reference must not outlive the finest
-    # step in a thread's scratch or in a part's closure
-    monkeypatch.setattr(wavelets, "_BLOCK", 16)
-    step, refs, seen = wavelets._analyze_step, [], []
-
-    def spy_step(c, h, g, bands, block, threads):
-        seen.append((refs[0]() is not None, threads))
-        return step(c, h, g, bands, block, threads)
-
-    def make_field():
-        field = make_rng(7).standard_normal((64, 64))
-        refs.append(weakref.ref(field))
-        return field
-
-    monkeypatch.setattr(wavelets, "_analyze_step", spy_step)
-    spec = WaveletSpec(k=2)
-    dwt_periodic(make_field(), spec, threads=2)
-    steps = 6 - spec.zeta
-    assert seen == [(True, 2)] + [(False, 2)] * (steps - 1)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_d3_analysis_holds_block_sized_scratch(threads):
+    # beside the caller's grid, an analysis holds the coefficient buffer, the
+    # eighth-size coarse part and per thread 8.5 blocks of scratch plus the
+    # row phases' 2 wrapped rows (k=2): here 10.5 rows of 2^14 samples, since a
+    # d=3 J=7 block is one row.  A whole-size part would cross the bound
+    spec, x = WaveletSpec(k=2), make_rng(5).standard_normal((128,) * 3)
+    dwt_periodic(x[:16, :16, :16].copy(), spec)  # first-call allocations are not the step's
+    with mock.patch.object(wavelets, "_BLOCK", 1 << 12):  # two threads from 2^21 cells on
+        tracemalloc.start()
+        try:
+            dwt_periodic(x, spec, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= (1 + 1 / 8 + threads * 12 / 128) * x.nbytes
