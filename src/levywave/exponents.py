@@ -63,9 +63,9 @@ _MASK64 = (1 << 64) - 1
 # the interpreter's) is 16 bytes per cell in d=2 (laplace J=12, two fields, set
 # equally by the two FFT stages, the DWT's finest level and sigma_curve) to 36 in
 # d=1 (J=20, any family), so 2^26 cells need up to 2.4 GB; each thread of a
-# lone d=2 trial adds its DWT block scratch, 3 MiB (all of them together at
-# most 1/8 of a small grid); the jump families draw 16 bytes per jump, so the
-# same bound caps a trial's jumps.  The cap on the trials in flight weighs each
+# lone large trial adds its DWT block scratch, up to 3 MiB (all of them at
+# most 1/8 of the grid); the jump families draw 16 bytes per jump, so the same
+# bound caps a trial's jumps.  The cap on the trials in flight weighs each
 # stack (harness._STACK_CELLS) by its cells or one trial's jumps, if more
 _MAX_CELLS = 1 << 26
 

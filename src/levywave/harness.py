@@ -95,6 +95,8 @@ class ExperimentConfig:
         self.symbol()
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if not 0 <= self.base_seed < 1 << 64:  # trial_seed keeps 64 bits
+            raise ConfigError(f"base_seed must be in [0, 2^64), got {self.base_seed}")
         if self.tolerance < 0:
             raise ConfigError(f"tolerance must be >= 0, got {self.tolerance}")
         if self.J <= self.wavelet_spec().zeta:
@@ -301,13 +303,16 @@ def _keep_heap() -> None:
 # cells per stack of trials: four trials at d=1 J=14; a trial of 2^16 cells or
 # more is a stack of one
 _STACK_CELLS = 1 << 16
+# cells per thread of a stack: every split stage was slower below it
+_THREAD_CELLS = 3 << 19
 
 
 def _run_stack(config: ExperimentConfig, indices, threads: int) -> np.ndarray:
     """The n-term errors over config.n_values() of config's trials `indices`,
-    one row each, run as one stack along a leading trial axis; its large
-    passes split across `threads` threads."""
+    one row each, run as one stack along a leading trial axis; its passes
+    split across `threads` threads, capped by the usable CPUs and its size."""
     grid = config.grid()
+    threads = max(1, min(threads, _usable_cpus(), len(indices) * grid.size // _THREAD_CELLS))
     seeds = [trial_seed(config.base_seed, index) for index in indices]
     # passed on with no name kept, so the DWT frees the stack after its finest level
     coeffs = dwt_periodic(
@@ -373,12 +378,11 @@ def run_sweep(configs, threads: Optional[int] = None) -> list:
 
     The stacks run one at a time on the calling process when one worker is
     asked for, when there is one stack or room for one under the cell cap,
-    and where fork does not exist.  Each then gets the workers asked for as
-    threads, at most the usable CPUs, and splits its large numpy calls,
-    which release the GIL, across them: its FFT passes, operator division
-    and, on a large grid, DWT blocks, and its n-term errors' magnitude
-    pass, sort and cumsum.  A stack in a worker process, a sweep's lone
-    large trial too, stays on one thread; its bytes are the same.
+    and where fork does not exist.  Each then splits every stage's numpy
+    calls, which release the GIL, across the workers asked for as threads:
+    at most the usable CPUs and one per _THREAD_CELLS cells (d=2 from J=11,
+    d=1 from J=22).  A stack in a worker process, a sweep's lone large
+    trial too, stays on one thread; its bytes are the same.
     """
     configs = list(configs)
     for config in configs:
@@ -390,7 +394,7 @@ def run_sweep(configs, threads: Optional[int] = None) -> list:
                    for config, indices in stacks), default=1)
     n_workers = min(requested, len(stacks), _MAX_CELLS // largest)
     if n_workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        rows = _run_chunk(stacks, threads=min(requested, _usable_cpus()))
+        rows = _run_chunk(stacks, threads=requested)
     else:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         pool = ProcessPoolExecutor(n_workers, multiprocessing.get_context("fork"), _keep_heap)

@@ -237,11 +237,11 @@ def _analyze_step(c: np.ndarray, h: np.ndarray, g: np.ndarray, bands: Mapping,
 def dwt_periodic(values, spec: WaveletSpec, threads: int = 1, d=None) -> WaveletCoeffs:
     """Orthonormal periodic analysis of a square dyadic d-grid, shape
     (2^J,) * d for any d >= 1, or of each grid of a stack along leading axes,
-    in J - zeta splitting steps down to level 0; the steps on a large grid
-    split their blocks across `threads` threads.  d defaults to values.ndim,
-    one grid; a stack must be given its grids' d, since an (m, n) stack has
-    the shape of a d=2 grid.  The coefficients' data has values' leading
-    axes and one flat pyramid per grid.
+    in J - zeta splitting steps down to level 0; the steps split their
+    blocks across `threads` threads.  d defaults to values.ndim, one grid;
+    a stack must be given its grids' d, since an (m, n) stack has the shape
+    of a d=2 grid.  The coefficients' data has values' leading axes and one
+    flat pyramid per grid.
 
     Only the finest step reads values: a float array that the caller holds
     no other reference to is freed once that step is done.  An analysis
@@ -272,10 +272,8 @@ def dwt_periodic(values, spec: WaveletSpec, threads: int = 1, d=None) -> Wavelet
     coeffs = WaveletCoeffs(d=d, zeta=zeta, data=np.empty(lead + (n**d,)))
     # the steps see one leading stack axis, and write through these views of the buffer
     stack = WaveletCoeffs(d=d, zeta=zeta, data=coeffs.data.reshape(-1, n**d))
-    # a split block pays for the GIL's hand-offs from 2^15 samples on, so a step
-    # takes at most one thread per 96 _BLOCK cells; blocks of up to 2^16 keep the
-    # threads' scratch (6 blocks each at d <= 2) within 1/8 of the grid, 8.5/48 at d = 3
-    threads = max(1, min(threads, x.size // (96 * _BLOCK)))
+    # blocks of up to 2^16 keep the threads' scratch (6 blocks each at d <= 2)
+    # within 1/8 of the grid, 8.5/48 at d = 3
     block = min(_BLOCK << 2, x.size // (48 * threads)) if threads > 1 else _BLOCK
     # this function's only name for its input from here on; a view keeps its array
     c = x if len(lead) == 1 else x.reshape((-1,) + shape)

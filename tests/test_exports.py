@@ -57,22 +57,26 @@ def test_readme_library_example_runs():
 
 def test_a_serial_run_imports_no_pool_module():
     # the pools import concurrent.futures where they start, and a threads=1
-    # run starts none, so neither the import nor the run loads it
-    code = (
-        "import sys\n"
-        "import levywave\n"
-        "config = levywave.harness.parse_config('family = gaussian\\nJ = 9\\nk = 2\\n"
-        "trials = 3\\nfit_lo = 4\\nfit_hi = 128\\n')\n"
-        "levywave.run_experiment(config, threads=1)\n"
-        "print(sorted(name for name in sys.modules if name.startswith('concurrent.futures')))\n"
-    )
+    # run starts none, nor does a lone trial below one thread's cells at
+    # threads=2, so neither the import nor the run loads it
     src = pathlib.Path(levywave.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    for settings, threads in [
+        ("family = gaussian\\nJ = 9\\nk = 2\\ntrials = 3\\nfit_lo = 4\\nfit_hi = 128", 1),
+        ("family = laplace\\ngamma = 1.5\\nd = 2\\nJ = 9\\ntrials = 1", 2),
+    ]:
+        code = (
+            "import sys\n"
+            "import levywave\n"
+            f"config = levywave.harness.parse_config('{settings}\\n')\n"
+            f"levywave.run_experiment(config, threads={threads})\n"
+            "print(sorted(name for name in sys.modules if name.startswith('concurrent.futures')))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n", settings
 
 def test_perfbench_patch_points_are_looked_up(monkeypatch, tmp_path):
     # perfbench/spans.py times a layer by replacing the module attribute its
@@ -100,6 +104,7 @@ def test_perfbench_patch_points_are_looked_up(monkeypatch, tmp_path):
     assert all(calls.values()), calls
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(harness, "_THREAD_CELLS", 1)
     lone = harness.parse_config("family = laplace\ngamma = 1.5\nd = 2\nJ = 9\ntrials = 1\n")
     calls.update(dict.fromkeys(calls, 0))
     harness.run_experiment(lone, threads=2)
@@ -124,7 +129,7 @@ def test_compare_outputs_runs_parseable_configs():
         configs[i * n:(i + 1) * n] for i in range(12))
     workloads = configs[12 * n:12 * n + 2]
     assert [(c.family, c.d, c.J) for c in workloads] == [("sas", 1, 20), ("laplace", 2, 12)]
-    # fine_1d as a lone trial: 2^20 magnitudes, two parts at --threads 2
+    # fine_1d as a lone trial, which runs in the calling process
     assert configs[12 * n + 2] == dataclasses.replace(workloads[0], trials=1)
     assert [(c.d, c.J, c.gamma) for c in d2] == [(2, 9, 1.5)] * n
     assert [c.family for c in d2] == [c.family for c in samples]

@@ -75,9 +75,11 @@ def one_trial_stacks(monkeypatch):
 
 @pytest.fixture
 def four_cpus(monkeypatch):
-    # a lone trial's threads are capped at the usable CPUs; with four, threads=2
-    # and 3 split its passes on any host, also on one CPU
+    # a lone trial's threads are capped at the usable CPUs and by its cells; with
+    # four CPUs and no cell floor, threads=2 and 3 split a small trial's passes on
+    # any host, also on one CPU
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    monkeypatch.setattr(harness, "_THREAD_CELLS", 1)
 
 
 def test_parse_config_round_trip_fields():
@@ -248,8 +250,9 @@ def test_lone_trial_threads_end_with_the_call(monkeypatch, four_cpus):
 
 def test_lone_trial_threads_are_capped_at_the_usable_cpus(monkeypatch):
     # threads=64 on two usable CPUs runs at most two threads at once, the
-    # calling one included
+    # calling one included, also where the trial's cells would allow more
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(harness, "_THREAD_CELLS", 1)
     running, peak = [threading.current_thread()], []
 
     class SpyThread(threading.Thread):
@@ -263,6 +266,34 @@ def test_lone_trial_threads_are_capped_at_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(threading, "Thread", SpyThread)
     assert run_experiment(config, threads=64).sigma.tobytes() == serial
     assert peak and max(peak) <= 2
+
+
+@pytest.mark.parametrize(
+    "d, J, trials, threads, cpus, expected",
+    [
+        (2, 9, 1, 2, 4, 1),  # 2^18 cells: below one thread's 3 * 2^19
+        (1, 14, 4, 4, 4, 1),  # a stack of four, 2^16 cells
+        (2, 11, 1, 4, 4, 2),  # 2^22 cells
+        (2, 12, 1, 16, 16, 10),  # 2^24 cells
+        (2, 12, 1, 16, 4, 4),  # capped at the usable CPUs
+    ],
+)
+def test_a_lone_stack_takes_one_thread_per_thread_cells(monkeypatch, d, J, trials, threads, cpus,
+                                                         expected):
+    # the stack's thread count is chosen once, in _run_stack, and every stage
+    # is handed it; the spy raises, so no stage runs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    handed = []
+
+    def spy(*args, threads):
+        handed.append(threads)
+        raise RuntimeError("spied")
+
+    monkeypatch.setattr(harness, "synthesize_process", spy)
+    config = _small_config(family="laplace", params={}, gamma=1.5, d=d, J=J, trials=trials)
+    with pytest.raises(RuntimeError, match="^spied$"):
+        run_experiment(config, threads=threads)
+    assert handed == [expected]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -959,6 +990,11 @@ def test_compound_poisson_rejects_keys_of_another_jump_law(tmp_path, capsys, tex
     assert f"key '{key}'" in capsys.readouterr().err
 
 
+def test_base_seed_takes_every_64_bit_value():
+    for seed in (0, 2**64 - 1):
+        assert parse_config(f"family = gaussian\nJ = 12\nbase_seed = {seed}\n").base_seed == seed
+
+
 def test_negative_tolerance_rejected(tmp_path, capsys):
     text = "family = gaussian\nJ = 12\ntolerance = -1\n"
     with pytest.raises(ConfigError, match="tolerance must be >= 0"):
@@ -1082,11 +1118,15 @@ def _filter_message(k):
         # zero-size jumps would make the noise identically 0 and every kappa inf
         ("family = compound_poisson\nrate = 5\njump = dirac\njump_c = 0\n",
          "dirac jump size c must be nonzero, got 0.0"),
+        # trial_seed keeps 64 bits, so these would alias 2^64 - 1 and 5
+        ("family = gaussian\nbase_seed = -1\n", "base_seed must be in [0, 2^64), got -1"),
+        (f"family = gaussian\nbase_seed = {2**64 + 5}\n",
+         f"base_seed must be in [0, 2^64), got {2**64 + 5}"),
     ],
     ids=["unknown_key", "unknown_family", "unknown_operator", "zero_trials", "no_equals",
          "two_wrong_family_keys", "d3", "J0", "J30", "negative_gamma", "zero_sigma2",
          "negative_p0", "k0", "k30", "alpha3", "missing_alpha", "huge_rate", "unknown_jump_law",
-         "jump_key_of_another_law", "zero_dirac_jump"],
+         "jump_key_of_another_law", "zero_dirac_jump", "negative_seed", "seed_past_2_64"],
 )
 def test_cli_run_bad_config(tmp_path, capsys, text, message):
     # every rejected setting, whichever layer judges it, is a ConfigError

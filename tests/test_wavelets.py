@@ -382,7 +382,7 @@ def test_a_d3_analysis_holds_block_sized_scratch(threads):
     # d=3 J=7 block is one row.  A whole-size part would cross the bound
     spec, x = WaveletSpec(k=2), make_rng(5).standard_normal((128,) * 3)
     dwt_periodic(x[:16, :16, :16].copy(), spec)  # first-call allocations are not the step's
-    with mock.patch.object(wavelets, "_BLOCK", 1 << 12):  # two threads from 2^21 cells on
+    with mock.patch.object(wavelets, "_BLOCK", 1 << 12):  # threaded blocks of one row
         tracemalloc.start()
         try:
             dwt_periodic(x, spec, threads=threads)

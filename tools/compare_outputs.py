@@ -18,14 +18,15 @@ configs:
     wrap 0 and 5 rows or columns;
   - the fine_1d and wide_2d workloads of perfbench/worker.py, whose WORKLOADS
     table is parsed from the file, not imported, and fine_1d with trials = 1:
-    a d=1 lone trial, whose 2^20 n-term magnitudes at --threads 2 are sorted
-    and raised to p in two parts;
+    a d=1 lone trial, which like every stack below 3 * 2^20 cells runs on
+    one thread; wide_2d's d=2 J=12 trial at --threads 2 is the one run whose
+    FFT passes, operator, DWT blocks and n-term sort split across threads
+    (on a host with 2 usable CPUs);
   - configs/gaussian.cfg at gamma = 0.4 with allow_inadmissible = true, whose
     verdict is "unchecked";
   - the six sample configs at d = 2, J = 9, gamma = 1.5 and trials = 1, under
-    each operator and at k = 1 and k = 6: a lone trial, which at --threads 2
-    splits its FFT passes, operator, DWT blocks and n-term sort across
-    threads (on a host with 2 usable CPUs).
+    each operator and at k = 1 and k = 6: a lone trial, which runs in the
+    calling process at any --threads.
 It also runs `levywave compare` on each variant's six configs as one block,
 at --threads 1 and 2, and `levywave run` once on each config of REJECTED, a
 sample config with one key rewritten to a value it must refuse.  The config
