@@ -13,9 +13,9 @@ import traceback
 from .harness import compare_families, emit_outputs, load_config, parse_settings, run_experiment
 
 _THREADS_HELP = ("worker processes for the trials, started with fork (default: the usable "
-                "CPUs, at most 4); a trial that runs alone splits every stage across them "
-                "as threads, at most the usable CPUs and one per 3 * 2^19 cells of its "
-                "grid (d=2 from J=11 up, d=1 from J=22)")
+                "CPUs, at most 4); a trial that runs alone on 3 * 2^20 cells or more (d=2 "
+                "from J=11, d=1 from J=22) splits its stages across them as threads, at "
+                "most the usable CPUs, and its DWT steps at most one per 3 * 2^19 cells")
 
 
 def _build_parser() -> argparse.ArgumentParser:

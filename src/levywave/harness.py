@@ -303,21 +303,22 @@ def _keep_heap() -> None:
 # cells per stack of trials: four trials at d=1 J=14; a trial of 2^16 cells or
 # more is a stack of one
 _STACK_CELLS = 1 << 16
-# cells per thread of a stack: every split stage was slower below it
+# cells per thread of a DWT step; a stack under twice as many runs on one thread
 _THREAD_CELLS = 3 << 19
 
 
 def _run_stack(config: ExperimentConfig, indices, threads: int) -> np.ndarray:
     """The n-term errors over config.n_values() of config's trials `indices`,
-    one row each, run as one stack along a leading trial axis; its passes
-    split across `threads` threads, capped by the usable CPUs and its size."""
+    one row each, run as one stack along a leading trial axis; every split
+    pass lost below 2 _THREAD_CELLS cells, so only a larger stack splits."""
     grid = config.grid()
-    threads = max(1, min(threads, _usable_cpus(), len(indices) * grid.size // _THREAD_CELLS))
+    cells = len(indices) * grid.size
+    threads = min(threads, _usable_cpus()) if cells >= 2 * _THREAD_CELLS else 1
     seeds = [trial_seed(config.base_seed, index) for index in indices]
     # passed on with no name kept, so the DWT frees the stack after its finest level
     coeffs = dwt_periodic(
         synthesize_process(config.exponent(), grid, config.symbol(), seeds, threads=threads),
-        config.wavelet_spec(), threads=threads, d=grid.d,
+        config.wavelet_spec(), threads=min(threads, cells // _THREAD_CELLS or 1), d=grid.d,
     )
     params = BesovParams(tau=config.tau0, p=config.p0)
     return sigma_curve(coeffs, params, config.n_values(), threads=threads)
@@ -378,11 +379,10 @@ def run_sweep(configs, threads: Optional[int] = None) -> list:
 
     The stacks run one at a time on the calling process when one worker is
     asked for, when there is one stack or room for one under the cell cap,
-    and where fork does not exist.  Each then splits every stage's numpy
-    calls, which release the GIL, across the workers asked for as threads:
-    at most the usable CPUs and one per _THREAD_CELLS cells (d=2 from J=11,
-    d=1 from J=22).  A stack in a worker process, a sweep's lone large
-    trial too, stays on one thread; its bytes are the same.
+    and where fork does not exist.  A large one (d=2 from J=11, d=1 from
+    J=22) then takes the workers asked for as threads for its numpy calls,
+    which release the GIL; a smaller one, and any stack in a worker process,
+    runs on one thread, with the same bytes.
     """
     configs = list(configs)
     for config in configs:

@@ -57,7 +57,7 @@ def test_readme_library_example_runs():
 
 def test_a_serial_run_imports_no_pool_module():
     # the pools import concurrent.futures where they start, and a threads=1
-    # run starts none, nor does a lone trial below one thread's cells at
+    # run starts none, nor does a lone trial below two DWT threads' cells at
     # threads=2, so neither the import nor the run loads it
     src = pathlib.Path(levywave.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -269,31 +269,42 @@ def test_lone_trial_threads_are_capped_at_the_usable_cpus(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "d, J, trials, threads, cpus, expected",
+    "d, J, trials, threads, cpus, passes, dwt",
     [
-        (2, 9, 1, 2, 4, 1),  # 2^18 cells: below one thread's 3 * 2^19
-        (1, 14, 4, 4, 4, 1),  # a stack of four, 2^16 cells
-        (2, 11, 1, 4, 4, 2),  # 2^22 cells
-        (2, 12, 1, 16, 16, 10),  # 2^24 cells
-        (2, 12, 1, 16, 4, 4),  # capped at the usable CPUs
+        (2, 9, 1, 2, 4, 1, 1),  # 2^18 cells: below two DWT threads' 3 * 2^20
+        (2, 10, 1, 4, 4, 1, 1),
+        (1, 14, 4, 4, 4, 1, 1),  # a stack of four, 2^16 cells
+        (1, 21, 1, 2, 2, 1, 1),
+        (1, 22, 1, 2, 2, 2, 2),  # 2^22 cells
+        (2, 11, 1, 4, 4, 4, 2),
+        (2, 12, 1, 2, 2, 2, 2),  # 2^24 cells: wide_2d at --threads 2
+        (2, 12, 1, 16, 16, 16, 10),
+        (2, 12, 1, 16, 4, 4, 4),  # capped at the usable CPUs
     ],
 )
-def test_a_lone_stack_takes_one_thread_per_thread_cells(monkeypatch, d, J, trials, threads, cpus,
-                                                         expected):
-    # the stack's thread count is chosen once, in _run_stack, and every stage
-    # is handed it; the spy raises, so no stage runs
+def test_a_stack_splits_from_two_dwt_threads_cells(monkeypatch, d, J, trials, threads, cpus,
+                                                   passes, dwt):
+    # a stack's thread counts are chosen once, in _run_stack: below two DWT
+    # threads' cells it runs on one thread; above, its passes take the threads
+    # asked for and its DWT steps one per _THREAD_CELLS.  The DWT's spy
+    # raises, so no stage runs
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     handed = []
 
-    def spy(*args, threads):
+    def synthesize_spy(*args, threads):
+        handed.append(threads)
+        return "field"
+
+    def dwt_spy(values, spec, threads, d):
         handed.append(threads)
         raise RuntimeError("spied")
 
-    monkeypatch.setattr(harness, "synthesize_process", spy)
+    monkeypatch.setattr(harness, "synthesize_process", synthesize_spy)
+    monkeypatch.setattr(harness, "dwt_periodic", dwt_spy)
     config = _small_config(family="laplace", params={}, gamma=1.5, d=d, J=J, trials=trials)
     with pytest.raises(RuntimeError, match="^spied$"):
         run_experiment(config, threads=threads)
-    assert handed == [expected]
+    assert handed == [passes, dwt]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -20,8 +20,8 @@ configs:
     table is parsed from the file, not imported, and fine_1d with trials = 1:
     a d=1 lone trial, which like every stack below 3 * 2^20 cells runs on
     one thread; wide_2d's d=2 J=12 trial at --threads 2 is the one run whose
-    FFT passes, operator, DWT blocks and n-term sort split across threads
-    (on a host with 2 usable CPUs);
+    FFT passes, operator, DWT blocks and n-term sort split across two
+    threads (on a host with 2 usable CPUs);
   - configs/gaussian.cfg at gamma = 0.4 with allow_inadmissible = true, whose
     verdict is "unchecked";
   - the six sample configs at d = 2, J = 9, gamma = 1.5 and trials = 1, under
