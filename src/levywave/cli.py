@@ -12,10 +12,10 @@ import traceback
 
 from .harness import compare_families, emit_outputs, load_config, parse_settings, run_experiment
 
-_THREADS_HELP = ("worker processes for the trials, started with fork (default: the usable "
-                "CPUs, at most 4); a trial that runs alone on 3 * 2^20 cells or more (d=2 "
-                "from J=11, d=1 from J=22) splits its stages across them as threads, at "
-                "most the usable CPUs, and its DWT steps at most one per 3 * 2^19 cells")
+_THREADS_HELP = ("worker processes for the trials, started with fork (at most the usable "
+                "CPUs, 4 by default); a trial that runs alone on 3 * 2^20 cells or more "
+                "(d=2 from J=11, d=1 from J=22) splits its stages across them as threads, "
+                "and its DWT steps at most one per 3 * 2^19 cells")
 
 
 def _build_parser() -> argparse.ArgumentParser:

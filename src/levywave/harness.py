@@ -267,11 +267,10 @@ def _usable_cpus() -> int:
 
 
 def _worker_count(workers: Optional[int]) -> int:
-    if workers is None:
-        return min(4, _usable_cpus())
-    if workers < 1:
+    """The run's worker budget: the workers asked for (4 by default), at most the usable CPUs."""
+    if workers is not None and workers < 1:
         raise ConfigError(f"threads must be >= 1, got {workers}")
-    return int(workers)
+    return min(4 if workers is None else int(workers), _usable_cpus())
 
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters (malloc.h)
@@ -309,11 +308,11 @@ _THREAD_CELLS = 3 << 19
 
 def _run_stack(config: ExperimentConfig, indices, threads: int) -> np.ndarray:
     """The n-term errors over config.n_values() of config's trials `indices`,
-    one row each, run as one stack along a leading trial axis; every split
-    pass lost below 2 _THREAD_CELLS cells, so only a larger stack splits."""
+    one row each, run as one stack along a leading trial axis; a split pass
+    loses below 2 _THREAD_CELLS cells, so only a larger stack splits, across `threads`."""
     grid = config.grid()
     cells = len(indices) * grid.size
-    threads = min(threads, _usable_cpus()) if cells >= 2 * _THREAD_CELLS else 1
+    threads = threads if cells >= 2 * _THREAD_CELLS else 1
     seeds = [trial_seed(config.base_seed, index) for index in indices]
     # passed on with no name kept, so the DWT frees the stack after its finest level
     coeffs = dwt_periodic(
@@ -377,24 +376,24 @@ def run_sweep(configs, threads: Optional[int] = None) -> list:
     the caller; the rest are dropped.  A worker that dies without raising
     breaks the executor.
 
-    The stacks run one at a time on the calling process when one worker is
-    asked for, when there is one stack or room for one under the cell cap,
-    and where fork does not exist.  A large one (d=2 from J=11, d=1 from
-    J=22) then takes the workers asked for as threads for its numpy calls,
-    which release the GIL; a smaller one, and any stack in a worker process,
-    runs on one thread, with the same bytes.
+    The run's budget is the `threads` asked for, 4 by default, at most the
+    usable CPUs; the pool takes at most the budget, the stacks and the cell
+    cap's room.  With one worker, or no fork, the stacks run one at a time on
+    the calling process, and a lone stack of 3 * 2^20 cells or more (d=2 from
+    J=11, d=1 from J=22) splits its numpy calls, which release the GIL, across
+    the budget as threads; any other stack runs on one thread, same bytes.
     """
     configs = list(configs)
     for config in configs:
         config.validate()
-    requested = _worker_count(threads)
+    budget = _worker_count(threads)
     stacks = _stacks(configs)
     # the cell cap bounds all the stacks in flight; a stack draws its jumps a trial at a time
     largest = max((max(len(indices) * config.grid().size, math.ceil(config.exponent().jump_rate))
                    for config, indices in stacks), default=1)
-    n_workers = min(requested, len(stacks), _MAX_CELLS // largest)
+    n_workers = min(budget, len(stacks), _MAX_CELLS // largest)
     if n_workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        rows = _run_chunk(stacks, threads=requested)
+        rows = _run_chunk(stacks, threads=budget)
     else:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         pool = ProcessPoolExecutor(n_workers, multiprocessing.get_context("fork"), _keep_heap)

@@ -74,11 +74,17 @@ def one_trial_stacks(monkeypatch):
 
 
 @pytest.fixture
-def four_cpus(monkeypatch):
-    # a lone trial's threads are capped at the usable CPUs and by its cells; with
-    # four CPUs and no cell floor, threads=2 and 3 split a small trial's passes on
-    # any host, also on one CPU
+def pool_cpus(monkeypatch):
+    # the run's budget is at most the usable CPUs; with four, a pool gets the
+    # workers a test asks for, up to four, on any host, also on one CPU
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+
+
+@pytest.fixture
+def four_cpus(pool_cpus, monkeypatch):
+    # a lone stack splits across the budget only from 2 _THREAD_CELLS cells;
+    # with four CPUs and no cell floor, threads=2 and 3 split a small trial's
+    # passes on any host, also on one CPU
     monkeypatch.setattr(harness, "_THREAD_CELLS", 1)
 
 
@@ -150,7 +156,8 @@ def test_exponent_param_round_trip():
         assert exponent.family_name == family
 
 
-def test_run_experiment_deterministic():
+def test_run_experiment_deterministic(pool_cpus, one_trial_stacks):
+    # in stacks of one, threads=3 runs the four trials on three worker processes
     config = _small_config()
     r1 = run_experiment(config, threads=1)
     r2 = run_experiment(config, threads=3)
@@ -162,7 +169,8 @@ def test_run_experiment_deterministic():
 
 @pytest.mark.parametrize("d, J", [(1, 9), (2, 5)])
 @pytest.mark.parametrize("family, params", [("laplace", {}), ("compound_poisson", {"rate": 50.0})])
-def test_jump_families_deterministic_across_threads(family, params, d, J):
+def test_jump_families_deterministic_across_threads(pool_cpus, one_trial_stacks, family, params,
+                                                    d, J):
     config = _small_config(family=family, params=params, d=d, J=J, gamma=1.5)
     r1 = run_experiment(config, threads=1)
     r3 = run_experiment(config, threads=3)
@@ -268,27 +276,9 @@ def test_lone_trial_threads_are_capped_at_the_usable_cpus(monkeypatch):
     assert peak and max(peak) <= 2
 
 
-@pytest.mark.parametrize(
-    "d, J, trials, threads, cpus, passes, dwt",
-    [
-        (2, 9, 1, 2, 4, 1, 1),  # 2^18 cells: below two DWT threads' 3 * 2^20
-        (2, 10, 1, 4, 4, 1, 1),
-        (1, 14, 4, 4, 4, 1, 1),  # a stack of four, 2^16 cells
-        (1, 21, 1, 2, 2, 1, 1),
-        (1, 22, 1, 2, 2, 2, 2),  # 2^22 cells
-        (2, 11, 1, 4, 4, 4, 2),
-        (2, 12, 1, 2, 2, 2, 2),  # 2^24 cells: wide_2d at --threads 2
-        (2, 12, 1, 16, 16, 16, 10),
-        (2, 12, 1, 16, 4, 4, 4),  # capped at the usable CPUs
-    ],
-)
-def test_a_stack_splits_from_two_dwt_threads_cells(monkeypatch, d, J, trials, threads, cpus,
-                                                   passes, dwt):
-    # a stack's thread counts are chosen once, in _run_stack: below two DWT
-    # threads' cells it runs on one thread; above, its passes take the threads
-    # asked for and its DWT steps one per _THREAD_CELLS.  The DWT's spy
-    # raises, so no stage runs
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+def _spy_stack_threads(monkeypatch) -> list:
+    # records the threads _run_stack hands its synthesis and its DWT; the
+    # DWT's spy raises, so no stage runs
     handed = []
 
     def synthesize_spy(*args, threads):
@@ -301,10 +291,47 @@ def test_a_stack_splits_from_two_dwt_threads_cells(monkeypatch, d, J, trials, th
 
     monkeypatch.setattr(harness, "synthesize_process", synthesize_spy)
     monkeypatch.setattr(harness, "dwt_periodic", dwt_spy)
+    return handed
+
+
+@pytest.mark.parametrize(
+    "d, J, trials, threads, cpus, passes, dwt",
+    [
+        (2, 9, 1, 2, 4, 1, 1),  # 2^18 cells: below two DWT threads' 3 * 2^20
+        (2, 10, 1, 4, 4, 1, 1),
+        (1, 14, 4, 4, 4, 1, 1),  # a stack of four, 2^16 cells
+        (1, 21, 1, 2, 2, 1, 1),
+        (1, 22, 1, 2, 2, 2, 2),  # 2^22 cells
+        (2, 11, 1, 4, 4, 4, 2),
+        (2, 12, 1, 2, 2, 2, 2),  # 2^24 cells: wide_2d at --threads 2
+        (2, 12, 1, 16, 16, 16, 10),
+        (2, 12, 1, 16, 4, 4, 4),  # the budget: 16 asked for on four usable CPUs
+    ],
+)
+def test_a_stack_splits_from_two_dwt_threads_cells(monkeypatch, d, J, trials, threads, cpus,
+                                                   passes, dwt):
+    # a lone stack gets the run's budget, and its thread counts are chosen
+    # once, in _run_stack: below two DWT threads' cells it runs on one thread;
+    # above, its passes take the budget and its DWT steps one per
+    # _THREAD_CELLS.  The size-rule rows patch at least the threads they ask
+    # for, so only the last row is capped by the usable CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    handed = _spy_stack_threads(monkeypatch)
     config = _small_config(family="laplace", params={}, gamma=1.5, d=d, J=J, trials=trials)
     with pytest.raises(RuntimeError, match="^spied$"):
         run_experiment(config, threads=threads)
     assert handed == [passes, dwt]
+
+
+def test_a_stack_takes_the_threads_it_is_given(monkeypatch):
+    # _run_stack reads no host setting: on one usable CPU, a d=2 J=12 stack
+    # handed 16 threads still splits its passes 16 ways and its DWT steps 10
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    handed = _spy_stack_threads(monkeypatch)
+    config = _small_config(family="laplace", params={}, gamma=1.5, d=2, J=12, trials=1)
+    with pytest.raises(RuntimeError, match="^spied$"):
+        harness._run_stack(config, range(1), 16)
+    assert handed == [16, 10]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -612,13 +639,14 @@ def _check_trials_in_flight(monkeypatch, tmp_path, J, stack, max_trials):
 
 
 @pytest.mark.parametrize("J, max_workers", [(26, 1), (25, 2)])
-def test_trials_in_flight_stay_within_the_memory_guard(monkeypatch, tmp_path, J, max_workers):
+def test_trials_in_flight_stay_within_the_memory_guard(monkeypatch, tmp_path, pool_cpus, J,
+                                                       max_workers):
     # a d=1 J=26 trial alone fills the cell cap, so its trials run one at a
     # time on the calling process
     _check_trials_in_flight(monkeypatch, tmp_path, J, 1, max_workers)
 
 
-def test_the_memory_guard_counts_every_cell_of_a_stack(monkeypatch, tmp_path):
+def test_the_memory_guard_counts_every_cell_of_a_stack(monkeypatch, tmp_path, pool_cpus):
     # at J=24 in stacks of two, two stacks fill the cell cap, so two of the
     # four workers asked for run, four trials in flight at most
     _check_trials_in_flight(monkeypatch, tmp_path, 24, 2, 4)
@@ -676,14 +704,16 @@ def _check_lowest_index_failure(monkeypatch, tmp_path, capsys, threads, stack):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_lowest_index_failure_wins_at_any_worker_count(monkeypatch, tmp_path, capsys, threads):
+def test_lowest_index_failure_wins_at_any_worker_count(monkeypatch, tmp_path, capsys, pool_cpus,
+                                                       threads):
     # in stacks of one trial, trial 2 fails while trial 1 still sleeps, so at
     # 2 workers its error arrives first; the caller still gets trial 1's
     _check_lowest_index_failure(monkeypatch, tmp_path, capsys, threads, 1)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_lowest_index_failure_wins_within_a_shared_stack(monkeypatch, tmp_path, capsys, threads):
+def test_lowest_index_failure_wins_within_a_shared_stack(monkeypatch, tmp_path, capsys, pool_cpus,
+                                                         threads):
     # in stacks of three, trials 1 and 2 share the first stack, which draws
     # its trials in order, while the second stack runs on the other worker
     _check_lowest_index_failure(monkeypatch, tmp_path, capsys, threads, 3)
@@ -700,7 +730,7 @@ def test_lowest_index_failure_wins_within_a_shared_stack(monkeypatch, tmp_path, 
     ids=["succeeds", "raises", "worker-dies"],
 )
 def test_no_worker_process_outlives_a_call(monkeypatch, tmp_path, capsys, failure, message,
-                                           one_trial_stacks):
+                                           one_trial_stacks, pool_cpus):
     parent = os.getpid()
 
     def stack(config, indices, threads=1):
@@ -766,7 +796,7 @@ def _stack_leaving_pid(tmp_path):
     return stack
 
 
-def test_every_trial_worker_keeps_its_heap(monkeypatch, tmp_path, one_trial_stacks):
+def test_every_trial_worker_keeps_its_heap(monkeypatch, tmp_path, one_trial_stacks, pool_cpus):
     libc = _RecordingLibc(tmp_path / "mallopt.log")
     monkeypatch.setattr(harness.ctypes, "CDLL", libc)
     monkeypatch.setattr(harness, "_run_stack", _stack_leaving_pid(tmp_path))
@@ -1200,14 +1230,34 @@ def test_load_config_from_file(tmp_path):
 def test_thread_count_explicit_and_default(monkeypatch):
     from levywave.harness import _worker_count
 
+    assert 1 <= _worker_count(None) <= 4
+    # the budget is the count asked for, 4 by default, at most the CPUs this
+    # process may run on
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
     assert _worker_count(5) == 5
     assert _worker_count(1) == 1
-    assert 1 <= _worker_count(None) <= 4
-    # the default counts the CPUs this process may run on, at most 4
+    assert _worker_count(None) == 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert _worker_count(5) == 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
     assert _worker_count(None) == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
-    assert _worker_count(None) == 4
+
+
+@pytest.mark.parametrize("threads", [3, 8, 1000])
+def test_the_pool_takes_at_most_the_usable_cpus(monkeypatch, threads):
+    # --threads is outside input: on two usable CPUs, 4000 trials in 32 stacks
+    # ask the executor for two workers.  The spy raises before any process starts
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    asked = []
+
+    def spy_pool(max_workers, *args):
+        asked.append(max_workers)
+        raise RuntimeError("spied")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy_pool)
+    with pytest.raises(RuntimeError, match="^spied$"):
+        run_experiment(_small_config(trials=4000), threads=threads)
+    assert asked == [2]
 
 
 @pytest.mark.parametrize("threads", [0, -5])
