@@ -4,8 +4,9 @@ The (tau, p) quasi-norm, with fine index equal to p, weights level-j
 coefficients by 2^(j(tau - d/p)).  It is a weighted l_p norm over all
 coefficients, so the best n-term approximation is the greedy one: keep the
 n largest weighted magnitudes, and the error is the l_p norm of the rest.
-The decay exponent of the resulting error curve is recovered by log-log
-regression.
+A grid of such errors needs only a selection below its largest n, not a
+full sort, and pairwise sums of the ranks between its n.  The decay
+exponent of the resulting error curve is recovered by log-log regression.
 """
 
 from __future__ import annotations
@@ -42,23 +43,27 @@ class BesovParams:
         return 2.0 ** (j * (self.tau - d / self.p))
 
 
-_PIECE = 1 << 16  # values per magnitude piece, and the fewest in a sorted part
+_PIECE = 1 << 16  # values per magnitude piece, small enough to stay in cache
 
 
-def _weigh(out: np.ndarray, coeffs: WaveletCoeffs, params: BesovParams, lo: int, hi: int) -> None:
-    """out[..., lo:hi] = 2^(j(tau - d/p)) |lambda| over those flat positions
-    of every pyramid of the stack, in pieces of at most _PIECE positions,
-    small enough to stay in cache."""
+def _weigh(out: np.ndarray, coeffs: WaveletCoeffs, params: BesovParams, lo: int, hi: int,
+           power: float = 1.0) -> None:
+    """out[..., lo:hi] = (2^(j(tau - d/p)) |lambda|)^power over those flat
+    positions of every pyramid of the stack, in pieces of at most _PIECE
+    positions, small enough to stay in cache."""
     d, zeta = coeffs.d, coeffs.zeta
     for start in range(lo, hi, _PIECE):
         stop = min(start + _PIECE, hi)
-        np.abs(coeffs.data[..., start:stop], out=out[..., start:stop])
+        piece = out[..., start:stop]
+        np.abs(coeffs.data[..., start:stop], out=piece)
         # level j fills positions 2^((j+zeta)d) .. 2^((j+1+zeta)d) - 1, level 0 from 0
         j = max(0, (start.bit_length() - 1) // d - zeta)
         while start < stop:
             end = min(stop, 1 << ((j + 1 + zeta) * d))
             out[..., start:end] *= params.weight(j, d)
             start, j = end, j + 1
+        if power != 1.0:
+            piece **= power
 
 
 def weighted_magnitudes(coeffs: WaveletCoeffs, params: BesovParams) -> np.ndarray:
@@ -86,43 +91,35 @@ def _n_grid(n_grid) -> np.ndarray:
 
 
 def sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid, threads: int = 1) -> np.ndarray:
-    """Best n-term error for every n in the ascending grid, via one sort: of
-    shape (..., len(n_grid)), one row per pyramid of a stack in coeffs.data.
+    """Best n-term error for every n in the ascending grid, via one selection:
+    of shape (..., len(n_grid)), one row per pyramid of a stack in coeffs.data.
 
-    The errors are tail sums of non-negative values, so they never increase
-    along the grid.  The weighted magnitudes go into one buffer, which is
-    sorted, raised to p and accumulated in place, row by row.  The magnitude
-    pass splits its pieces across `threads` threads.  So do the sort and the
-    power, in parts of at least _PIECE values of each row: a partition at the
-    part edges leaves each part its own range of ranks, so sorting each part
-    sorts the row.  Raising to p waits until after the sort, because pow
-    need not be monotone in the last bit.  One cumsum on the calling thread
-    then accumulates the whole buffer, in the serial order.
+    The error of n is the p-th root of the sum of all but the n largest
+    p-th powers of the weighted magnitudes.  The magnitude pass writes those
+    powers into one buffer, its pieces split across `threads` threads.  Then,
+    on the calling thread, one partition per row moves the size - n_max
+    smallest to the front, n_max the largest n of the grid below size, and
+    only the n_max above them are sorted.  Pairwise sums of the front and of
+    the ranks between consecutive n, added up from the smallest, give every
+    tail, so the errors never increase along the grid and are 0 once n
+    reaches size.  The calls do not depend on `threads`, and neither do the
+    bits.
     """
     n_grid = _n_grid(n_grid)
     p, size = params.p, coeffs.data.shape[-1]
     acc = np.empty(coeffs.data.shape)
-    _in_parts(lambda lo, hi: _weigh(acc, coeffs, params, lo * _PIECE, min(hi * _PIECE, size)),
+    _in_parts(lambda lo, hi: _weigh(acc, coeffs, params, lo * _PIECE, min(hi * _PIECE, size), p),
               -(-size // _PIECE), threads)
-    parts = max(1, min(threads, size // _PIECE))
-    edges = [size * i // parts for i in range(parts + 1)]
-    # one edge at a time, each in the ranks above the last: numpy's
-    # several-edge partition of 2^24 values took 0.3 s, longer than a sort
-    for lo, edge in zip(edges, edges[1:-1]):
-        acc[..., lo:].partition(edge - lo, axis=-1)
-
-    def rank(lo, hi):
-        part = acc[..., edges[lo]:edges[hi]]
-        part.sort(axis=-1)
-        part **= p
-
-    _in_parts(rank, parts, parts)
-    np.cumsum(acc, axis=-1, out=acc)
-    # the n largest are discarded: tail[n] = acc[size - 1 - n], accumulated
-    # smallest-first, and 0 once n reaches size
+    inside = n_grid[n_grid < size]
+    ends = size - inside[::-1]  # ascending: the tail of n sums ranks 0 .. size - n - 1
+    if inside.size and inside[-1] > 0:
+        acc.partition(ends[0], axis=-1)
+        acc[..., ends[0]:].sort(axis=-1)
+    # segments from 0 and from each end below size; the one from the last such
+    # end runs past every tail unless n = 0 closes it, and is dropped
+    sums = np.add.reduceat(acc, np.concatenate([[0], ends[ends < size]]), axis=-1)
     tail = np.zeros(acc.shape[:-1] + n_grid.shape)
-    inside = n_grid < size
-    tail[..., inside] = acc[..., size - 1 - n_grid[inside]]
+    tail[..., :inside.size] = np.cumsum(sums[..., :inside.size], axis=-1)[..., ::-1]
     return tail ** (1.0 / p)
 
 

@@ -150,22 +150,25 @@ def best_n_term(coeffs: WaveletCoeffs, params: BesovParams, n: int):
     return kept, residual
 
 
-def serial_sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid) -> np.ndarray:
-    """sigma_curve in one pass each: a whole-size magnitude array weighted band
-    by band, one sort, one power and one cumsum, on one thread."""
-    n_grid = np.asarray(n_grid, dtype=int)
-    out = replace(coeffs, data=np.abs(coeffs.data))
-    for j, _, arr in out.bands():
-        arr *= params.weight(j, coeffs.d)
-    acc = out.data
-    acc.sort()
-    acc **= params.p
-    np.cumsum(acc, out=acc)
-    # the n largest are discarded: tail[n] = acc[size - 1 - n], and 0 once n reaches size
-    tail = np.zeros(n_grid.size)
-    inside = n_grid < acc.size
-    tail[inside] = acc[acc.size - 1 - n_grid[inside]]
-    return tail ** (1.0 / params.p)
+def fsum_sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid) -> np.ndarray:
+    """sigma_curve from math.fsum: for each n, the p-th root of the sum of all
+    but the n largest p-th powers of the weighted magnitudes, ranked as
+    np.sort ranks them (inf, then NaN, above every finite value), and 0 once
+    n reaches the size.
+
+    Each tail is the fsum of the fsums of the ranks between consecutive n, so
+    its every term is summed once and it lies within 2u (u = 2^-53) of the
+    exact sum of its non-negative values.
+    """
+    powers = weighted_magnitudes(coeffs, params) ** params.p
+    size = powers.shape[-1]
+    ends = sorted(size - int(n) for n in n_grid if n < size)  # the tail of n sums ranks below size - n
+    curves = []
+    for row in np.sort(powers, axis=-1).reshape(-1, size).tolist():
+        segments = [math.fsum(row[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+        tails = [math.fsum(segments[:i + 1]) for i in range(len(ends))]
+        curves.append(tails[::-1] + [0.0] * (len(n_grid) - len(ends)))
+    return np.array(curves).reshape(powers.shape[:-1] + (len(n_grid),)) ** (1.0 / params.p)
 
 
 def exhaustive_min_residual(mags, n: int, p: float) -> float:

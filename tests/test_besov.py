@@ -22,7 +22,7 @@ from levywave import (
 )
 from levywave import besov
 from oracles import (best_n_term, empirical_regularity_scan, exhaustive_min_residual,
-                     serial_sigma_curve, zero_pyramid)
+                     fsum_sigma_curve, zero_pyramid)
 
 
 def _single(j, gender, index, value, d=1, zeta=0, j_max=4):
@@ -155,8 +155,34 @@ def _content(kind: str, size: int, rng) -> np.ndarray:
     return values
 
 
-# 2^16 values make one part; 2^17 up to two and 2^18 up to four, and three
-# parts of those put their edges off multiples of 8
+def _tail_bound(size: int, grid_size: int, p: float) -> float:
+    """Largest relative distance of a finite sigma_curve value from
+    fsum_sigma_curve's, for `size` values a row and a grid of `grid_size` n.
+
+    numpy's pairwise sum of a segment of m values (np.add.reduceat adds its
+    first value to the pairwise sum of the rest) takes each value through at
+    most ceil(log2 m) + 18 roundings, and the running sum over the segments
+    through at most grid_size - 1 more.  With D = ceil(log2 size) + 18 +
+    grid_size, a tail sum of non-negative values is within D u of the exact
+    one (u = 2^-53, Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 4), and the oracle's within 2u.  The p-th root scales that by 1/p;
+    each side's pow adds less than an ulp, 2u, and one more u covers
+    second-order terms.
+    """
+    u = np.finfo(float).eps / 2
+    depth = math.ceil(math.log2(size)) + 18 + grid_size
+    return ((depth + 2) / p + 5) * u
+
+
+def _check_against_fsum(curve: np.ndarray, exact: np.ndarray, bound: float) -> None:
+    # non-finite errors are the oracle's; finite ones lie within the bound of it
+    finite = np.isfinite(exact)
+    assert np.array_equal(curve[~finite], exact[~finite], equal_nan=True)
+    assert np.all(np.abs(curve[finite] - exact[finite]) <= bound * exact[finite])
+
+
+# 2^16 values make one magnitude piece, 2^17 two and 2^18 four, so threads
+# 2-4 split the magnitude pass into different parts
 @settings(max_examples=30, deadline=None)
 @given(
     shape=st.sampled_from([(1, 16), (1, 17), (1, 18), (2, 8), (2, 9)]),
@@ -166,19 +192,54 @@ def _content(kind: str, size: int, rng) -> np.ndarray:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_sigma_curve_is_bit_identical_at_any_thread_count(shape, p, tau, kind, seed):
-    # the blocked magnitude pass, the partition at the part edges and the
-    # one cumsum give the one-sort serial curve bit for bit, and leave
-    # the coefficients as they were
+    # the split magnitude pass and the one selection give the threads=1 curve
+    # bit for bit, leave the coefficients as they were, and stay within the
+    # bound of the exact tail sums
     d, J = shape
     coeffs = zero_pyramid(d=d, zeta=3, j_max=J - 4)
     coeffs.data[:] = _content(kind, coeffs.data.size, make_rng(seed))
     before = coeffs.data.tobytes()
     params = BesovParams(tau=tau, p=p)
     n_grid = np.concatenate([[0], 2 ** np.arange(J * d + 1)])
-    expected = serial_sigma_curve(coeffs, params, n_grid).tobytes()
-    for threads in (1, 2, 3, 4):
-        assert sigma_curve(coeffs, params, n_grid, threads=threads).tobytes() == expected, threads
-        assert coeffs.data.tobytes() == before
+    curve = sigma_curve(coeffs, params, n_grid)
+    for threads in (2, 3, 4):
+        assert sigma_curve(coeffs, params, n_grid, threads=threads).tobytes() == curve.tobytes(), threads
+    assert coeffs.data.tobytes() == before
+    exact = fsum_sigma_curve(coeffs, params, n_grid)
+    _check_against_fsum(curve, exact, _tail_bound(coeffs.data.size, n_grid.size, p))
+
+
+def test_sigma_curve_is_near_the_exact_tail_sums_of_2_20_heavy_tailed_values():
+    # 2^20 Cauchy values at p = 0.5 on the dyadic grid: within the bound, where
+    # one running sum over all the sorted p-th powers strays past it
+    coeffs = zero_pyramid(d=1, zeta=3, j_max=16)
+    size = coeffs.data.size
+    coeffs.data[:] = make_rng(20).standard_cauchy(size)
+    params = BesovParams(tau=1.0, p=0.5)
+    n_grid = np.concatenate([[0], 2 ** np.arange(21)])
+    bound = _tail_bound(size, n_grid.size, params.p)
+    exact = fsum_sigma_curve(coeffs, params, n_grid)
+    _check_against_fsum(sigma_curve(coeffs, params, n_grid, threads=2), exact, bound)
+    running = np.cumsum(np.sort(weighted_magnitudes(coeffs, params) ** params.p))
+    inside = n_grid < size
+    recursive = running[size - 1 - n_grid[inside]] ** (1.0 / params.p)
+    assert np.max(np.abs(recursive - exact[inside]) / exact[inside]) > 2 * bound
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0])
+@pytest.mark.parametrize("kind", ["cauchy", "ties", "non-finite"])
+def test_sigma_curve_on_every_n_of_a_small_pyramid(kind, p):
+    # a segment of one value between every two ranks: the running sum carries
+    # the whole tail, and the errors never increase
+    coeffs = zero_pyramid(d=2, zeta=1, j_max=3)
+    coeffs.data[:] = _content(kind, coeffs.data.size, make_rng(7))
+    params = BesovParams(tau=0.25, p=p)
+    n_grid = np.arange(coeffs.data.size + 1)
+    curve = sigma_curve(coeffs, params, n_grid)
+    _check_against_fsum(curve, fsum_sigma_curve(coeffs, params, n_grid),
+                        _tail_bound(coeffs.data.size, n_grid.size, p))
+    finite = curve[np.isfinite(curve)]
+    assert np.all(np.diff(finite) <= 0) and curve[-1] == 0.0
 
 
 def _messages_raised_by_sigma_curve(threads):
@@ -211,22 +272,19 @@ def test_a_failing_part_of_sigma_curve_releases_the_parts_above_it(monkeypatch, 
     starts = [4 * i // threads * besov._PIECE for i in range(threads)]  # each part's first piece
     weigh = besov._weigh
 
-    def failing_weigh(out, coeffs, params, lo, hi):
+    def failing_weigh(out, coeffs, params, lo, hi, power=1.0):
         if starts.index(lo) in failing:
             raise FloatingPointError(f"part {starts.index(lo)} failed")
-        weigh(out, coeffs, params, lo, hi)
+        weigh(out, coeffs, params, lo, hi, power)
 
     monkeypatch.setattr(besov, "_weigh", failing_weigh)
     assert _messages_raised_by_sigma_curve(threads) == [f"part {min(failing)} failed"]
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_a_failing_cumsum_of_sigma_curve_ends_the_call(monkeypatch, threads):
-    def failing_cumsum(a, *args, **kwargs):
-        raise FloatingPointError("the cumsum failed")
-
-    monkeypatch.setattr(np, "cumsum", failing_cumsum)
-    assert _messages_raised_by_sigma_curve(threads) == ["the cumsum failed"]
+def test_a_failing_selection_of_sigma_curve_ends_the_call(fail_selection, threads):
+    fail_selection()
+    assert _messages_raised_by_sigma_curve(threads) == ["the selection failed"]
 
 
 def test_sigma_curve_five_nonzeros():
@@ -253,7 +311,7 @@ def test_sigma_curve_tail_sum_oracle():
     sigma = sigma_curve(coeffs, params, n_grid)
     for n, value in zip(n_grid, sigma):
         oracle = math.sqrt(math.fsum(1.0 / i**2 for i in range(n + 1, size + 1)))
-        assert value == pytest.approx(oracle, rel=1e-12)
+        assert value == pytest.approx(oracle, rel=np.finfo(float).eps)
     # tail sums of non-negative values, read from the top: never increasing
     assert np.all(np.diff(sigma) <= 0)
 

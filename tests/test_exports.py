@@ -111,6 +111,13 @@ def test_perfbench_patch_points_are_looked_up(monkeypatch, tmp_path):
     assert [calls[name] for name in spans.STAGES] == [1] * len(spans.STAGES), calls
 
 
+def _compare_outputs():
+    spec = importlib.util.spec_from_file_location("compare", ROOT / "tools" / "compare_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_compare_outputs_runs_parseable_configs():
     # tools/compare_outputs.py parses perfbench's workload table without
     # importing it and rewrites the sample configs to d=2, to tau0 = 0.25, to
@@ -119,9 +126,7 @@ def test_compare_outputs_runs_parseable_configs():
     # and fine_1d and the four d=2 J=9 variants to one trial; every text it runs must parse, or
     # a byte-identity check would report failed runs only, and every rejected
     # text it runs must be refused
-    spec = importlib.util.spec_from_file_location("compare", ROOT / "tools" / "compare_outputs.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _compare_outputs()
     configs = [harness.parse_config(text) for _, text in tool.config_set(ROOT)]
     n = len(list((ROOT / "configs").glob("*.cfg")))
     assert len(configs) == 16 * n + 4
@@ -172,3 +177,21 @@ def test_compare_outputs_runs_parseable_configs():
     for _, text in tool.rejected_configs(ROOT):
         with pytest.raises(levywave.ConfigError):
             harness.parse_config(text)
+
+
+def test_compare_outputs_reports_how_far_the_numbers_moved(tmp_path):
+    # one sigma of curves.csv moved by 2^-40, then a kappa that became inf
+    tool = _compare_outputs()
+    config = harness.parse_config("family = gaussian\nJ = 9\nk = 2\ntrials = 2\nfit_lo = 4\nfit_hi = 128\n")
+    outs = [tmp_path / "parent", tmp_path / "change"]
+    for out in outs:
+        harness.emit_outputs(harness.run_experiment(config, threads=1), out)
+    assert tool._moved(outs) == 0.0
+    curves = (outs[1] / "curves.csv").read_text().splitlines()
+    t, n, sigma = curves[5].split(",")
+    curves[5] = f"{t},{n},{float(sigma) * (1 + 2.0**-40)!r}"
+    (outs[1] / "curves.csv").write_text("\n".join(curves) + "\n")
+    assert tool._moved(outs) == pytest.approx(2.0**-40, rel=1e-3)
+    summary = outs[1] / "summary.json"
+    summary.write_text(re.sub(r'"kappa_median": [^,]*', '"kappa_median": "inf"', summary.read_text()))
+    assert tool._moved(outs) == float("inf")

@@ -67,27 +67,6 @@ def _flat_rows(config, indices):
     return np.tile(config.n_values() ** -1.0, (len(indices), 1))
 
 
-@pytest.fixture
-def one_trial_stacks(monkeypatch):
-    # each trial a stack of its own, so a small config's trials spread over the workers
-    monkeypatch.setattr(harness, "_STACK_CELLS", 1)
-
-
-@pytest.fixture
-def pool_cpus(monkeypatch):
-    # the run's budget is at most the usable CPUs; with four, a pool gets the
-    # workers a test asks for, up to four, on any host, also on one CPU
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-
-
-@pytest.fixture
-def four_cpus(pool_cpus, monkeypatch):
-    # a lone stack splits across the budget only from 2 _THREAD_CELLS cells;
-    # with four CPUs and no cell floor, threads=2 and 3 split a small trial's
-    # passes on any host, also on one CPU
-    monkeypatch.setattr(harness, "_THREAD_CELLS", 1)
-
-
 def test_parse_config_round_trip_fields():
     config = parse_config(SMALL)
     assert config.family == "gaussian"
@@ -202,7 +181,7 @@ def test_trials_split_when_the_cell_cap_allows_one_in_flight(monkeypatch, four_c
     assert multiprocessing.active_children() == []
 
 
-def test_lone_trial_threads_end_with_the_call(monkeypatch, four_cpus):
+def test_lone_trial_threads_end_with_the_call(monkeypatch, four_cpus, fail_selection):
     # the split passes' threads are joined before the call returns, also when
     # a part raises, so a later forked pool starts with no thread alive
     config = _small_config(family="laplace", params={}, **LONE)
@@ -228,17 +207,10 @@ def test_lone_trial_threads_end_with_the_call(monkeypatch, four_cpus):
         assert threading.enumerate() == before
     assert failed_on[0] is threading.main_thread() is not failed_on[1]
 
-    # the n-term errors' one cumsum fails, on the calling thread, after the
-    # second part's sort on its own thread at threads=2, and the call still ends
+    # the n-term errors' selection fails, on the calling thread, after the
+    # magnitude pass's second part on its own thread at threads=2, and the call still ends
     monkeypatch.setattr(np.fft, "irfft", irfft)
-    cumsum = np.cumsum
-
-    def failing_cumsum(a, *args, **kwargs):
-        if threading.current_thread() is caller and np.size(a) >= 1 << 16:
-            raise FloatingPointError("the first part failed")
-        return cumsum(a, *args, **kwargs)
-
-    monkeypatch.setattr(np, "cumsum", failing_cumsum)
+    fail_selection()
     for threads in (1, 2):
         raised = []
 
@@ -251,8 +223,8 @@ def test_lone_trial_threads_end_with_the_call(monkeypatch, four_cpus):
         caller = threading.Thread(target=call, daemon=True)
         caller.start()
         caller.join(timeout=20)
-        assert not caller.is_alive(), "a part waits forever for its carry"
-        assert raised == ["the first part failed"]
+        assert not caller.is_alive(), "a part of the magnitude pass never ends"
+        assert raised == ["the selection failed"]
         assert threading.enumerate() == before
 
 
@@ -654,7 +626,7 @@ def test_the_memory_guard_counts_every_cell_of_a_stack(monkeypatch, tmp_path, po
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_trial_exception_is_the_same_at_any_thread_count(monkeypatch, tmp_path, capsys, threads,
-                                                         one_trial_stacks):
+                                                         one_trial_stacks, pool_cpus):
     def failing_stack(config, indices, threads=1):
         raise ValueError(f"trial {indices[0]} cannot fit")
 
@@ -670,7 +642,7 @@ def test_trial_exception_is_the_same_at_any_thread_count(monkeypatch, tmp_path, 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_cli_exits_2_on_any_error_of_a_run(monkeypatch, tmp_path, capsys, command, threads,
-                                           one_trial_stacks):
+                                           one_trial_stacks, pool_cpus):
     # exit code 1 is a failed verdict, so an error that is neither a
     # ValueError nor an OSError exits 2 with its traceback and type
     def failing_stack(config, indices, threads=1):

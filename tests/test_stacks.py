@@ -63,7 +63,7 @@ def test_the_stack_budget_counts_cells(d, J, sizes):
     assert run_experiment(config, threads=1).sigma.tobytes() == _alone(config)
 
 
-def test_a_chunk_spans_two_configs():
+def test_a_chunk_spans_two_configs(pool_cpus):
     # one stack of a, then two of b: the first chunk of a one-worker map holds a's and b's first
     base = "gamma = 1.0\nJ = 14\nbase_seed = 5\n"
     a = parse_config(f"family = sas\nalpha = 1.5\ntrials = 4\n{base}")
@@ -79,7 +79,7 @@ def test_a_chunk_spans_two_configs():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_a_mixed_sweep_reproduces_each_config_run_alone(threads):
+def test_a_mixed_sweep_reproduces_each_config_run_alone(threads, pool_cpus):
     # gaussian as it is; sas alpha = 1.5 in stacks of two, the last one
     # ragged; laplace in d=2 stacks of four; a lone d=2 inverse_gaussian trial
     variants = {

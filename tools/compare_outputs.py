@@ -34,8 +34,11 @@ texts come from CHANGE, so both sides run the same configs.  For each run it
 compares the sha256 of curves.csv, summary.json and plot.tsv (`levywave run`
 only), what the command printed (with the side's output directory in the
 `wrote ...` lines replaced by OUT; stderr for a rejected config) and its exit
-code, and prints one line: 224 runs and 7 rejected configs in all.  It exits 1
-if anything differs or any run fails, and 0 otherwise.  A failed verdict or
+code, and prints one line: 224 runs and 7 rejected configs in all.  Under a
+run whose output files differ it prints how far their numbers moved: the
+largest relative difference between the two sides' sigma in curves.csv, the
+columns of plot.tsv and the kappa fields of summary.json.  It exits 1 if
+anything differs or any run fails, and 0 otherwise.  A failed verdict or
 an inversion (exit code 1) is a completed run; a rejected config's run is
 completed only with exit code 2.
 """
@@ -44,6 +47,8 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
@@ -190,6 +195,29 @@ def _reject(checkout: Path, cfg: Path):
     return {"stderr": proc.stderr, "exit code": proc.returncode}
 
 
+def _numbers(out: Path) -> list:
+    """sigma of curves.csv, both columns of plot.tsv and the kappa fields of
+    summary.json, in file order, of the run that wrote out."""
+    values = [line.rsplit(",", 1)[1] for line in (out / "curves.csv").read_text().splitlines()[1:]]
+    values += (out / "plot.tsv").read_text().split()[2:]
+    summary = json.loads((out / "summary.json").read_text())
+    values += [*summary["kappa_values"], summary["kappa_median"], *summary["kappa_iqr"]]
+    return [float(value) for value in values]  # "inf" and "nan" too
+
+
+def _moved(outs: list) -> float:
+    """Largest relative difference between the numbers the two sides wrote:
+    inf where a count or a non-finite value differs."""
+    parent, change = (_numbers(out) for out in outs)
+    if len(parent) != len(change):
+        return math.inf
+    moved = 0.0
+    for a, b in zip(parent, change):
+        if a != b and not (math.isnan(a) and math.isnan(b)):
+            moved = max(moved, abs(a - b) / max(abs(a), abs(b)) if math.isfinite(a - b) else math.inf)
+    return moved
+
+
 def _verdict(results: list) -> str:
     errors = [f"{tag} {r}" for tag, r in zip(("parent", "change"), results)
               if isinstance(r, str)]
@@ -205,16 +233,22 @@ def main(argv) -> int:
         return 2
     parent, change = (Path(a).resolve() for a in argv)
     sides = (("parent", parent), ("change", change))
-    verdicts = []
+    verdicts, most = [], 0.0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for i, (label, text) in enumerate(config_set(change)):
             cfg = tmp / f"{i}.cfg"
             cfg.write_text(text)
             for threads in THREADS:
-                verdicts.append(_verdict([_run(side, cfg, tmp / f"{i}-{threads}-{tag}", threads)
-                                          for tag, side in sides]))
+                outs = [tmp / f"{i}-{threads}-{tag}" for tag, _ in sides]
+                results = [_run(side, cfg, out, threads) for (_, side), out in zip(sides, outs)]
+                verdicts.append(_verdict(results))
                 print(f"threads={threads}  {label}: {verdicts[-1]}", flush=True)
+                if verdicts[-1].startswith("DIFFERS"):
+                    moved = _moved(outs)
+                    most = max(most, moved)
+                    print(f"           largest relative difference of the numbers: {moved:.3g}",
+                          flush=True)
         for i, (label, text) in enumerate(rejected_configs(change)):
             cfg = tmp / f"rejected{i}.cfg"
             cfg.write_text(text)
@@ -229,6 +263,8 @@ def main(argv) -> int:
                 print(f"threads={threads}  compare {label}: {verdicts[-1]}", flush=True)
     same = verdicts.count("identical")
     print(f"{same} of {len(verdicts)} runs identical")
+    if most:
+        print(f"largest relative difference of any run's numbers: {most:.3g}")
     return 0 if same == len(verdicts) else 1
 
 
