@@ -21,7 +21,6 @@ from .wavelets import WaveletCoeffs
 
 __all__ = [
     "BesovParams",
-    "weighted_magnitudes",
     "sigma_curve",
     "estimate_kappa",
 ]
@@ -46,9 +45,8 @@ class BesovParams:
 _PIECE = 1 << 16  # values per magnitude piece, small enough to stay in cache
 
 
-def _weigh(out: np.ndarray, coeffs: WaveletCoeffs, params: BesovParams, lo: int, hi: int,
-           power: float = 1.0) -> None:
-    """out[..., lo:hi] = (2^(j(tau - d/p)) |lambda|)^power over those flat
+def _weigh(out: np.ndarray, coeffs: WaveletCoeffs, params: BesovParams, lo: int, hi: int) -> None:
+    """out[..., lo:hi] = (2^(j(tau - d/p)) |lambda|)^p over those flat
     positions of every pyramid of the stack, in pieces of at most _PIECE
     positions, small enough to stay in cache."""
     d, zeta = coeffs.d, coeffs.zeta
@@ -62,16 +60,7 @@ def _weigh(out: np.ndarray, coeffs: WaveletCoeffs, params: BesovParams, lo: int,
             end = min(stop, 1 << ((j + 1 + zeta) * d))
             out[..., start:end] *= params.weight(j, d)
             start, j = end, j + 1
-        if power != 1.0:
-            piece **= power
-
-
-def weighted_magnitudes(coeffs: WaveletCoeffs, params: BesovParams) -> np.ndarray:
-    """2^(j(tau - d/p)) |lambda| in canonical iteration order, of the shape
-    of coeffs.data: one flat row per pyramid of a stack."""
-    out = np.empty(coeffs.data.shape)
-    _weigh(out, coeffs, params, 0, out.shape[-1])
-    return out
+        piece **= params.p
 
 
 def _n_grid(n_grid) -> np.ndarray:
@@ -108,7 +97,7 @@ def sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid, threads: int
     n_grid = _n_grid(n_grid)
     p, size = params.p, coeffs.data.shape[-1]
     acc = np.empty(coeffs.data.shape)
-    _in_parts(lambda lo, hi: _weigh(acc, coeffs, params, lo * _PIECE, min(hi * _PIECE, size), p),
+    _in_parts(lambda lo, hi: _weigh(acc, coeffs, params, lo * _PIECE, min(hi * _PIECE, size)),
               -(-size // _PIECE), threads)
     inside = n_grid[n_grid < size]
     ends = size - inside[::-1]  # ascending: the tail of n sums ranks 0 .. size - n - 1
@@ -121,18 +110,6 @@ def sigma_curve(coeffs: WaveletCoeffs, params: BesovParams, n_grid, threads: int
     tail = np.zeros(acc.shape[:-1] + n_grid.shape)
     tail[..., :inside.size] = np.cumsum(sums[..., :inside.size], axis=-1)[..., ::-1]
     return tail ** (1.0 / p)
-
-
-def _fit_line(x: np.ndarray, y: np.ndarray):
-    xbar = x.mean()
-    ybar = y.mean()
-    sxx = float(((x - xbar) ** 2).sum())
-    slope = float(((x - xbar) * (y - ybar)).sum()) / sxx
-    intercept = ybar - slope * xbar
-    resid = y - (intercept + slope * x)
-    dof = x.size - 2
-    stderr = math.sqrt(float((resid**2).sum()) / dof / sxx) if dof > 0 else 0.0
-    return slope, intercept, stderr
 
 
 def estimate_kappa(n_values, sigma, fit_range: tuple) -> tuple:
@@ -158,5 +135,10 @@ def estimate_kappa(n_values, sigma, fit_range: tuple) -> tuple:
         )
     x = np.log(n_values[positive].astype(float))
     y = -np.log(sigma[positive])
-    slope, _, stderr = _fit_line(x, y)
-    return slope, stderr
+    xbar = x.mean()
+    ybar = y.mean()
+    sxx = float(((x - xbar) ** 2).sum())
+    slope = float(((x - xbar) * (y - ybar)).sum()) / sxx
+    intercept = ybar - slope * xbar
+    resid = y - (intercept + slope * x)
+    return slope, math.sqrt(float((resid**2).sum()) / (x.size - 2) / sxx)

@@ -21,7 +21,6 @@ from levywave import (
     inverse_fft,
     sigma_curve,
     trial_seed,
-    weighted_magnitudes,
 )
 
 
@@ -122,6 +121,14 @@ def idwt_periodic(coeffs: WaveletCoeffs, spec: WaveletSpec) -> np.ndarray:
                      for m in parts if not m & bit}
         c = parts[0]
     return c
+
+
+def weighted_magnitudes(coeffs: WaveletCoeffs, params: BesovParams) -> np.ndarray:
+    """2^(j(tau - d/p)) |lambda| band by band, flat in canonical order: of
+    the shape of coeffs.data, one row per pyramid of a stack."""
+    lead = coeffs.data.shape[:-1]
+    return np.concatenate([params.weight(j, coeffs.d) * np.abs(arr).reshape(lead + (-1,))
+                           for j, _, arr in coeffs.bands()], axis=-1)
 
 
 def best_n_term(coeffs: WaveletCoeffs, params: BesovParams, n: int):

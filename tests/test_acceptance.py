@@ -29,7 +29,6 @@ from levywave import (
     make_rng,
     synthesize_process,
     trial_seed,
-    weighted_magnitudes,
 )
 from levywave.harness import ExperimentConfig, run_experiment
 from levywave.spectral import FractionalLaplacian
@@ -39,6 +38,7 @@ from oracles import (
     exhaustive_min_residual,
     idwt_periodic,
     median_sigma_at,
+    weighted_magnitudes,
     zero_pyramid,
 )
 

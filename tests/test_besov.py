@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from levywave import (
     BesovParams,
@@ -18,11 +19,10 @@ from levywave import (
     make_rng,
     sigma_curve,
     trial_seed,
-    weighted_magnitudes,
 )
 from levywave import besov
 from oracles import (best_n_term, empirical_regularity_scan, exhaustive_min_residual,
-                     fsum_sigma_curve, zero_pyramid)
+                     fsum_sigma_curve, weighted_magnitudes, zero_pyramid)
 
 
 def _single(j, gender, index, value, d=1, zeta=0, j_max=4):
@@ -46,6 +46,23 @@ def test_level_weights_use_the_coefficients_dimension():
     mags = weighted_magnitudes(coeffs, BesovParams(tau=1.0, p=2.0))
     assert mags.max() == 1.0
     assert np.count_nonzero(mags) == 1
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("zeta", [0, 1, 3])
+@pytest.mark.parametrize("d, J", [(1, 9), (2, 5)])
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_level_weights_hold_where_pieces_start_inside_a_level(monkeypatch, rows, d, J, zeta, p):
+    # pieces of 40 values start inside levels, as pieces of 2^16 do only from
+    # 2^18 values up: every piece must still find its level's weight
+    monkeypatch.setattr(besov, "_PIECE", 40)
+    size = 1 << (J * d)
+    shape = (size,) if rows == 1 else (rows, size)
+    coeffs = WaveletCoeffs(d=d, zeta=zeta, data=make_rng(rows).standard_cauchy(shape))
+    params = BesovParams(tau=0.75, p=p)
+    powers = np.empty(shape)
+    besov._weigh(powers, coeffs, params, 0, size)
+    assert powers.tobytes() == (weighted_magnitudes(coeffs, params) ** p).tobytes()
 
 
 @pytest.mark.parametrize("p", [math.inf, math.nan, 0.0])
@@ -272,10 +289,10 @@ def test_a_failing_part_of_sigma_curve_releases_the_parts_above_it(monkeypatch, 
     starts = [4 * i // threads * besov._PIECE for i in range(threads)]  # each part's first piece
     weigh = besov._weigh
 
-    def failing_weigh(out, coeffs, params, lo, hi, power=1.0):
+    def failing_weigh(out, coeffs, params, lo, hi):
         if starts.index(lo) in failing:
             raise FloatingPointError(f"part {starts.index(lo)} failed")
-        weigh(out, coeffs, params, lo, hi, power)
+        weigh(out, coeffs, params, lo, hi)
 
     monkeypatch.setattr(besov, "_weigh", failing_weigh)
     assert _messages_raised_by_sigma_curve(threads) == [f"part {min(failing)} failed"]
@@ -345,6 +362,23 @@ def test_estimate_kappa_window_and_errors():
         estimate_kappa(n, sigma, fit_range=(4, 16))
     with pytest.raises(ValueError, match="inside fit range"):
         estimate_kappa(n, sigma, fit_range=(5000, 6000))
+
+
+@pytest.mark.parametrize("fit_range, zeros", [((2, 2048), []), ((16, 256), []), ((4, 1024), [3, 6])],
+                         ids=["whole", "five-points", "zeros-dropped"])
+def test_estimate_kappa_is_scipys_line_through_the_positive_points(fit_range, zeros):
+    # noisy power laws: kappa and its standard error are the slope and stderr
+    # of the least-squares line through the window's positive points
+    n = 2 ** np.arange(1, 12)
+    rng = make_rng(31)
+    for _ in range(20):
+        sigma = n ** -rng.uniform(0.5, 2.5) * np.exp(rng.normal(0.0, 0.3, n.size))
+        sigma[zeros] = 0.0
+        kappa, stderr = estimate_kappa(n, sigma, fit_range)
+        kept = (n >= fit_range[0]) & (n <= fit_range[1]) & (sigma > 0.0)
+        fit = stats.linregress(np.log(n[kept]), -np.log(sigma[kept]))
+        assert kappa == pytest.approx(fit.slope, abs=1e-12)
+        assert stderr == pytest.approx(fit.stderr, rel=1e-10)
 
 
 def test_estimate_kappa_all_zero_sentinel():

@@ -120,7 +120,7 @@ def _compare_outputs():
 
 def test_compare_outputs_runs_parseable_configs():
     # tools/compare_outputs.py parses perfbench's workload table without
-    # importing it and rewrites the sample configs to d=2, to tau0 = 0.25, to
+    # importing it and rewrites the sample configs to d=2, to tau0 = 0.25, to p0 = 1, to
     # the matern operator at d=1 and d=2, to k = 1 and k = 6, to J = 15, to seven trials,
     # to d=2 J=7 and to d=2 J=9 at k = 1 and k = 6, gaussian to an inadmissible gamma,
     # and fine_1d and the four d=2 J=9 variants to one trial; every text it runs must parse, or
@@ -129,18 +129,22 @@ def test_compare_outputs_runs_parseable_configs():
     tool = _compare_outputs()
     configs = [harness.parse_config(text) for _, text in tool.config_set(ROOT)]
     n = len(list((ROOT / "configs").glob("*.cfg")))
-    assert len(configs) == 16 * n + 4
-    samples, d2, shifted, matern, matern_d2, haar, k6, j15, seven, d2_j7, d2_haar, d2_k6 = (
-        configs[i * n:(i + 1) * n] for i in range(12))
-    workloads = configs[12 * n:12 * n + 2]
+    assert len(configs) == 17 * n + 4
+    samples, d2, shifted, matern, matern_d2, haar, k6, j15, seven, d2_j7, d2_haar, d2_k6, p1 = (
+        configs[i * n:(i + 1) * n] for i in range(13))
+    workloads = configs[13 * n:13 * n + 2]
     assert [(c.family, c.d, c.J) for c in workloads] == [("sas", 1, 20), ("laplace", 2, 12)]
     # fine_1d as a lone trial, which runs in the calling process
-    assert configs[12 * n + 2] == dataclasses.replace(workloads[0], trials=1)
+    assert configs[13 * n + 2] == dataclasses.replace(workloads[0], trials=1)
     assert [(c.d, c.J, c.gamma) for c in d2] == [(2, 9, 1.5)] * n
     assert [c.family for c in d2] == [c.family for c in samples]
     assert [(c.family, c.tau0) for c in shifted] == [(c.family, 0.25) for c in samples]
     assert all(c.prediction().condition_satisfied for c in shifted)
-    (inadmissible,) = configs[12 * n + 3:12 * n + 4]
+    # the norm's p: only p0 changes, and every config stays admissible
+    assert [dataclasses.replace(c, p0=s.p0) for c, s in zip(p1, samples)] == samples
+    assert {c.p0 for c in p1} == {1.0} != {c.p0 for c in samples}
+    assert all(c.prediction().condition_satisfied for c in p1)
+    (inadmissible,) = configs[13 * n + 3:13 * n + 4]
     assert (inadmissible.family, inadmissible.gamma) == ("gaussian", 0.4)
     assert inadmissible.prediction().verdict(0.5, inadmissible.tolerance) == "unchecked"
     # the DWT's phase split depends on the filter length: Haar wraps no samples, k = 6 has 12 taps
@@ -159,17 +163,18 @@ def test_compare_outputs_runs_parseable_configs():
     assert [dataclasses.replace(c, k=4) for c in d2_haar + d2_k6] == d2 + d2
     assert all(c.operator == "fractional_laplacian"
                for c in samples + d2 + shifted + haar + k6 + j15 + seven + d2_j7 + d2_haar
-               + d2_k6 + workloads + [inadmissible])
+               + d2_k6 + p1 + workloads + [inadmissible])
     assert [(c.family, c.operator, c.d, c.J, c.gamma) for c in matern] == [
         (c.family, "matern", 1, c.J, c.gamma) for c in samples]
     assert [(c.family, c.operator, c.d, c.J, c.gamma) for c in matern_d2] == [
         (c.family, "matern", 2, 9, 1.5) for c in samples]
     # the lone trials: the d=2 variants, under each operator, at one trial
-    lone = configs[12 * n + 4:]
+    lone = configs[13 * n + 4:]
     assert [dataclasses.replace(c, trials=1) for c in d2 + matern_d2 + d2_haar + d2_k6] == lone
     # `levywave compare` runs each variant as one block, which must share its scale
     blocks = tool.compare_blocks(ROOT)
-    assert [entry for _, block in blocks for entry in block] == tool.config_set(ROOT)[:12 * n]
+    assert len(blocks) == 13
+    assert [entry for _, block in blocks for entry in block] == tool.config_set(ROOT)[:13 * n]
     for _, block in blocks:
         parsed = [harness.parse_config(text) for _, text in block]
         assert len({(c.gamma, c.d, c.J, c.k, c.p0, c.tau0) for c in parsed}) == 1

@@ -14,6 +14,7 @@ from levywave import (
     Laplace,
     OPERATORS,
     WaveletSpec,
+    besov,
     dwt_periodic,
     harness,
     make_rng,
@@ -21,7 +22,6 @@ from levywave import (
     run_sweep,
     sigma_curve,
     synthesize_process,
-    weighted_magnitudes,
 )
 from levywave.harness import load_config, parse_config, summary_record
 from oracles import trial_alone
@@ -143,7 +143,7 @@ def test_a_stack_evaluates_its_operators_symbol_once(monkeypatch, d, J, operator
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("d, J, k", [(1, 10, 1), (1, 12, 4), (1, 17, 2), (2, 6, 6), (2, 7, 4)])
 def test_stage_calls_on_a_stack_equal_calls_on_each_row(d, J, k, threads):
-    # d=1 J=17 has 2^17 magnitudes a row, which sigma_curve at threads=2 ranks in two parts
+    # d=1 J=17 has 2^17 magnitudes a row, whose pieces sigma_curve at threads=2 weighs in two parts
     spec, params = WaveletSpec(k=k), BesovParams(tau=0.5, p=1.0)
     fields = make_rng(J).standard_cauchy((3,) + (1 << J,) * d)
     stack = dwt_periodic(fields.copy(), spec, threads=threads, d=d)
@@ -153,8 +153,10 @@ def test_stage_calls_on_a_stack_equal_calls_on_each_row(d, J, k, threads):
     for j, g, band in stack.bands():
         assert np.shares_memory(band, stack.data)
         assert band.tobytes() == np.array([c.levels[j][g] for c in alone]).tobytes()
-    magnitudes = weighted_magnitudes(stack, params)
-    assert magnitudes.tobytes() == np.array([weighted_magnitudes(c, params) for c in alone]).tobytes()
+    magnitudes = [np.empty(c.data.shape) for c in [stack] + alone]
+    for out, c in zip(magnitudes, [stack] + alone):
+        besov._weigh(out, c, params, 0, c.data.shape[-1])
+    assert magnitudes[0].tobytes() == np.array(magnitudes[1:]).tobytes()
     n_grid = 2 ** np.arange(J * d + 1)
     curves = sigma_curve(stack, params, n_grid, threads=threads)
     assert curves.shape == (3, n_grid.size)

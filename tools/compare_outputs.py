@@ -5,10 +5,11 @@
 Runs `levywave run` from each checkout's src/ (PYTHONPATH=<checkout>/src)
 into temporary output directories, at --threads 1 and 2, on this set of
 configs:
-  - the six sample configs/*.cfg, as they are and in eleven variants: with
-    d = 2, J = 9 and gamma = 1.5; with tau0 = 0.25, all still admissible;
-    with operator = matern; with operator = matern at d = 2, J = 9 and
-    gamma = 1.5; with k = 1 (Haar, whose DWT wraps no samples) and
+  - the six sample configs/*.cfg, as they are and in twelve variants: with
+    d = 2, J = 9 and gamma = 1.5; with tau0 = 0.25 and with p0 = 1 (the
+    norm's p, to which the magnitude pass raises each piece), all still
+    admissible; with operator = matern; with operator = matern at d = 2,
+    J = 9 and gamma = 1.5; with k = 1 (Haar, whose DWT wraps no samples) and
     k = 6 (12 taps), since the DWT's split of its input into even and odd
     phases depends on the filter length; three that stack their trials
     differently from the sample configs' stacks of four (2^16 cells a
@@ -20,8 +21,8 @@ configs:
     table is parsed from the file, not imported, and fine_1d with trials = 1:
     a d=1 lone trial, which like every stack below 3 * 2^20 cells runs on
     one thread; wide_2d's d=2 J=12 trial at --threads 2 is the one run whose
-    FFT passes, operator, DWT blocks and n-term sort split across two
-    threads (on a host with 2 usable CPUs);
+    FFT passes, operator, DWT blocks and n-term magnitude pass split across
+    two threads (on a host with 2 usable CPUs);
   - configs/gaussian.cfg at gamma = 0.4 with allow_inadmissible = true, whose
     verdict is "unchecked";
   - the six sample configs at d = 2, J = 9, gamma = 1.5 and trials = 1, under
@@ -34,7 +35,7 @@ texts come from CHANGE, so both sides run the same configs.  For each run it
 compares the sha256 of curves.csv, summary.json and plot.tsv (`levywave run`
 only), what the command printed (with the side's output directory in the
 `wrote ...` lines replaced by OUT; stderr for a rejected config) and its exit
-code, and prints one line: 224 runs and 7 rejected configs in all.  Under a
+code, and prints one line: 238 runs and 7 rejected configs in all.  Under a
 run whose output files differ it prints how far their numbers moved: the
 largest relative difference between the two sides' sigma in curves.csv, the
 columns of plot.tsv and the kappa fields of summary.json.  It exits 1 if
@@ -77,6 +78,7 @@ VARIANTS = (
     (" at d=2 J=7 gamma=1.5", {**D2_KEYS, "J": "7"}),
     (" at d=2 J=9 gamma=1.5 k=1", {**D2_KEYS, "k": "1"}),
     (" at d=2 J=9 gamma=1.5 k=6", {**D2_KEYS, "k": "6"}),
+    (" at p0=1", {"p0": "1"}),
 )
 # (label suffix, rewritten keys) of each d=2 J=9 variant run as lone trials, not compared as a block
 LONE_VARIANTS = tuple(
