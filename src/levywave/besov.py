@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import _in_parts
+from .exponents import ConfigError, _in_parts
 from .wavelets import WaveletCoeffs
 
 __all__ = [
@@ -36,7 +36,7 @@ class BesovParams:
 
     def __post_init__(self):
         if not (self.p > 0 and math.isfinite(self.p)):
-            raise ValueError(f"p must be positive and finite, got {self.p}")
+            raise ConfigError(f"p must be positive and finite, got {self.p}")
 
     def weight(self, j: int, d: int) -> float:
         return 2.0 ** (j * (self.tau - d / self.p))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import ClassVar, Union
+from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
@@ -226,19 +226,11 @@ JumpDistribution = Union[tuple(_JUMP_LAWS.values())]
 # index pair and noise families
 
 
-@dataclass(frozen=True)
-class BGIndices:
+class BGIndices(NamedTuple):
     """Growth indices of |psi| at infinity, 0 <= beta_prime <= beta <= 2."""
 
     beta: float
     beta_prime: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.beta_prime <= self.beta <= 2.0):
-            raise ConfigError(
-                f"indices must satisfy 0 <= beta' <= beta <= 2, got "
-                f"beta={self.beta}, beta'={self.beta_prime}"
-            )
 
 
 class LevyExponent:

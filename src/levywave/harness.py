@@ -73,10 +73,7 @@ class ExperimentConfig:
         return OPERATORS[self.operator](gamma=self.gamma)
 
     def wavelet_spec(self) -> WaveletSpec:
-        try:
-            return WaveletSpec(k=self.k)
-        except ValueError as exc:  # the filter's own check of k
-            raise ConfigError(str(exc)) from None
+        return WaveletSpec(k=self.k)
 
     def n_values(self) -> np.ndarray:
         return 2 ** np.arange(2, self.J * self.d - 1)

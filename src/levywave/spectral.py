@@ -147,19 +147,18 @@ def apply_inverse_operator(
     a time and divides those rows of every field of the stack; the blocks
     split across `threads` threads.  A grid small enough to be stacked has its
     whole half spectrum in one block, so a stack evaluates the symbol once."""
-    # (field, row along its first leading axis, the rest): a d=1 field is one row
+    # (stack axes, first grid axis (one row at d=1), the rest): a view for d <= 2
     half = _half_shape(coeffs, grid)
-    first = np.prod(half[:-1][:1], dtype=int)
-    rows = coeffs.reshape(-1, first, np.prod(half, dtype=int) // first)
+    rows = coeffs.reshape(coeffs.shape[:-grid.d] + (np.prod(half[:-1][:1], dtype=int), -1))
     block = max(1, _BLOCK // rows.shape[-1])
-    starts = range(0, rows.shape[1], block)
+    starts = range(0, rows.shape[-2], block)
 
     def divide(lo, hi):
         for r0 in starts[lo:hi]:
             lhat = symbol.evaluate(grid, slice(r0, r0 + block))
             if r0 == 0:
                 lhat.flat[0] = 1.0  # the zero frequency, set to 0 below
-            rows[:, r0:r0 + block] /= lhat.reshape(-1, rows.shape[-1])
+            rows[..., r0:r0 + block, :] /= lhat.reshape(-1, rows.shape[-1])
 
     _in_parts(divide, len(starts), threads)
     coeffs[(Ellipsis,) + (0,) * grid.d] = 0.0

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .exponents import _in_parts
+from .exponents import ConfigError, _in_parts
 
 __all__ = [
     "daubechies_lowpass",
@@ -64,14 +64,14 @@ def _lowpass_cached(k: int) -> tuple:
     # sum_n h[n] h[n + 2m] = delta_m miss by more than 1e-10
     miss = np.abs(np.correlate(h, h, "full")[h.size - 1::2] - np.eye(1, k)[0]).max()
     if miss > 1e-10:
-        raise ValueError(f"k={k} too large: its filter misses orthonormality by {miss:.1e}")
+        raise ConfigError(f"k={k} too large: its filter misses orthonormality by {miss:.1e}")
     return tuple(float(v) for v in h)
 
 
 def daubechies_lowpass(k: int) -> np.ndarray:
     """Length-2k orthonormal low-pass filter with k vanishing moments."""
     if not (isinstance(k, int) and k >= 1):
-        raise ValueError(f"vanishing-moment count must be a positive integer, got {k}")
+        raise ConfigError(f"vanishing-moment count must be a positive integer, got {k}")
     return np.array(_lowpass_cached(k))
 
 

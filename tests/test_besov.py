@@ -9,6 +9,7 @@ from scipy import stats
 
 from levywave import (
     BesovParams,
+    ConfigError,
     Gaussian,
     GridSpec,
     WaveletCoeffs,
@@ -67,7 +68,7 @@ def test_level_weights_hold_where_pieces_start_inside_a_level(monkeypatch, rows,
 
 @pytest.mark.parametrize("p", [math.inf, math.nan, 0.0])
 def test_params_reject_non_finite_or_nonpositive_p(p):
-    with pytest.raises(ValueError, match="p must be"):
+    with pytest.raises(ConfigError, match=f"^p must be positive and finite, got {p}$"):
         BesovParams(tau=0.0, p=p)
 
 

@@ -10,6 +10,7 @@ from levywave import (
     CompoundPoisson,
     ConfigError,
     DiracJump,
+    FAMILIES,
     Gaussian,
     GaussianJump,
     InverseGaussian,
@@ -95,6 +96,11 @@ def test_bg_indices_ordering(exponent):
     assert 0.0 <= idx.beta_prime <= idx.beta <= 2.0
 
 
+def test_all_families_holds_every_family():
+    # then the tests over ALL_FAMILIES, the index ordering among them, cover a new family too
+    assert {type(exponent) for exponent in ALL_FAMILIES} == set(FAMILIES.values())
+
+
 def test_sas_growth_index_limits():
     # |psi(xi)| / |xi|^(alpha + eps) must fall and / |xi|^(alpha - eps) must grow
     alpha, eps = 1.3, 0.1
@@ -128,6 +134,8 @@ def test_sas_growth_index_limits():
         lambda: UniformJump(1.0, 1.0),
         lambda: UniformJump(2.0, -1.0),
         lambda: DiracJump(0.0),
+        lambda: KappaPrediction("bogus"),
+        lambda: KappaPrediction("bounds", lower=2.0, upper=1.0),
     ],
 )
 def test_invalid_parameters_rejected(make):

@@ -943,8 +943,10 @@ def test_cli_predict_reads_config_lines(capsys, path):
         # settings are not validated: d = 3 and an inadmissible gamma still predict
         (["family=gaussian", "gamma=2.5", "d=3"], 0, "exact 0.333333"),
         (["family=gaussian", "gamma=0.4"], 0, "no prediction"),
+        # but the admissibility bound needs a dimension
+        (["family=gaussian", "d=0"], 2, "dimension must be >= 1, got 0"),
     ],
-    ids=["family_key", "bad_family_key", "d3", "inadmissible"],
+    ids=["family_key", "bad_family_key", "d3", "inadmissible", "d0"],
 )
 def test_cli_predict_settings(capsys, settings, status, expected):
     assert cli_main(["predict", *settings]) == status
@@ -1031,7 +1033,7 @@ def test_grid_too_coarse_for_filter_rejected(tmp_path, capsys):
 
 def test_filter_order_beyond_bound_rejected(tmp_path, capsys):
     text = "family = gaussian\nJ = 14\nk = 60\n"
-    with pytest.raises(ValueError, match="k=60 too large"):
+    with pytest.raises(ConfigError, match="k=60 too large"):
         parse_config(text)
     assert cli_main(["run", str(_write_config(tmp_path, text))]) == 2
     assert "k=60 too large" in capsys.readouterr().err
@@ -1096,7 +1098,7 @@ def test_operator_key_selects_its_symbol_and_runs(name):
 def _filter_message(k):
     """The message of the filter's own rejection of k; its reported miss comes
     from root finding, so it is read here rather than written out."""
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ConfigError) as info:
         wavelets.daubechies_lowpass(k)
     return str(info.value)
 

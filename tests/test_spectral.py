@@ -108,6 +108,18 @@ def test_apply_inverse_operator_divides_in_place(d):
         assert np.array_equal(out, expected)
 
 
+@pytest.mark.parametrize("d, J", [(1, 6), (2, 4)])
+def test_apply_inverse_operator_divides_a_stack_whose_axes_cannot_merge(d, J):
+    # a (2, 2) stack with one axis reversed cannot merge its stack axes into one
+    # without a copy; every field is still divided, in place
+    grid = GridSpec(d=d, J=J)
+    sf = forward_fft(make_rng(6).normal(size=(2, 2) + grid.shape), grid)[:, ::-1]
+    expected = sf / Matern(1.5).evaluate(grid)
+    out = apply_inverse_operator(sf, Matern(1.5), grid)
+    assert out is sf
+    assert np.array_equal(out, expected)
+
+
 def test_inverse_operator_single_mode_1d():
     grid = GridSpec(d=1, J=5)
     out = apply_inverse_operator(_delta_spectrum(grid, 1), FractionalLaplacian(1.0), grid)

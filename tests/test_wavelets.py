@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from levywave import (
     BesovParams,
+    ConfigError,
     WaveletCoeffs,
     WaveletSpec,
     daubechies_lowpass,
@@ -64,8 +65,16 @@ def test_filter_orthonormality_bound():
     h = daubechies_lowpass(23)
     assert abs(np.dot(h, h) - 1.0) < 1e-10
     for k in (24, 40, 60):
-        with pytest.raises(ValueError, match=f"k={k} too large"):
+        message = f"^k={k} too large: its filter misses orthonormality by "
+        with pytest.raises(ConfigError, match=message):
             WaveletSpec(k=k)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.0])
+def test_filter_order_must_be_a_positive_integer(k):
+    message = f"^vanishing-moment count must be a positive integer, got {k}$"
+    with pytest.raises(ConfigError, match=message):
+        WaveletSpec(k=k)
 
 
 @pytest.mark.parametrize("k,zeta", [(1, 0), (2, 2), (3, 3), (4, 3), (5, 4), (8, 4)])

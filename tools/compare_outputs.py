@@ -35,7 +35,7 @@ texts come from CHANGE, so both sides run the same configs.  For each run it
 compares the sha256 of curves.csv, summary.json and plot.tsv (`levywave run`
 only), what the command printed (with the side's output directory in the
 `wrote ...` lines replaced by OUT; stderr for a rejected config) and its exit
-code, and prints one line: 238 runs and 7 rejected configs in all.  Under a
+code, and prints one line: 238 runs and 8 rejected configs in all.  Under a
 run whose output files differ it prints how far their numbers moved: the
 largest relative difference between the two sides' sigma in curves.csv, the
 columns of plot.tsv and the kappa fields of summary.json.  It exits 1 if
@@ -89,6 +89,7 @@ LONE_VARIANTS = tuple(
 REJECTED = (
     ("gaussian", "d", "3"),
     ("gaussian", "J", "30"),
+    ("gaussian", "k", "0"),
     ("gaussian", "k", "30"),
     ("gaussian", "gamma", "-1"),
     ("sas15", "alpha", "3"),
